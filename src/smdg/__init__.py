@@ -13,12 +13,7 @@ from .graph import (
     SmDG,
     UnknownVertexError,
     VertexId,
-    ancestors,
-    children,
-    face_contains,
-    induced_subgraph,
     is_acyclic,
-    parents,
 )
 from .canon import (
     CanonReport,

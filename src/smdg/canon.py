@@ -15,13 +15,19 @@ the graph. Iterating them to a fixed point yields a canonical DAG in which
 A ninth normalization drops vacuous non-visible vertices (marginalized with
 no children, selected with no parents); these influence nothing observable
 and are never produced by the reverse construction.
+
+Each rewrite is one rule in a single ordered table: a step name, a finder
+listing the rewrite's targets, and the single-step rewrite. One saturating
+loop applies a rule until its finder returns nothing; ``canonicalize`` runs
+it over the table, ``replay_steps`` looks rewrites up by step name, and a DAG
+is canonical exactly when no finder fires.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .graph import GraphError, PartitionedDag, Role, VertexId
 
@@ -39,7 +45,8 @@ class ConfluenceError(GraphError):
     """A pass that should have been a no-op changed the graph."""
 
 
-CanonStep = tuple[str, tuple[str, ...]]
+Target = tuple[VertexId, ...]
+CanonStep = tuple[str, Target]
 
 
 def _fresh(label: str, taken: Iterable[VertexId]) -> VertexId:
@@ -83,20 +90,12 @@ def terminalize(d: PartitionedDag, s: VertexId) -> PartitionedDag:
     return d.with_edges(remove={(s, c) for c in d.children_of(s)})
 
 
-def exog_all(d: PartitionedDag, rng: Optional[random.Random] = None) -> PartitionedDag:
-    while True:
-        pending = sorted(m for m in d.marginalized if d.parents_of(m))
-        if not pending:
-            return d
-        if rng is not None:
-            rng.shuffle(pending)
-        d = exogenize(d, pending[0])
+def _exogenize_targets(d: PartitionedDag) -> list[Target]:
+    return [(m,) for m in sorted(d.marginalized) if d.parents_of(m)]
 
 
-def term_all(d: PartitionedDag, rng: Optional[random.Random] = None) -> PartitionedDag:
-    for s in sorted(d.selected):
-        d = terminalize(d, s)
-    return d
+def _terminalize_targets(d: PartitionedDag) -> list[Target]:
+    return [(s,) for s in sorted(d.selected) if d.children_of(s)]
 
 
 def _require_exog_term(op: str, d: PartitionedDag) -> None:
@@ -146,7 +145,7 @@ def merge_selected(d: PartitionedDag, s1: VertexId, s2: VertexId) -> Partitioned
     )
 
 
-def _merge_m_pairs(d: PartitionedDag) -> list[tuple[VertexId, VertexId]]:
+def _merge_m_pairs(d: PartitionedDag) -> list[Target]:
     ms = sorted(d.marginalized)
     return [
         (m1, m2)
@@ -156,7 +155,7 @@ def _merge_m_pairs(d: PartitionedDag) -> list[tuple[VertexId, VertexId]]:
     ]
 
 
-def _merge_s_pairs(d: PartitionedDag) -> list[tuple[VertexId, VertexId]]:
+def _merge_s_pairs(d: PartitionedDag) -> list[Target]:
     ss = sorted(d.selected)
     return [
         (s1, s2)
@@ -164,26 +163,6 @@ def _merge_s_pairs(d: PartitionedDag) -> list[tuple[VertexId, VertexId]]:
         for s2 in ss[i + 1:]
         if d.parents_of(s1) & d.parents_of(s2) & d.marginalized
     ]
-
-
-def merge_m_all(d: PartitionedDag, rng: Optional[random.Random] = None) -> PartitionedDag:
-    while True:
-        pairs = _merge_m_pairs(d)
-        if not pairs:
-            return d
-        if rng is not None:
-            rng.shuffle(pairs)
-        d = merge_marginalized(d, *pairs[0])
-
-
-def merge_s_all(d: PartitionedDag, rng: Optional[random.Random] = None) -> PartitionedDag:
-    while True:
-        pairs = _merge_s_pairs(d)
-        if not pairs:
-            return d
-        if rng is not None:
-            rng.shuffle(pairs)
-        d = merge_selected(d, *pairs[0])
 
 
 def _require_merged(op: str, d: PartitionedDag) -> None:
@@ -240,23 +219,13 @@ def split_m_to_s(d: PartitionedDag, m: VertexId, s: VertexId) -> PartitionedDag:
     return d.with_vertices(add=add_vertices, add_edges=add_edges, remove_edges={(m, s)})
 
 
-def _split_targets(d: PartitionedDag) -> list[tuple[VertexId, VertexId]]:
+def _split_targets(d: PartitionedDag) -> list[Target]:
     out = []
     for m, s in d.edges:
         if d.role_of(m) is Role.MARGINALIZED and d.role_of(s) is Role.SELECTED:
             if len(d.parents_of(s) & d.visible) != 1 or len(d.children_of(m) & d.visible) != 1:
                 out.append((m, s))
     return sorted(out)
-
-
-def split_all(d: PartitionedDag, rng: Optional[random.Random] = None) -> PartitionedDag:
-    while True:
-        targets = _split_targets(d)
-        if not targets:
-            return d
-        if rng is not None:
-            rng.shuffle(targets)
-        d = split_m_to_s(d, *targets[0])
 
 
 def to_special(d: PartitionedDag, a: VertexId, b: VertexId) -> PartitionedDag:
@@ -282,7 +251,7 @@ def to_special(d: PartitionedDag, a: VertexId, b: VertexId) -> PartitionedDag:
     )
 
 
-def _special_targets(d: PartitionedDag) -> list[tuple[VertexId, VertexId]]:
+def _special_targets(d: PartitionedDag) -> list[Target]:
     vis = d.visible
     return sorted(
         (a, b)
@@ -294,19 +263,7 @@ def _special_targets(d: PartitionedDag) -> list[tuple[VertexId, VertexId]]:
     )
 
 
-def to_special_all(d: PartitionedDag, rng: Optional[random.Random] = None) -> PartitionedDag:
-    # Eligibility can grow: each replacement gives the tail a selected child
-    # and the head a marginalized parent, so re-scan after every rewrite.
-    while True:
-        targets = _special_targets(d)
-        if not targets:
-            return d
-        if rng is not None:
-            rng.shuffle(targets)
-        d = to_special(d, *targets[0])
-
-
-def _redundant_marginalized(d: PartitionedDag) -> list[VertexId]:
+def _redundant_marginalized(d: PartitionedDag) -> list[Target]:
     ms = sorted(d.marginalized)
     victims = []
     for m1 in ms:
@@ -317,12 +274,12 @@ def _redundant_marginalized(d: PartitionedDag) -> list[VertexId]:
             ch2 = d.children_of(m2)
             # Equal child sets tie-break: keep the smaller label.
             if ch1 < ch2 or (ch1 == ch2 and m1 > m2):
-                victims.append(m1)
+                victims.append((m1,))
                 break
     return victims
 
 
-def _redundant_selected(d: PartitionedDag) -> list[VertexId]:
+def _redundant_selected(d: PartitionedDag) -> list[Target]:
     ss = sorted(d.selected)
     victims = []
     for s1 in ss:
@@ -332,64 +289,95 @@ def _redundant_selected(d: PartitionedDag) -> list[VertexId]:
                 continue
             pa2 = d.parents_of(s2)
             if pa1 < pa2 or (pa1 == pa2 and s1 > s2):
-                victims.append(s1)
+                victims.append((s1,))
                 break
     return victims
 
 
+def _vacuous(d: PartitionedDag) -> list[Target]:
+    # A childless latent is integrated out unchanged and a parentless
+    # selection renormalizes away: neither has observable influence.
+    out = [m for m in d.marginalized if not d.children_of(m)]
+    out += [s for s in d.selected if not d.parents_of(s)]
+    return [(v,) for v in sorted(out)]
+
+
+def _remove_vertex(d: PartitionedDag, v: VertexId) -> PartitionedDag:
+    return d.with_vertices(remove={v})
+
+
+# --- the rule table ---------------------------------------------------------
+
+class Rule(NamedTuple):
+    """One rewrite: the step name recorded in reports, a finder returning
+    the rewrite's targets as sorted argument tuples, and the rewrite."""
+
+    step: str
+    targets: Callable[[PartitionedDag], list[Target]]
+    rewrite: Callable[..., PartitionedDag]
+
+
+_TERMINALIZE = Rule("terminalize", _terminalize_targets, terminalize)
+_EXOGENIZE = Rule("exogenize", _exogenize_targets, exogenize)
+_TO_SPECIAL = Rule("to_special", _special_targets, to_special)
+_REDUNDANT_M = Rule("remove_vertex", _redundant_marginalized, _remove_vertex)
+_REDUNDANT_S = Rule("remove_vertex", _redundant_selected, _remove_vertex)
+_VACUOUS = Rule("remove_vertex", _vacuous, _remove_vertex)
+
+# Pipeline order: each rule's preconditions hold once the rules before it
+# are saturated.
+_RULES: tuple[Rule, ...] = (
+    _TERMINALIZE,
+    _EXOGENIZE,
+    Rule("merge_marginalized", _merge_m_pairs, merge_marginalized),
+    Rule("merge_selected", _merge_s_pairs, merge_selected),
+    Rule("split_m_to_s", _split_targets, split_m_to_s),
+    _VACUOUS,
+    _TO_SPECIAL,
+    _REDUNDANT_M,
+    _REDUNDANT_S,
+    _VACUOUS,
+)
+
+_REWRITES = {rule.step: rule.rewrite for rule in _RULES}
+
+
+def _saturate(
+    d: PartitionedDag,
+    rule: Rule,
+    rng: Optional[random.Random] = None,
+    steps: Optional[list[CanonStep]] = None,
+) -> PartitionedDag:
+    """Apply the rule to its first target (a random one under rng) until its
+    finder returns nothing, appending each step taken to steps."""
+    while targets := rule.targets(d):
+        if rng is not None:
+            rng.shuffle(targets)
+        if steps is not None:
+            steps.append((rule.step, targets[0]))
+        d = rule.rewrite(d, *targets[0])
+    return d
+
+
+def exog_all(d: PartitionedDag, rng: Optional[random.Random] = None) -> PartitionedDag:
+    return _saturate(d, _EXOGENIZE, rng)
+
+
+def term_all(d: PartitionedDag, rng: Optional[random.Random] = None) -> PartitionedDag:
+    return _saturate(d, _TERMINALIZE, rng)
+
+
 def rmv_red_m(d: PartitionedDag, rng: Optional[random.Random] = None) -> PartitionedDag:
     """Delete marginalized vertices whose child set is dominated by another's."""
-    while True:
-        victims = _redundant_marginalized(d)
-        if not victims:
-            return d
-        if rng is not None:
-            rng.shuffle(victims)
-        d = d.with_vertices(remove={victims[0]})
+    return _saturate(d, _REDUNDANT_M, rng)
 
 
 def rmv_red_s(d: PartitionedDag, rng: Optional[random.Random] = None) -> PartitionedDag:
     """Delete selected vertices whose parent set is dominated by another's."""
-    while True:
-        victims = _redundant_selected(d)
-        if not victims:
-            return d
-        if rng is not None:
-            rng.shuffle(victims)
-        d = d.with_vertices(remove={victims[0]})
-
-
-def _vacuous(d: PartitionedDag) -> list[VertexId]:
-    out = [m for m in d.marginalized if not d.children_of(m)]
-    out += [s for s in d.selected if not d.parents_of(s)]
-    return sorted(out)
-
-
-def drop_vacuous(d: PartitionedDag, rng: Optional[random.Random] = None) -> PartitionedDag:
-    """Remove childless marginalized and parentless selected vertices.
-
-    Such vertices have no observable influence: a childless latent is
-    integrated out unchanged and a parentless selection renormalizes away.
-    """
-    victims = _vacuous(d)
-    return d.with_vertices(remove=set(victims)) if victims else d
+    return _saturate(d, _REDUNDANT_S, rng)
 
 
 # --- the full pipeline ----------------------------------------------------
-
-_PASSES: tuple[tuple[str, Callable[..., PartitionedDag]], ...] = (
-    ("terminalize_all", term_all),
-    ("exogenize_all", exog_all),
-    ("merge_marginalized_all", merge_m_all),
-    ("merge_selected_all", merge_s_all),
-    ("split_all", split_all),
-    ("drop_vacuous", drop_vacuous),
-    ("to_special_all", to_special_all),
-    ("remove_redundant_marginalized", rmv_red_m),
-    ("remove_redundant_selected", rmv_red_s),
-    ("drop_vacuous", drop_vacuous),
-)
-
 
 @dataclass(frozen=True)
 class CanonReport:
@@ -402,131 +390,38 @@ class CanonReport:
         return replay_steps(self.input, self.steps)
 
 
-_STEP_OPS = {
-    "terminalize": lambda d, s: terminalize(d, s),
-    "exogenize": lambda d, m: exogenize(d, m),
-    "merge_marginalized": lambda d, m1, m2: merge_marginalized(d, m1, m2),
-    "merge_selected": lambda d, s1, s2: merge_selected(d, s1, s2),
-    "split_m_to_s": lambda d, m, s: split_m_to_s(d, m, s),
-    "to_special": lambda d, a, b: to_special(d, a, b),
-    "remove_vertex": lambda d, v: d.with_vertices(remove={v}),
-}
-
-
 def replay_steps(d: PartitionedDag, steps: Iterable[CanonStep]) -> PartitionedDag:
     for name, args in steps:
-        d = _STEP_OPS[name](d, *args)
+        d = _REWRITES[name](d, *args)
     return d
 
 
 def canonicalize(d: PartitionedDag, _rng: Optional[random.Random] = None) -> CanonReport:
-    """Run the rewrite pipeline to a fixed point, recording each step.
+    """Saturate the rules in table order, round after round, until a round
+    leaves the graph unchanged, recording each step.
 
-    The optional rng shuffles the candidate order inside each pass; the
-    result must not depend on it (tested, not assumed).
+    The optional rng shuffles the targets of every rule; the result must not
+    depend on it (tested, not assumed).
     """
     steps: list[CanonStep] = []
     current = d
-
-    def record(name: str, args: tuple[str, ...], new: PartitionedDag) -> PartitionedDag:
-        steps.append((name, args))
-        return new
-
     for _round in range(len(d.vertices) + 2):
         before = current
-        current = _run_passes(current, steps, _rng)
+        for rule in _RULES:
+            # Splitting must not re-enable the merges; surface a
+            # counterexample instead of silently re-merging.
+            if rule is _TO_SPECIAL and (_merge_m_pairs(current) or _merge_s_pairs(current)):
+                raise ConfluenceError("splitting re-enabled a merge; canonical order violated")
+            current = _saturate(current, rule, _rng, steps)
         if current == before:
             break
     else:
         raise ConfluenceError("canonicalization did not reach a fixed point")
-    for name, pass_fn in _PASSES:
-        if pass_fn(current) != current:
-            raise ConfluenceError(f"pass {name} is not a no-op on the pipeline output")
+    if not is_canonical(current):
+        raise ConfluenceError("a rewrite still applies to the pipeline output")
     return CanonReport(input=d, output=current, steps=tuple(steps))
 
 
-def _run_passes(
-    d: PartitionedDag, steps: list[CanonStep], rng: Optional[random.Random]
-) -> PartitionedDag:
-    # terminalize, then exogenize
-    for s in _maybe_shuffle(sorted(s for s in d.selected if d.children_of(s)), rng):
-        steps.append(("terminalize", (s,)))
-        d = terminalize(d, s)
-    while True:
-        pending = [m for m in sorted(d.marginalized) if d.parents_of(m)]
-        if not pending:
-            break
-        m = _maybe_shuffle(pending, rng)[0]
-        steps.append(("exogenize", (m,)))
-        d = exogenize(d, m)
-    # merges
-    while True:
-        pairs = _merge_m_pairs(d)
-        if not pairs:
-            break
-        m1, m2 = _maybe_shuffle(pairs, rng)[0]
-        steps.append(("merge_marginalized", (m1, m2)))
-        d = merge_marginalized(d, m1, m2)
-    while True:
-        pairs = _merge_s_pairs(d)
-        if not pairs:
-            break
-        s1, s2 = _maybe_shuffle(pairs, rng)[0]
-        steps.append(("merge_selected", (s1, s2)))
-        d = merge_selected(d, s1, s2)
-    # splits
-    while True:
-        targets = _split_targets(d)
-        if not targets:
-            break
-        m, s = _maybe_shuffle(targets, rng)[0]
-        steps.append(("split_m_to_s", (m, s)))
-        d = split_m_to_s(d, m, s)
-    d = _record_vacuous(d, steps)
-    # Splitting must not re-enable the merges; surface a counterexample
-    # instead of silently re-merging.
-    if _merge_m_pairs(d) or _merge_s_pairs(d):
-        raise ConfluenceError("splitting re-enabled a merge; canonical order violated")
-    # special edges
-    while True:
-        targets = _special_targets(d)
-        if not targets:
-            break
-        a, b = _maybe_shuffle(targets, rng)[0]
-        steps.append(("to_special", (a, b)))
-        d = to_special(d, a, b)
-    # redundancy removal
-    while True:
-        victims = _redundant_marginalized(d)
-        if not victims:
-            break
-        v = _maybe_shuffle(victims, rng)[0]
-        steps.append(("remove_vertex", (v,)))
-        d = d.with_vertices(remove={v})
-    while True:
-        victims = _redundant_selected(d)
-        if not victims:
-            break
-        v = _maybe_shuffle(victims, rng)[0]
-        steps.append(("remove_vertex", (v,)))
-        d = d.with_vertices(remove={v})
-    return _record_vacuous(d, steps)
-
-
-def _record_vacuous(d: PartitionedDag, steps: list[CanonStep]) -> PartitionedDag:
-    for v in _vacuous(d):
-        steps.append(("remove_vertex", (v,)))
-        d = d.with_vertices(remove={v})
-    return d
-
-
-def _maybe_shuffle(items: list, rng: Optional[random.Random]) -> list:
-    if rng is not None and len(items) > 1:
-        items = list(items)
-        rng.shuffle(items)
-    return items
-
-
 def is_canonical(d: PartitionedDag) -> bool:
-    """True when every rewrite pass leaves the graph unchanged."""
-    return all(pass_fn(d) == d for _, pass_fn in _PASSES)
+    """True when no rule has a target; inspects d and builds no graph."""
+    return not any(rule.targets(d) for rule in _RULES)

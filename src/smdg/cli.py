@@ -376,8 +376,6 @@ def _cmd_enumerate(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="smdg", description=__doc__)
     parser.add_argument("--format", choices=["json", "dot"], default="json")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved for randomized subcommands; outputs are deterministic")
     parser.add_argument("--quiet", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 VertexId = str
 
@@ -87,44 +87,6 @@ def find_cycle(
     return None
 
 
-def simple_cycles(
-    vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]
-) -> Iterator[tuple[VertexId, ...]]:
-    """Enumerate the simple directed cycles of a small graph.
-
-    Each cycle is reported once, rooted at its smallest vertex. Self-loops
-    are reported as length-one cycles. Exponential in the worst case; meant
-    for the desk-scale graphs this library works with.
-    """
-    verts = sorted(set(vertices))
-    out: dict[VertexId, list[VertexId]] = {v: [] for v in verts}
-    for a, b in edges:
-        out[a].append(b)
-    for v in verts:
-        out[v].sort()
-
-    for root in verts:
-        if root in out[root]:
-            yield (root,)
-        # DFS over paths of vertices > root that return to root.
-        path = [root]
-        on_path = {root}
-
-        def extend() -> Iterator[tuple[VertexId, ...]]:
-            here = path[-1]
-            for nxt in out[here]:
-                if nxt == root and len(path) > 1:
-                    yield tuple(path)
-                elif nxt > root and nxt not in on_path:
-                    path.append(nxt)
-                    on_path.add(nxt)
-                    yield from extend()
-                    on_path.remove(nxt)
-                    path.pop()
-
-        yield from extend()
-
-
 def topological_order(
     vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]
 ) -> list[VertexId]:
@@ -150,6 +112,25 @@ def topological_order(
     if len(order) != len(verts):
         raise GraphError("graph contains a cycle; no topological order exists")
     return order
+
+
+def _closure(
+    step: Mapping[VertexId, frozenset[VertexId]], ws: Iterable[VertexId]
+) -> frozenset[VertexId]:
+    """Reflexive-transitive closure of a vertex set under an adjacency map
+    whose keys are all the vertices of the graph."""
+    todo = list(ws)
+    for w in todo:
+        if w not in step:
+            raise UnknownVertexError(f"vertex {w!r} is not in the graph")
+    seen: set[VertexId] = set()
+    while todo:
+        v = todo.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        todo.extend(step[v])
+    return frozenset(seen)
 
 
 @dataclass(frozen=True)
@@ -198,12 +179,13 @@ class PartitionedDag:
                 raise UnknownVertexError(f"edge ({a!r}, {b!r}) has an endpoint outside the graph")
             if a == b:
                 raise GraphError(f"self-loop on {a!r} is not allowed in a DAG")
-        cycle = find_cycle(roles, edge_set)
+        edge_list = tuple(sorted(edge_set))
+        cycle = find_cycle(roles, edge_list)
         if cycle is not None:
             raise GraphError("edges contain the cycle " + " -> ".join(cycle))
         return cls(
             roles=tuple(sorted(roles.items(), key=lambda kv: kv[0])),
-            edges=tuple(sorted(edge_set)),
+            edges=edge_list,
         )
 
     def __post_init__(self) -> None:
@@ -253,30 +235,10 @@ class PartitionedDag:
 
     def ancestors_of(self, ws: Iterable[VertexId]) -> frozenset[VertexId]:
         """Reflexive-transitive closure of parenthood over a vertex set."""
-        todo = list(ws)
-        for w in todo:
-            self._require(w)
-        seen: set[VertexId] = set()
-        while todo:
-            v = todo.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            todo.extend(self._parents[v])
-        return frozenset(seen)
+        return _closure(self._parents, ws)
 
     def descendants_of(self, ws: Iterable[VertexId]) -> frozenset[VertexId]:
-        todo = list(ws)
-        for w in todo:
-            self._require(w)
-        seen: set[VertexId] = set()
-        while todo:
-            v = todo.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            todo.extend(self._children[v])
-        return frozenset(seen)
+        return _closure(self._children, ws)
 
     def induced_subgraph(self, keep: Iterable[VertexId]) -> "PartitionedDag":
         keep = set(keep)
@@ -440,30 +402,10 @@ class SmDG:
         return self._children[v]
 
     def ancestors_of(self, ws: Iterable[VertexId]) -> frozenset[VertexId]:
-        todo = list(ws)
-        for w in todo:
-            self._require(w)
-        seen: set[VertexId] = set()
-        while todo:
-            v = todo.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            todo.extend(self._parents[v])
-        return frozenset(seen)
+        return _closure(self._parents, ws)
 
     def descendants_of(self, ws: Iterable[VertexId]) -> frozenset[VertexId]:
-        todo = list(ws)
-        for w in todo:
-            self._require(w)
-        seen: set[VertexId] = set()
-        while todo:
-            v = todo.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            todo.extend(self._children[v])
-        return frozenset(seen)
+        return _closure(self._children, ws)
 
     def induced_subgraph(self, keep: Iterable[VertexId]) -> "SmDG":
         keep = set(keep)
@@ -478,25 +420,3 @@ class SmDG:
 
     def sorted_edges(self) -> list[tuple[VertexId, VertexId]]:
         return sorted(self.edges)
-
-
-def parents(graph: PartitionedDag | SmDG, v: VertexId) -> frozenset[VertexId]:
-    """Vertices u with an edge u -> v; for an SmDG a self-loop makes v its own parent."""
-    return graph.parents_of(v)
-
-
-def children(graph: PartitionedDag | SmDG, v: VertexId) -> frozenset[VertexId]:
-    return graph.children_of(v)
-
-
-def ancestors(graph: PartitionedDag | SmDG, ws: Iterable[VertexId]) -> frozenset[VertexId]:
-    return graph.ancestors_of(ws)
-
-
-def induced_subgraph(graph, keep: Iterable[VertexId]):
-    return graph.induced_subgraph(keep)
-
-
-def face_contains(system: IndependenceSystem, face: Iterable[VertexId]) -> bool:
-    """Membership of a set in the downward closure of the stored maximal faces."""
-    return system.contains_face(face)

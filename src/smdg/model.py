@@ -345,26 +345,6 @@ def smo_distribution(model: DiscreteModel) -> SelectedDistribution:
     return SelectedDistribution(dist=dist, selection_probability=total)
 
 
-def doubled_dag(d: PartitionedDag) -> PartitionedDag:
-    """The intervention graph: parentless sharp copies of the visibles, and
-    the original vertices (visibles renamed to their flat copies) reading
-    sharp versions of their visible parents."""
-    roles: dict[VertexId, Role] = {}
-    for v in d.visible:
-        roles[sharp(v)] = Role.VISIBLE
-        roles[flat(v)] = Role.VISIBLE
-    for v in d.marginalized:
-        roles[v] = Role.MARGINALIZED
-    for v in d.selected:
-        roles[v] = Role.SELECTED
-    edges = []
-    for a, b in d.edges:
-        head = flat(b) if b in d.visible else b
-        tail = sharp(a) if a in d.visible else a
-        edges.append((tail, head))
-    return PartitionedDag.from_roles(roles, edges)
-
-
 def _check_q(model: DiscreteModel, q: ProbTable, over: Sequence[VertexId],
              full_support: bool) -> None:
     if tuple(q.variables) != tuple(over):

@@ -19,7 +19,6 @@ from .graph import (
     SmDG,
     VertexId,
     find_cycle,
-    simple_cycles,
 )
 
 
@@ -28,7 +27,7 @@ class NotLiftableError(GraphError):
         self.cycle = cycle
         super().__init__(
             "smDG is not liftable; the cycle "
-            + " -> ".join(cycle + (cycle[0],))
+            + " -> ".join(cycle)
             + " has no edge from the selected support into the marginal support"
         )
 
@@ -133,22 +132,25 @@ def canonical_graph(g: SmDG) -> CanonicalGraph:
         taken.add(label)
         roles[label] = Role.SELECTED
         edges.update({(v, label) for v in face})
-    cycle = find_cycle(roles, edges)
+    edge_list = tuple(sorted(edges))
     return CanonicalGraph(
-        roles=tuple(sorted(roles.items())), edges=tuple(sorted(edges)), cycle=cycle
+        roles=tuple(sorted(roles.items())), edges=edge_list, cycle=find_cycle(roles, edge_list)
     )
+
+
+def unliftable_cycle(g: SmDG) -> Optional[tuple[VertexId, ...]]:
+    """A directed cycle (first == last, self-loops included) with no edge from
+    the selected support into the marginal support, or None when there is none."""
+    sel_support = g.selected_system.support
+    mar_support = g.marginal_system.support
+    kept = sorted((a, b) for a, b in g.edges if not (a in sel_support and b in mar_support))
+    return find_cycle(g.visibles, kept)
 
 
 def is_liftable(g: SmDG) -> bool:
     """True when every directed cycle (self-loops included) contains an edge
     from the selected support into the marginal support."""
-    sel_support = g.selected_system.support
-    mar_support = g.marginal_system.support
-    for cycle in simple_cycles(g.visibles, g.edges):
-        pairs = list(zip(cycle, cycle[1:] + cycle[:1]))
-        if not any(a in sel_support and b in mar_support for a, b in pairs):
-            return False
-    return True
+    return unliftable_cycle(g) is None
 
 
 def lift(g: SmDG) -> PartitionedDag:

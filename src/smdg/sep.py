@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .graph import GraphError, PartitionedDag, SmDG, VertexId
-from .project import NotLiftableError, canonical_graph, is_liftable
+from .project import NotLiftableError, canonical_graph, unliftable_cycle
 
 
 class Verdict(enum.Enum):
@@ -179,8 +179,9 @@ def sm_separated(g: SmDG, query: SeparationQuery) -> Verdict:
     set; colliders are active when some directed-structure descendant lies in
     the conditioning set or in a selected face.
     """
-    if not is_liftable(g):
-        raise NotLiftableError(tuple(sorted(g.visibles))[:1] or ("?",))
+    cycle = unliftable_cycle(g)
+    if cycle is not None:
+        raise NotLiftableError(cycle)
     for v in query.vertices():
         g.parents_of(v)
     closure = functional_closure(g, query.z)

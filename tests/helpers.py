@@ -2,7 +2,23 @@
 
 import itertools
 
-from smdg.graph import PartitionedDag
+from smdg.graph import PartitionedDag, SmDG
+
+# Non-liftable smDGs: a two-cycle, a self-loop, and a three-cycle that the
+# smallest vertex label is not on.
+UNLIFTABLE = (
+    SmDG.of("ab", edges=[("a", "b"), ("b", "a")]),
+    SmDG.of("ab", edges=[("a", "b"), ("b", "b")]),
+    SmDG.of("abcd", edges=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")]),
+)
+
+
+def assert_cycle_witness(cycle, edges, message: str) -> None:
+    """The witness is a closed walk over edges, and the message names it
+    once: each vertex, then the closing one."""
+    assert len(cycle) >= 2 and cycle[0] == cycle[-1], cycle
+    assert all(pair in set(edges) for pair in zip(cycle, cycle[1:])), cycle
+    assert f"the cycle {' -> '.join(cycle)} has" in message, message
 
 
 def same_up_to_nonvisible_labels(d1: PartitionedDag, d2: PartitionedDag) -> bool:

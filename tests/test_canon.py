@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from smdg.enumeration import enumerate_partitioned_dags
 from smdg.graph import PartitionedDag, is_acyclic
 from smdg.canon import (
     PreconditionError,
@@ -240,6 +241,44 @@ def test_canonicalize_replay_reproduces_output():
     for make in (cases.teaser_a, cases.teaser_b, cases.latent_chain, cases.split_fan_before):
         report = canonicalize(make())
         assert report.replay() == report.output
+
+
+GOLDEN_STEPS = {
+    "teaser_a": (("to_special", ("b", "a")),),
+    "teaser_b": (("to_special", ("c", "a")), ("remove_vertex", ("m1",))),
+    "latent_chain": (("exogenize", ("a2",)), ("remove_vertex", ("a2",))),
+    "split_fan_before": (("split_m_to_s", ("m", "s")),),
+    "split_loop_before": (("split_m_to_s", ("m", "s")),),
+    "redundant_before": (("remove_vertex", ("m1",)), ("remove_vertex", ("s1",))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STEPS))
+def test_canonicalize_golden_steps(name):
+    assert canonicalize(getattr(cases, name)()).steps == GOLDEN_STEPS[name]
+
+
+def test_is_canonical_iff_no_steps():
+    rng = random.Random(20261018)
+    graphs = [
+        *enumerate_partitioned_dags(2, 1, 1),
+        *enumerate_partitioned_dags(2, 2, 1),
+        *(_random_partitioned_dag(rng) for _ in range(300)),
+    ]
+    for d in graphs:
+        assert is_canonical(d) == (canonicalize(d).steps == ()), d
+
+
+def test_is_canonical_builds_no_graph(monkeypatch):
+    graphs = [make() for make in (cases.canon_example, cases.teaser_a, cases.teaser_b,
+                                  cases.split_fan_before, cases.redundant_before)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_canonical constructed a graph")
+
+    monkeypatch.setattr(PartitionedDag, "from_roles", classmethod(refuse))
+    monkeypatch.setattr(PartitionedDag, "__post_init__", refuse)
+    assert [is_canonical(d) for d in graphs] == [True, False, False, False, False]
 
 
 def test_is_canonical_worked_examples():

@@ -5,8 +5,10 @@ import pytest
 from smdg import io as graph_io
 from smdg.cli import main
 from smdg.model import model_loads, smo_distribution
+from smdg.project import canonical_graph
 
 import cases
+from helpers import UNLIFTABLE, assert_cycle_witness
 
 
 def write(tmp_path, name, text):
@@ -59,13 +61,13 @@ def test_project_and_lift_round_trip(tmp_path, capsys):
 
 
 def test_lift_reports_cycle(tmp_path, capsys):
-    from smdg.graph import SmDG
-
-    g = SmDG.of("ab", edges=[("a", "b"), ("b", "a")])
-    path = write(tmp_path, "g.json", graph_io.dumps(g))
-    code, _, err = run(capsys, "lift", path)
-    assert code == 1
-    assert "cycle" in err
+    for i, g in enumerate(UNLIFTABLE):
+        path = write(tmp_path, f"g{i}.json", graph_io.dumps(g))
+        code, _, err = run(capsys, "lift", path)
+        assert code == 1
+        (line,) = err.splitlines()
+        cycle = tuple(line.split("the cycle ")[1].split(" has ")[0].split(" -> "))
+        assert_cycle_witness(cycle, canonical_graph(g).edges, line)
 
 
 def test_equiv_oad_exit_codes(tmp_path, capsys):

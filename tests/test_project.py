@@ -11,10 +11,11 @@ from smdg.project import (
     observe_and_do_equivalent,
     signature,
     slp,
+    unliftable_cycle,
 )
 
 import cases
-from helpers import same_up_to_nonvisible_labels
+from helpers import UNLIFTABLE, assert_cycle_witness, same_up_to_nonvisible_labels
 
 
 # --- selected-latent projection ------------------------------------------------
@@ -103,10 +104,16 @@ def test_acyclic_structure_is_liftable_regardless_of_systems():
 
 
 def test_lift_error_carries_offending_cycle():
-    g = SmDG.of("ab", edges=[("a", "b"), ("b", "a")])
-    with pytest.raises(NotLiftableError) as err:
-        lift(g)
-    assert set(err.value.cycle) <= {"a", "b"}
+    for g in UNLIFTABLE:
+        with pytest.raises(NotLiftableError) as err:
+            lift(g)
+        assert_cycle_witness(err.value.cycle, canonical_graph(g).edges, str(err.value))
+
+
+def test_unliftable_witness_follows_sorted_edges():
+    # two cycles through a; the reported one must not depend on the hash seed
+    g = SmDG.of("abc", edges=[("a", "c"), ("c", "a"), ("a", "b"), ("b", "a")])
+    assert unliftable_cycle(g) == canonical_graph(g).cycle == ("a", "b", "a")
 
 
 def test_lift_round_trip():

@@ -14,6 +14,7 @@ from smdg.sep import (
 )
 
 import cases
+from helpers import UNLIFTABLE, assert_cycle_witness
 
 
 def q(x, y, z=()):
@@ -168,9 +169,10 @@ def test_selected_face_connects_when_conditioned_path_exists():
 
 
 def test_sm_requires_liftable():
-    g = SmDG.of("ab", edges=[("a", "b"), ("b", "a")])
-    with pytest.raises(NotLiftableError):
-        sm_separated(g, q("a", "b"))
+    for g in UNLIFTABLE:
+        with pytest.raises(NotLiftableError) as err:
+            sm_separated(g, q("a", "b"))
+        assert_cycle_witness(err.value.cycle, g.edges, str(err.value))
 
 
 def test_fully_deterministic_smdg_all_queries_determined():
