@@ -51,7 +51,6 @@ from .sep import (
     d_separated,
     functional_closure,
     sm_separated,
-    sm_vs_D_agreement,
 )
 from .model import (
     DiscreteModel,

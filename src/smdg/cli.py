@@ -205,13 +205,17 @@ def _parse_support_points(items) -> list[oracle.SupportPoint]:
 
 
 def _cmd_oracle_support(args) -> int:
-    structure = _read_json(args.structure)
-    fs = oracle.FactorizationStructure.of(structure["variables"], structure["factors"])
-    query_obj = _read_json(args.query)
-    query = oracle.SupportQuery.of(
-        _parse_support_points(query_obj.get("required", [])),
-        _parse_support_points(query_obj.get("forbidden", [])),
-    )
+    structure, query_obj = _read_json(args.structure), _read_json(args.query)
+    try:
+        fs = oracle.FactorizationStructure.of(structure["variables"], structure["factors"])
+        query = oracle.SupportQuery.of(
+            _parse_support_points(query_obj.get("required", [])),
+            _parse_support_points(query_obj.get("forbidden", [])),
+        )
+    except KeyError as exc:
+        raise oracle.OracleError(f"malformed oracle input: missing key {exc}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise oracle.OracleError(f"malformed oracle input: {exc}") from exc
     res = oracle.support_feasible(fs, query)
     if res.feasible:
         payload = {

@@ -145,6 +145,10 @@ class PartitionedDag:
     _children: Mapping[VertexId, frozenset[VertexId]] = field(
         default=None, repr=False, compare=False
     )
+    _role: Mapping[VertexId, Role] = field(default=None, repr=False, compare=False)
+    _by_role: Mapping[Role, frozenset[VertexId]] = field(
+        default=None, repr=False, compare=False
+    )
 
     @classmethod
     def of(
@@ -196,6 +200,10 @@ class PartitionedDag:
             children[a].add(b)
         object.__setattr__(self, "_parents", {v: frozenset(p) for v, p in parents.items()})
         object.__setattr__(self, "_children", {v: frozenset(c) for v, c in children.items()})
+        object.__setattr__(self, "_role", dict(self.roles))
+        object.__setattr__(self, "_by_role", {
+            role: frozenset(v for v, r in self.roles if r is role) for role in Role
+        })
 
     # --- vertex queries -------------------------------------------------
     @property
@@ -204,26 +212,23 @@ class PartitionedDag:
 
     def role_of(self, v: VertexId) -> Role:
         self._require(v)
-        return dict(self.roles)[v]
+        return self._role[v]
 
     def _require(self, v: VertexId) -> None:
         if v not in self._parents:
             raise UnknownVertexError(f"vertex {v!r} is not in the graph")
 
-    def _of_role(self, role: Role) -> frozenset[VertexId]:
-        return frozenset(v for v, r in self.roles if r is role)
-
     @property
     def visible(self) -> frozenset[VertexId]:
-        return self._of_role(Role.VISIBLE)
+        return self._by_role[Role.VISIBLE]
 
     @property
     def marginalized(self) -> frozenset[VertexId]:
-        return self._of_role(Role.MARGINALIZED)
+        return self._by_role[Role.MARGINALIZED]
 
     @property
     def selected(self) -> frozenset[VertexId]:
-        return self._of_role(Role.SELECTED)
+        return self._by_role[Role.SELECTED]
 
     def parents_of(self, v: VertexId) -> frozenset[VertexId]:
         self._require(v)

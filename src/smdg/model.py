@@ -5,12 +5,19 @@ point and no tolerance anywhere in this module. Visible variables must have
 deterministic kernels (their randomness, when needed, comes from explicit
 marginalized parents; see :func:`add_private_latents`). Selected variables
 are conditioned to a designated zero value in every reported distribution.
+
+Every distribution here comes from one walk over the topological order that
+multiplies kernel rows and prunes zero branches. An intervention is a parent
+read: a kernel takes an intervened parent's value from the intervention
+instead of from the walk. Selection is weighted evidence: a selected vertex
+is pinned to its zero value and weighted by its kernel, which gives the
+numerator of the conditioning.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Any, Iterable, Mapping, Optional, Sequence
@@ -40,6 +47,12 @@ class KernelTable:
 
     parents: tuple[VertexId, ...]
     rows: tuple[tuple[Assignment, tuple[Fraction, ...]], ...]
+    _index: Mapping[Assignment, tuple[Fraction, ...]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", dict(self.rows))
 
     @classmethod
     def of(
@@ -56,7 +69,7 @@ class KernelTable:
         return cls(parents=tuple(parents), rows=fixed)
 
     def row(self, key: Assignment) -> tuple[Fraction, ...]:
-        return dict(self.rows)[tuple(key)]
+        return self._index[tuple(key)]
 
 
 def deterministic_kernel(
@@ -150,8 +163,15 @@ class DiscreteModel:
                 expected_rows *= len(domains[p])
             if len(kern.rows) != expected_rows:
                 raise ModelError(f"kernel of {v!r} is missing parent-assignment rows")
+            parent_domains = [set(domains[p]) for p in kern.parents]
             deterministic_required = self.dag.role_of(v) is Role.VISIBLE
             for key, vec in kern.rows:
+                if len(key) != len(parent_domains) or not all(
+                    x in dom for x, dom in zip(key, parent_domains)
+                ):
+                    raise ModelError(
+                        f"kernel row {key} of {v!r} lies outside its parents' domains"
+                    )
                 if len(vec) != len(domains[v]):
                     raise ModelError(f"kernel row of {v!r} has the wrong width")
                 if sum(vec) != ONE:
@@ -173,6 +193,10 @@ class ProbTable:
 
     variables: tuple[str, ...]
     table: tuple[tuple[Assignment, Fraction], ...]
+    _index: Mapping[Assignment, Fraction] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", dict(self.table))
 
     @classmethod
     def of(cls, variables: Sequence[str], table: Mapping[Assignment, Fraction]) -> "ProbTable":
@@ -191,7 +215,7 @@ class ProbTable:
         return ProbTable.of(self.variables, {k: p / total for k, p in self.table})
 
     def prob(self, key: Assignment) -> Fraction:
-        return dict(self.table).get(tuple(key), ZERO)
+        return self._index.get(tuple(key), ZERO)
 
     def marginal(self, keep: Sequence[str]) -> "ProbTable":
         idx = [self.variables.index(v) for v in keep]
@@ -261,88 +285,77 @@ def flat(v: VertexId) -> str:
 # --- evaluation -----------------------------------------------------------
 
 
-def _iter_weighted(
+def _walk(
     model: DiscreteModel,
-    order: Sequence[VertexId],
-    fixed: Mapping[VertexId, Value],
-    parent_value,
+    reads: Mapping[VertexId, Value],
+    evidence: Mapping[VertexId, Value],
 ):
-    """Stream (assignment dict, probability) over non-fixed vertices in
-    ``order``, forcing each selected vertex to its zero value (conditioning
-    numerator) and pruning zero-probability branches."""
+    """Stream (assignment, probability) over every vertex in topological
+    order, pruning zero-probability branches.
+
+    A kernel reads parent u from ``reads`` when u is there and from the
+    assignment otherwise. A vertex in ``evidence`` is pinned to that value
+    and weighted by its kernel. The yielded assignment is reused; read it
+    before advancing the stream.
+    """
     domains = dict(model.domains)
     kernels = dict(model.kernels)
-    selected = model.dag.selected
+    steps = []
+    for v in model.dag.topological_order():
+        dom = domains[v]
+        choices = tuple(enumerate(dom))
+        if v in evidence:
+            i = dom.index(evidence[v])
+            choices = ((i, dom[i]),)
+        steps.append((v, kernels[v].parents, kernels[v]._index, choices))
+    assign: dict[VertexId, Value] = {}
 
-    def rec(i: int, assign: dict, p: Fraction):
-        if i == len(order):
+    def rec(i: int, p: Fraction):
+        if i == len(steps):
             yield assign, p
             return
-        v = order[i]
-        if v in assign:
-            yield from rec(i + 1, assign, p)
-            return
-        key = tuple(parent_value(assign, u) for u in kernels[v].parents)
-        vec = kernels[v].row(key)
-        dom = domains[v]
-        if v in selected:
-            zi = dom.index(model.selected_zero(v))
-            p2 = p * vec[zi]
-            if p2 != 0:
-                assign[v] = dom[zi]
-                yield from rec(i + 1, assign, p2)
-                del assign[v]
-            return
-        for value, pv in zip(dom, vec):
-            if pv == 0:
-                continue
-            assign[v] = value
-            yield from rec(i + 1, assign, p * pv)
-            del assign[v]
+        v, parents, rows, choices = steps[i]
+        vec = rows[tuple(reads[u] if u in reads else assign[u] for u in parents)]
+        for j, value in choices:
+            if vec[j] != 0:
+                assign[v] = value
+                yield from rec(i + 1, p * vec[j])
 
-    yield from rec(0, dict(fixed), ONE)
+    yield from rec(0, ONE)
 
 
 def eval_joint(model: DiscreteModel) -> ProbTable:
     """Full product-of-kernels joint over all vertices (no conditioning)."""
-    order = model.dag.topological_order()
+    order = tuple(model.dag.topological_order())
     out: dict[Assignment, Fraction] = {}
-    domains = dict(model.domains)
-    kernels = dict(model.kernels)
-
-    def rec(i: int, assign: dict, p: Fraction):
-        if i == len(order):
-            key = tuple(assign[v] for v in order)
-            out[key] = out.get(key, ZERO) + p
-            return
-        v = order[i]
-        key = tuple(assign[u] for u in kernels[v].parents)
-        for value, pv in zip(domains[v], kernels[v].row(key)):
-            if pv == 0:
-                continue
-            assign[v] = value
-            rec(i + 1, assign, p * pv)
-            del assign[v]
-
-    rec(0, {}, ONE)
-    return ProbTable.of(tuple(order), out)
+    for assign, p in _walk(model, {}, {}):
+        key = tuple(assign[v] for v in order)
+        out[key] = out.get(key, ZERO) + p
+    return ProbTable.of(order, out)
 
 
 def smo_distribution(model: DiscreteModel) -> SelectedDistribution:
     """Marginalize the latent variables and condition every selected variable
     to zero. Raises :class:`SelectedOutError` when the selection event has
     probability zero."""
-    order = model.dag.topological_order()
-    visibles = tuple(sorted(model.dag.visible))
+    return observe_or_do_distribution(model, ())
+
+
+def _selected(model, variables, cells, key) -> tuple[Optional[ProbTable], Fraction]:
+    """Sum ``weight * p`` over the walks of every ``(reads, weight)`` cell
+    into ``key(reads, assignment)``, with each selected vertex pinned to its
+    zero value. Returns the normalized table and the selection probability,
+    or ``(None, 0)`` when the selection event has probability zero."""
+    evidence = {s: model.selected_zero(s) for s in model.dag.selected}
     out: dict[Assignment, Fraction] = {}
-    for assign, p in _iter_weighted(model, order, {}, lambda a, u: a[u]):
-        key = tuple(assign[v] for v in visibles)
-        out[key] = out.get(key, ZERO) + p
+    for reads, weight in cells:
+        for assign, p in _walk(model, reads, evidence):
+            k = key(reads, assign)
+            out[k] = out.get(k, ZERO) + weight * p
     total = sum(out.values(), ZERO)
     if total == 0:
-        raise SelectedOutError("the selection event has probability zero")
-    dist = ProbTable.of(visibles, {k: p / total for k, p in out.items()})
-    return SelectedDistribution(dist=dist, selection_probability=total)
+        return None, ZERO
+    return ProbTable.of(variables, {k: p / total for k, p in out.items()}), total
 
 
 def _check_q(model: DiscreteModel, q: ProbTable, over: Sequence[VertexId],
@@ -353,6 +366,8 @@ def _check_q(model: DiscreteModel, q: ProbTable, over: Sequence[VertexId],
         raise ModelError("intervention distribution must sum to 1")
     domains = dict(model.domains)
     for key, _ in q.items():
+        if len(key) != len(q.variables):
+            raise ModelError(f"intervention key {key} does not match {q.variables}")
         for v, value in zip(q.variables, key):
             if value not in domains[v]:
                 raise ModelError(f"intervention assigns {value!r} outside the domain of {v!r}")
@@ -376,22 +391,14 @@ def smi_distribution(
     """
     visibles = tuple(sorted(model.dag.visible))
     _check_q(model, q, visibles, full_support)
-    order = model.dag.topological_order()
-    out: dict[Assignment, Fraction] = {}
-    for q_key, q_p in q.items():
-        sharp_env = dict(zip(visibles, q_key))
-
-        def parent_value(assign, u, env=sharp_env):
-            return env[u] if u in env else assign[u]
-
-        for assign, p in _iter_weighted(model, order, {}, parent_value):
-            key = q_key + tuple(assign[v] for v in visibles)
-            out[key] = out.get(key, ZERO) + q_p * p
-    total = sum(out.values(), ZERO)
     variables = tuple(sharp(v) for v in visibles) + tuple(flat(v) for v in visibles)
-    if total == 0:
+    cells = [(dict(zip(visibles, key)), p) for key, p in q.items()]
+    dist, total = _selected(
+        model, variables, cells,
+        lambda reads, a: tuple(reads[v] for v in visibles) + tuple(a[v] for v in visibles),
+    )
+    if dist is None:
         return SmiResult(q=q, status="selected_out", dist=None, selection_probability=ZERO)
-    dist = ProbTable.of(variables, {k: p / total for k, p in out.items()})
     return SmiResult(q=q, status="ok", dist=dist, selection_probability=total)
 
 
@@ -401,27 +408,27 @@ def observe_or_do_distribution(
 ) -> SelectedDistribution:
     """Selected distribution over the visibles when the variables in z are
     intervened to q and everything else is passively observed; each visible
-    is either intervened or observed, never both."""
+    is either intervened or observed, never both.
+
+    The intervened values are parent reads. A visible kernel is
+    deterministic, so the row of an intervened vertex adds a factor of 1.
+    """
     z = tuple(sorted(set(z)))
     if not set(z) <= model.dag.visible:
         raise ModelError("only visible variables can be intervened")
+    cells = [({}, ONE)]
     if z:
         if q is None:
             raise ModelError("an intervention distribution is required when z is non-empty")
         _check_q(model, q, z, full_support)
-    order = [v for v in model.dag.topological_order() if v not in z]
+        cells = [(dict(zip(z, key)), p) for key, p in q.items()]
     visibles = tuple(sorted(model.dag.visible))
-    out: dict[Assignment, Fraction] = {}
-    q_items = q.items() if z else [((), ONE)]
-    for q_key, q_p in q_items:
-        fixed = dict(zip(z, q_key))
-        for assign, p in _iter_weighted(model, order, fixed, lambda a, u: a[u]):
-            key = tuple(assign[v] for v in visibles)
-            out[key] = out.get(key, ZERO) + q_p * p
-    total = sum(out.values(), ZERO)
-    if total == 0:
+    dist, total = _selected(
+        model, visibles, cells,
+        lambda reads, a: tuple(reads[v] if v in reads else a[v] for v in visibles),
+    )
+    if dist is None:
         raise SelectedOutError("the selection event has probability zero")
-    dist = ProbTable.of(visibles, {k: p / total for k, p in out.items()})
     return SelectedDistribution(dist=dist, selection_probability=total)
 
 
@@ -493,18 +500,30 @@ def model_to_obj(model: DiscreteModel) -> dict[str, Any]:
     return {"dag": graph_io.dag_to_obj(model.dag), "domains": domains, "kernels": kernels}
 
 
+def _key_from_str(text: str) -> Assignment:
+    return tuple(int(x) for x in text.split(",")) if text else ()
+
+
 def model_from_obj(obj: Mapping[str, Any]) -> DiscreteModel:
-    dag = graph_io.dag_from_obj(obj["dag"])
-    domains = {v: tuple(range(int(k))) for v, k in obj["domains"].items()}
-    kernels = {}
-    for v, spec in obj["kernels"].items():
-        parents = [str(p) for p in spec["parents"]]
-        rows = {}
-        for key_text, vec in spec["table"].items():
-            key = tuple(int(x) for x in key_text.split(",")) if key_text else ()
-            rows[key] = tuple(_fraction_from_str(p) for p in vec)
-        kernels[v] = KernelTable.of(parents, rows)
-    return DiscreteModel.of(dag, domains, kernels)
+    try:
+        dag_obj, sizes, specs = obj["dag"], obj["domains"], obj["kernels"]
+        domains = {}
+        for v, k in sizes.items():
+            if type(k) is not int:
+                raise TypeError(f"domain size of {v!r} must be an integer, got {k!r}")
+            domains[v] = tuple(range(k))
+        kernels = {}
+        for v, spec in specs.items():
+            rows = {
+                _key_from_str(key_text): tuple(_fraction_from_str(p) for p in vec)
+                for key_text, vec in spec["table"].items()
+            }
+            kernels[v] = KernelTable.of([str(p) for p in spec["parents"]], rows)
+    except KeyError as exc:
+        raise ModelError(f"malformed model object: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise ModelError(f"malformed model object: {exc}") from exc
+    return DiscreteModel.of(graph_io.dag_from_obj(dag_obj), domains, kernels)
 
 
 def model_dumps(model: DiscreteModel) -> str:
@@ -525,9 +544,14 @@ def prob_table_to_obj(dist: ProbTable) -> dict[str, Any]:
 
 
 def prob_table_from_obj(obj: Mapping[str, Any]) -> ProbTable:
-    variables = [str(v) for v in obj["variables"]]
-    table = {}
-    for key_text, p in obj["table"].items():
-        key = tuple(int(x) for x in key_text.split(",")) if key_text else ()
-        table[key] = _fraction_from_str(p)
+    try:
+        variables = [str(v) for v in obj["variables"]]
+        table = {
+            _key_from_str(key_text): _fraction_from_str(p)
+            for key_text, p in obj["table"].items()
+        }
+    except KeyError as exc:
+        raise ModelError(f"malformed distribution object: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+        raise ModelError(f"malformed distribution object: {exc}") from exc
     return ProbTable.of(variables, table)

@@ -25,7 +25,7 @@ from .graph import (
     VertexId,
     is_acyclic,
 )
-from .project import canonical_graph, is_liftable
+from .project import canonical_graph, is_liftable, unliftable_cycle
 
 
 class RulePreconditionError(GraphError):
@@ -38,6 +38,19 @@ class RulePreconditionError(GraphError):
 def _require_liftable(rule: str, g: SmDG) -> None:
     if not is_liftable(g):
         raise RulePreconditionError(rule, "the smDG is not liftable")
+
+
+def _liftable_result(rule: str, out: SmDG) -> SmDG:
+    """Return a rule's output, or raise when it is not liftable: every rule
+    maps liftable smDGs to liftable ones, so that is a fault in the rule."""
+    cycle = unliftable_cycle(out)
+    if cycle is not None:
+        raise GraphError(
+            f"{rule} produced an smDG that is not liftable; the cycle "
+            + " -> ".join(cycle)
+            + " has no edge from the selected support into the marginal support"
+        )
+    return out
 
 
 def _face(face: Iterable[VertexId]) -> frozenset[VertexId]:
@@ -85,8 +98,7 @@ def rule_add_marginal_face(g: SmDG, vs: Iterable[VertexId]) -> SmDG:
         marginal_system=g.marginal_system.with_face(vs),
         selected_system=g.selected_system,
     )
-    assert is_liftable(out)
-    return out
+    return _liftable_result("add_marginal_face", out)
 
 
 def rule_remove_special_edge(g: SmDG, a: VertexId, b: VertexId) -> SmDG:
@@ -119,8 +131,7 @@ def rule_remove_special_edge(g: SmDG, a: VertexId, b: VertexId) -> SmDG:
         marginal_system=g.marginal_system,
         selected_system=g.selected_system,
     )
-    assert is_liftable(out)
-    return out
+    return _liftable_result("remove_special_edge", out)
 
 
 def rule_remove_self_loop(g: SmDG, a: VertexId) -> SmDG:
@@ -135,8 +146,7 @@ def rule_remove_self_loop(g: SmDG, a: VertexId) -> SmDG:
         marginal_system=g.marginal_system,
         selected_system=g.selected_system,
     )
-    assert is_liftable(out)
-    return out
+    return _liftable_result("remove_self_loop", out)
 
 
 def _removable_edges_within(g: SmDG, region: frozenset[VertexId]) -> set:
@@ -246,8 +256,7 @@ def rule_remove_selected_face(
         marginal_system=g.marginal_system,
         selected_system=g.selected_system.without_maximal_face(vs),
     )
-    assert is_liftable(out)
-    return out
+    return _liftable_result("remove_selected_face", out)
 
 
 # --- latent-projection lift -----------------------------------------------------

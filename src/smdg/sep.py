@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .graph import GraphError, PartitionedDag, SmDG, VertexId
-from .project import NotLiftableError, canonical_graph, unliftable_cycle
+from .project import NotLiftableError, unliftable_cycle
 
 
 class Verdict(enum.Enum):
@@ -152,10 +152,11 @@ def _has_active_trail(
 
 def d_separated(d: PartitionedDag, query: SeparationQuery) -> bool:
     """Classical d-separation: colliders are active when they have a
-    descendant in the conditioning set, everything else blocks on it."""
+    descendant in the conditioning set (are among its ancestors), everything
+    else blocks on it."""
     for v in query.vertices():
         d.parents_of(v)
-    activated = frozenset(v for v in d.vertices if d.descendants_of([v]) & query.z)
+    activated = d.ancestors_of(query.z)
     return not _has_active_trail(_dag_items(d), query.x, query.y, query.z, activated)
 
 
@@ -167,7 +168,7 @@ def D_separated(d: PartitionedDag, query: SeparationQuery) -> Verdict:
     closure = functional_closure(d, query.z)
     if (query.x | query.y) & closure:
         return Verdict.DETERMINED
-    activated = frozenset(v for v in d.vertices if d.descendants_of([v]) & closure)
+    activated = d.ancestors_of(closure)
     connected = _has_active_trail(_dag_items(d), query.x, query.y, closure, activated)
     return Verdict.CONNECTED if connected else Verdict.SEPARATED
 
@@ -187,20 +188,7 @@ def sm_separated(g: SmDG, query: SeparationQuery) -> Verdict:
     closure = functional_closure(g, query.z)
     if (query.x | query.y) & closure:
         return Verdict.DETERMINED
-    activation_targets = query.z | g.selected_system.support
-    activated = frozenset(
-        v for v in g.visibles if g.descendants_of([v]) & activation_targets
-    )
+    activated = g.ancestors_of(query.z | g.selected_system.support)
     connected = _has_active_trail(_smdg_items(g), query.x, query.y, closure, activated)
     return Verdict.CONNECTED if connected else Verdict.SEPARATED
 
-
-def sm_vs_D_agreement(g: SmDG, query: SeparationQuery) -> bool:
-    """Whether the smDG criterion matches the determinism-aware criterion run
-    on the rebuilt canonical DAG with all its selected vertices conditioned."""
-    d = canonical_graph(g).to_partitioned_dag()
-    lhs = sm_separated(g, query)
-    rhs = D_separated(
-        d, SeparationQuery(query.x, query.y, query.z | d.selected)
-    )
-    return lhs == rhs

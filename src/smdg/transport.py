@@ -58,34 +58,11 @@ def transport_chain(model: DiscreteModel, moves: Sequence[CanonMove]) -> Discret
     return model
 
 
-def _domains(model: DiscreteModel) -> dict[VertexId, tuple[Value, ...]]:
-    return dict(model.domains)
-
-
-def _kernels(model: DiscreteModel) -> dict[VertexId, KernelTable]:
-    return dict(model.kernels)
-
-
-def _zeros(model: DiscreteModel) -> dict[VertexId, Value]:
-    return dict(model.selected_zeros)
-
-
-def _rebuild(
-    model: DiscreteModel,
-    dag: PartitionedDag,
-    domains: Mapping[VertexId, tuple[Value, ...]],
-    kernels: Mapping[VertexId, KernelTable],
-    zeros: Mapping[VertexId, Value],
-) -> DiscreteModel:
-    return DiscreteModel.of(dag, dict(domains), dict(kernels), dict(zeros))
-
-
 def _row_lookup(model: DiscreteModel, v: VertexId):
     kern = model.kernel(v)
-    rows = dict(kern.rows)
 
     def lookup(env: Mapping[VertexId, Value]) -> tuple[Fraction, ...]:
-        return rows[tuple(env[p] for p in kern.parents)]
+        return kern.row(tuple(env[p] for p in kern.parents))
 
     return lookup
 
@@ -101,84 +78,56 @@ def _make_kernel(
     return KernelTable.of(parents, rows)
 
 
-# --- the individual constructions ------------------------------------------
+def _copy_check(domains, kernels, zeros, a: VertexId, m_label: VertexId,
+                s_label: VertexId) -> None:
+    """Add a uniform latent m_label over a's domain and an indicator selection
+    s_label whose zero value means the latent copied a."""
+    domains[m_label] = domains[a]
+    kernels[m_label] = table_kernel([], [], domains[a], lambda: uniform(domains[a]))
+    domains[s_label] = (0, 1)
+    zeros[s_label] = 0
+    par = sorted((a, m_label))
+    kernels[s_label] = deterministic_kernel(
+        par, [domains[p] for p in par], (0, 1), lambda x1, x2: 0 if x1 == x2 else 1
+    )
 
 
-def _terminalize(model: DiscreteModel, s: VertexId) -> DiscreteModel:
-    """Children of s read their old kernel with s pinned to its zero value."""
-    dag2 = canon.terminalize(model.dag, s)
-    domains, kernels, zeros = _domains(model), _kernels(model), _zeros(model)
-    zero = model.selected_zero(s)
-    for w in sorted(model.dag.children_of(s)):
-        old = _row_lookup(model, w)
-        new_parents = sorted(dag2.parents_of(w))
-
-        def row_fn(env, old=old, zero=zero, s=s):
-            return old({**env, s: zero})
-
-        kernels[w] = _make_kernel(new_parents, [domains[p] for p in new_parents], row_fn)
-    return _rebuild(model, dag2, domains, kernels, zeros)
-
-
-def _exogenize(model: DiscreteModel, m: VertexId) -> DiscreteModel:
-    """m becomes a library of values, one per assignment to its old parents;
-    each child looks up the slot matching the actual parent values."""
-    old_parents = sorted(model.dag.parents_of(m))
-    if not old_parents:
-        return model
-    dag2 = canon.exogenize(model.dag, m)
-    domains, kernels, zeros = _domains(model), _kernels(model), _zeros(model)
-    slot_keys = list(product(*[domains[p] for p in old_parents]))
-    slot_index = {key: i for i, key in enumerate(slot_keys)}
-    old_m_rows = dict(model.kernel(m).rows)
-    m_parent_order = model.kernel(m).parents
-    base_dom = domains[m]
-
-    library_dom = list(product(*[base_dom] * len(slot_keys)))
-    lib_probs = {}
+def _library(
+    base_dom: Sequence[Value], slot_dists: Sequence[Mapping[Value, Fraction]]
+) -> tuple[tuple[Value, ...], KernelTable]:
+    """Domain and parentless kernel of a latent that holds one value per
+    slot, slot i drawn independently from slot_dists[i]."""
+    library_dom = tuple(product(*[base_dom] * len(slot_dists)))
+    probs = []
     for lib in library_dom:
         p = ONE
-        for i, key in enumerate(slot_keys):
-            row = old_m_rows[tuple(dict(zip(old_parents, key))[q] for q in m_parent_order)]
-            p *= row[base_dom.index(lib[i])]
+        for dist, x in zip(slot_dists, lib):
+            p *= dist.get(x, ZERO)
             if p == 0:
                 break
-        lib_probs[lib] = p
-    domains[m] = tuple(library_dom)
-    kernels[m] = KernelTable.of([], {(): tuple(lib_probs[lib] for lib in library_dom)})
-
-    for w in sorted(model.dag.children_of(m)):
-        old = _row_lookup(model, w)
-        new_parents = sorted(dag2.parents_of(w))
-
-        def row_fn(env, old=old, m=m):
-            slot = slot_index[tuple(env[p] for p in old_parents)]
-            actual = env[m][slot]
-            return old({**env, m: actual})
-
-        kernels[w] = _make_kernel(new_parents, [domains[p] for p in new_parents], row_fn)
-    return _rebuild(model, dag2, domains, kernels, zeros)
+        probs.append(p)
+    return library_dom, KernelTable.of([], {(): tuple(probs)})
 
 
-def _merge_marginalized(model: DiscreteModel, m1: VertexId, m2: VertexId) -> DiscreteModel:
-    """The merged latent carries the Cartesian product of the two values."""
-    dag2 = canon.merge_marginalized(model.dag, m1, m2)
-    label = next(iter(dag2.marginalized - model.dag.marginalized))
-    domains, kernels, zeros = _domains(model), _kernels(model), _zeros(model)
+def _pair_latent(
+    model: DiscreteModel, dag2: PartitionedDag, m1: VertexId, m2: VertexId, label: VertexId
+) -> DiscreteModel:
+    """Latents m1 and m2 become one latent ``label`` carrying the pair of
+    their values; every child reads the components it used to read."""
+    d = model.dag
+    domains, kernels, zeros = dict(model.domains), dict(model.kernels), dict(model.selected_zeros)
     dom1, dom2 = domains.pop(m1), domains.pop(m2)
+    kernels.pop(m1), kernels.pop(m2)
     p1 = dict(zip(dom1, _row_lookup(model, m1)({})))
     p2 = dict(zip(dom2, _row_lookup(model, m2)({})))
     pair_dom = list(product(dom1, dom2))
     domains[label] = tuple(pair_dom)
-    kernels.pop(m1), kernels.pop(m2)
-    kernels[label] = KernelTable.of(
-        [], {(): tuple(p1[x1] * p2[x2] for x1, x2 in pair_dom)}
-    )
-    for w in sorted(model.dag.children_of(m1) | model.dag.children_of(m2)):
+    kernels[label] = KernelTable.of([], {(): tuple(p1[x1] * p2[x2] for x1, x2 in pair_dom)})
+    for w in sorted(d.children_of(m1) | d.children_of(m2)):
         old = _row_lookup(model, w)
         new_parents = sorted(dag2.parents_of(w))
-        reads1 = m1 in model.dag.parents_of(w)
-        reads2 = m2 in model.dag.parents_of(w)
+        reads1 = m1 in d.parents_of(w)
+        reads2 = m2 in d.parents_of(w)
 
         def row_fn(env, old=old, reads1=reads1, reads2=reads2):
             x1, x2 = env[label]
@@ -190,7 +139,60 @@ def _merge_marginalized(model: DiscreteModel, m1: VertexId, m2: VertexId) -> Dis
             return old(sub)
 
         kernels[w] = _make_kernel(new_parents, [domains[p] for p in new_parents], row_fn)
-    return _rebuild(model, dag2, domains, kernels, zeros)
+    return DiscreteModel.of(dag2, domains, kernels, zeros)
+
+
+# --- the individual constructions ------------------------------------------
+
+
+def _terminalize(model: DiscreteModel, s: VertexId) -> DiscreteModel:
+    """Children of s read their old kernel with s pinned to its zero value."""
+    dag2 = canon.terminalize(model.dag, s)
+    domains, kernels, zeros = dict(model.domains), dict(model.kernels), dict(model.selected_zeros)
+    zero = model.selected_zero(s)
+    for w in sorted(model.dag.children_of(s)):
+        old = _row_lookup(model, w)
+        new_parents = sorted(dag2.parents_of(w))
+
+        def row_fn(env, old=old, zero=zero, s=s):
+            return old({**env, s: zero})
+
+        kernels[w] = _make_kernel(new_parents, [domains[p] for p in new_parents], row_fn)
+    return DiscreteModel.of(dag2, domains, kernels, zeros)
+
+
+def _exogenize(model: DiscreteModel, m: VertexId) -> DiscreteModel:
+    """m becomes a library of values, one per assignment to its old parents;
+    each child looks up the slot matching the actual parent values."""
+    old_parents = sorted(model.dag.parents_of(m))
+    if not old_parents:
+        return model
+    dag2 = canon.exogenize(model.dag, m)
+    domains, kernels, zeros = dict(model.domains), dict(model.kernels), dict(model.selected_zeros)
+    slot_keys = list(product(*[domains[p] for p in old_parents]))
+    slot_index = {key: i for i, key in enumerate(slot_keys)}
+    base_dom, old_m = domains[m], _row_lookup(model, m)
+    slot_dists = [dict(zip(base_dom, old_m(dict(zip(old_parents, key))))) for key in slot_keys]
+    domains[m], kernels[m] = _library(base_dom, slot_dists)
+
+    for w in sorted(model.dag.children_of(m)):
+        old = _row_lookup(model, w)
+        new_parents = sorted(dag2.parents_of(w))
+
+        def row_fn(env, old=old, m=m):
+            slot = slot_index[tuple(env[p] for p in old_parents)]
+            actual = env[m][slot]
+            return old({**env, m: actual})
+
+        kernels[w] = _make_kernel(new_parents, [domains[p] for p in new_parents], row_fn)
+    return DiscreteModel.of(dag2, domains, kernels, zeros)
+
+
+def _merge_marginalized(model: DiscreteModel, m1: VertexId, m2: VertexId) -> DiscreteModel:
+    """The merged latent carries the Cartesian product of the two values."""
+    dag2 = canon.merge_marginalized(model.dag, m1, m2)
+    label = next(iter(dag2.marginalized - model.dag.marginalized))
+    return _pair_latent(model, dag2, m1, m2, label)
 
 
 def _merge_selected(model: DiscreteModel, s1: VertexId, s2: VertexId) -> DiscreteModel:
@@ -198,7 +200,7 @@ def _merge_selected(model: DiscreteModel, s1: VertexId, s2: VertexId) -> Discret
     old zeros, so conditioning on it is conditioning on both."""
     dag2 = canon.merge_selected(model.dag, s1, s2)
     label = next(iter(dag2.selected - model.dag.selected))
-    domains, kernels, zeros = _domains(model), _kernels(model), _zeros(model)
+    domains, kernels, zeros = dict(model.domains), dict(model.kernels), dict(model.selected_zeros)
     dom1, dom2 = domains.pop(s1), domains.pop(s2)
     old1, old2 = _row_lookup(model, s1), _row_lookup(model, s2)
     pair_dom = [( # zero pair first for readability of tables
@@ -215,7 +217,7 @@ def _merge_selected(model: DiscreteModel, s1: VertexId, s2: VertexId) -> Discret
         return [r1[y1] * r2[y2] for y1, y2 in pair_dom]
 
     kernels[label] = _make_kernel(new_parents, [domains[p] for p in new_parents], row_fn)
-    return _rebuild(model, dag2, domains, kernels, zeros)
+    return DiscreteModel.of(dag2, domains, kernels, zeros)
 
 
 def _split(model: DiscreteModel, m: VertexId, s: VertexId) -> DiscreteModel:
@@ -232,7 +234,7 @@ def _split(model: DiscreteModel, m: VertexId, s: VertexId) -> DiscreteModel:
     v_m = sorted(d.children_of(m) & d.visible)
     labels = canon.split_pair_label_map(d, m, s)
     dag2 = canon.split_m_to_s(d, m, s)
-    domains, kernels, zeros = _domains(model), _kernels(model), _zeros(model)
+    domains, kernels, zeros = dict(model.domains), dict(model.kernels), dict(model.selected_zeros)
 
     base_dom = domains[m]
     m_prior = dict(zip(base_dom, _row_lookup(model, m)({})))
@@ -253,19 +255,8 @@ def _split(model: DiscreteModel, m: VertexId, s: VertexId) -> DiscreteModel:
 
     kernels[s] = _make_kernel(new_s_parents, [domains[p] for p in new_s_parents], s_row)
 
-    # copy-check pairs
     for (a, b), (s_label, m_label) in labels.items():
-        domains[m_label] = domains[a]
-        kernels[m_label] = table_kernel([], [], domains[a], lambda a=a: uniform(domains[a]))
-        domains[s_label] = (0, 1)
-        zeros[s_label] = 0
-        par = sorted((a, m_label))
-        kernels[s_label] = deterministic_kernel(
-            par,
-            [domains[p] for p in par],
-            (0, 1),
-            lambda x1, x2: 0 if x1 == x2 else 1,
-        )
+        _copy_check(domains, kernels, zeros, a, m_label, s_label)
 
     if v_m:
         # library over assignments to the selection's visible parents
@@ -282,17 +273,7 @@ def _split(model: DiscreteModel, m: VertexId, s: VertexId) -> DiscreteModel:
                 conditional.append(uniform(base_dom))  # slot never consulted under selection
             else:
                 conditional.append({x: w / total for x, w in weights.items()})
-        library_dom = list(product(*[base_dom] * len(slot_keys)))
-        lib_probs = []
-        for lib in library_dom:
-            p = ONE
-            for i in range(len(slot_keys)):
-                p *= conditional[i].get(lib[i], ZERO)
-                if p == 0:
-                    break
-            lib_probs.append(p)
-        domains[m] = tuple(library_dom)
-        kernels[m] = KernelTable.of([], {(): tuple(lib_probs)})
+        domains[m], kernels[m] = _library(base_dom, conditional)
 
         for b in v_m:
             old = _row_lookup(model, b)
@@ -305,7 +286,7 @@ def _split(model: DiscreteModel, m: VertexId, s: VertexId) -> DiscreteModel:
                 return old({**env, m: actual})
 
             kernels[b] = _make_kernel(new_parents, [domains[p] for p in new_parents], row_fn)
-    return _rebuild(model, dag2, domains, kernels, zeros)
+    return DiscreteModel.of(dag2, domains, kernels, zeros)
 
 
 def _to_special(model: DiscreteModel, a: VertexId, b: VertexId) -> DiscreteModel:
@@ -313,15 +294,8 @@ def _to_special(model: DiscreteModel, a: VertexId, b: VertexId) -> DiscreteModel
     dag2 = canon.to_special(model.dag, a, b)
     s_label = next(iter(dag2.selected - model.dag.selected))
     m_label = next(iter(dag2.marginalized - model.dag.marginalized))
-    domains, kernels, zeros = _domains(model), _kernels(model), _zeros(model)
-    domains[m_label] = domains[a]
-    kernels[m_label] = table_kernel([], [], domains[a], lambda: uniform(domains[a]))
-    domains[s_label] = (0, 1)
-    zeros[s_label] = 0
-    par = sorted((a, m_label))
-    kernels[s_label] = deterministic_kernel(
-        par, [domains[p] for p in par], (0, 1), lambda x1, x2: 0 if x1 == x2 else 1
-    )
+    domains, kernels, zeros = dict(model.domains), dict(model.kernels), dict(model.selected_zeros)
+    _copy_check(domains, kernels, zeros, a, m_label, s_label)
     old = _row_lookup(model, b)
     new_parents = sorted(dag2.parents_of(b))
 
@@ -329,7 +303,7 @@ def _to_special(model: DiscreteModel, a: VertexId, b: VertexId) -> DiscreteModel
         return old({**env, a: env[m_label]})
 
     kernels[b] = _make_kernel(new_parents, [domains[p] for p in new_parents], row_fn)
-    return _rebuild(model, dag2, domains, kernels, zeros)
+    return DiscreteModel.of(dag2, domains, kernels, zeros)
 
 
 def _remove_vertex(model: DiscreteModel, victim: VertexId) -> DiscreteModel:
@@ -356,9 +330,9 @@ def _drop_plain(model: DiscreteModel, victim: VertexId) -> DiscreteModel:
                 f"removing {victim!r} would change a model whose selection never succeeds"
             )
     dag2 = model.dag.with_vertices(remove={victim})
-    domains, kernels, zeros = _domains(model), _kernels(model), _zeros(model)
+    domains, kernels, zeros = dict(model.domains), dict(model.kernels), dict(model.selected_zeros)
     domains.pop(victim), kernels.pop(victim), zeros.pop(victim, None)
-    return _rebuild(model, dag2, domains, kernels, zeros)
+    return DiscreteModel.of(dag2, domains, kernels, zeros)
 
 
 def _dominator_m(d: PartitionedDag, victim: VertexId) -> VertexId:
@@ -379,32 +353,10 @@ def _dominator_s(d: PartitionedDag, victim: VertexId) -> VertexId:
 
 def _remove_redundant_marginalized(model: DiscreteModel, m1: VertexId) -> DiscreteModel:
     """The dominating latent m2 carries the pair (old m1 value, old m2 value);
-    every child reads the component it used to read."""
-    d = model.dag
-    m2 = _dominator_m(d, m1)
-    dag2 = d.with_vertices(remove={m1})
-    domains, kernels, zeros = _domains(model), _kernels(model), _zeros(model)
-    dom1, dom2 = domains.pop(m1), domains[m2]
-    p1 = dict(zip(dom1, _row_lookup(model, m1)({})))
-    p2 = dict(zip(dom2, _row_lookup(model, m2)({})))
-    pair_dom = list(product(dom1, dom2))
-    domains[m2] = tuple(pair_dom)
-    kernels.pop(m1)
-    kernels[m2] = KernelTable.of([], {(): tuple(p1[x1] * p2[x2] for x1, x2 in pair_dom)})
-    for w in sorted(d.children_of(m2)):
-        old = _row_lookup(model, w)
-        new_parents = sorted(dag2.parents_of(w))
-        reads1 = m1 in d.parents_of(w)
-
-        def row_fn(env, old=old, reads1=reads1):
-            x1, x2 = env[m2]
-            sub = {**env, m2: x2}
-            if reads1:
-                sub[m1] = x1
-            return old(sub)
-
-        kernels[w] = _make_kernel(new_parents, [domains[p] for p in new_parents], row_fn)
-    return _rebuild(model, dag2, domains, kernels, zeros)
+    the children of m1 are children of m2, and each reads the component it
+    used to read."""
+    m2 = _dominator_m(model.dag, m1)
+    return _pair_latent(model, model.dag.with_vertices(remove={m1}), m1, m2, m2)
 
 
 def _remove_redundant_selected(model: DiscreteModel, s1: VertexId) -> DiscreteModel:
@@ -413,7 +365,7 @@ def _remove_redundant_selected(model: DiscreteModel, s1: VertexId) -> DiscreteMo
     d = model.dag
     s2 = _dominator_s(d, s1)
     dag2 = d.with_vertices(remove={s1})
-    domains, kernels, zeros = _domains(model), _kernels(model), _zeros(model)
+    domains, kernels, zeros = dict(model.domains), dict(model.kernels), dict(model.selected_zeros)
     old1, old2 = _row_lookup(model, s1), _row_lookup(model, s2)
     z1 = domains[s1].index(zeros[s1])
     z2 = domains[s2].index(zeros[s2])
@@ -429,7 +381,7 @@ def _remove_redundant_selected(model: DiscreteModel, s1: VertexId) -> DiscreteMo
         return [p, ONE - p]
 
     kernels[s2] = _make_kernel(new_parents, [domains[p] for p in new_parents], row_fn)
-    return _rebuild(model, dag2, domains, kernels, zeros)
+    return DiscreteModel.of(dag2, domains, kernels, zeros)
 
 
 # --- observe-or-do transport -------------------------------------------------

@@ -3,6 +3,8 @@
 import itertools
 
 from smdg.graph import PartitionedDag, SmDG
+from smdg.project import canonical_graph
+from smdg.sep import D_separated, SeparationQuery, sm_separated
 
 # Non-liftable smDGs: a two-cycle, a self-loop, and a three-cycle that the
 # smallest vertex label is not on.
@@ -19,6 +21,14 @@ def assert_cycle_witness(cycle, edges, message: str) -> None:
     assert len(cycle) >= 2 and cycle[0] == cycle[-1], cycle
     assert all(pair in set(edges) for pair in zip(cycle, cycle[1:])), cycle
     assert f"the cycle {' -> '.join(cycle)} has" in message, message
+
+
+def assert_sm_matches_D(g: SmDG, query: SeparationQuery) -> None:
+    """The smDG criterion matches the determinism-aware criterion run on the
+    rebuilt canonical DAG with all its selected vertices conditioned."""
+    d = canonical_graph(g).to_partitioned_dag()
+    rhs = D_separated(d, SeparationQuery(query.x, query.y, query.z | d.selected))
+    assert sm_separated(g, query) == rhs, query
 
 
 def same_up_to_nonvisible_labels(d1: PartitionedDag, d2: PartitionedDag) -> bool:

@@ -220,6 +220,71 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     assert code == 65
 
 
+def _model_obj():
+    from test_model import joint_selector_model
+    from smdg.model import model_to_obj
+
+    return model_to_obj(joint_selector_model())
+
+
+def _without_kernels():
+    obj = _model_obj()
+    del obj["kernels"]
+    return obj
+
+
+def _without_parents():
+    obj = _model_obj()
+    del obj["kernels"]["a"]["parents"]
+    return obj
+
+
+def _out_of_domain_row():
+    obj = _model_obj()
+    table = obj["kernels"]["a"]["table"]
+    table["7"] = table.pop("1")
+    return obj
+
+
+def _fractional_domain_size():
+    obj = _model_obj()
+    obj["domains"]["a"] = 2.5
+    return obj
+
+
+MALFORMED = {
+    "model_without_kernels": (["eval", "smo", "{model}"], _without_kernels, None),
+    "kernel_without_parents": (["eval", "smo", "{model}"], _without_parents, None),
+    "q_without_table": (
+        ["eval", "smi", "{model}", "--q", "{extra}"], _model_obj, {"variables": ["a"]}
+    ),
+    "q_key_too_short": (
+        ["eval", "smi", "{model}", "--q", "{extra}"],
+        _model_obj,
+        {"variables": ["a", "b", "c"], "table": {"0": "1"}},
+    ),
+    "structure_without_factors": (
+        ["oracle", "support", "{model}", "{extra}"],
+        lambda: {"variables": {"a": 2}},
+        {"required": [{"assignment": {"a": 1}}]},
+    ),
+    "row_outside_parent_domain": (["eval", "smo", "{model}"], _out_of_domain_row, None),
+    "fractional_domain_size": (["eval", "smo", "{model}"], _fractional_domain_size, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_inputs_exit_65(tmp_path, capsys, name):
+    argv, make, extra = MALFORMED[name]
+    paths = {
+        "model": write(tmp_path, "main.json", json.dumps(make())),
+        "extra": write(tmp_path, "extra.json", json.dumps(extra)),
+    }
+    code, _, err = run(capsys, *[arg.format(**paths) for arg in argv])
+    assert code == 65, err
+    assert err.startswith("error:") and "Traceback" not in err, err
+
+
 def test_dot_output(tmp_path, capsys):
     path = write(tmp_path, "g.json", graph_io.dumps(cases.latent_fork()))
     code, out, _ = run(capsys, "--format", "dot", "project", path)

@@ -197,6 +197,17 @@ def test_kernel_rows_must_sum_to_one():
         )
 
 
+def test_row_keys_must_lie_in_parent_domains():
+    dag = PartitionedDag.of(visible="a", marginalized="u", edges=[("u", "a")])
+    rows = {(0,): (1, 0), (7,): (0, 1)}  # right row count, one key outside u's domain
+    with pytest.raises(ModelError, match="outside its parents' domains"):
+        DiscreteModel.of(
+            dag,
+            {"a": (0, 1), "u": (0, 1)},
+            {"a": KernelTable.of(["u"], rows), "u": KernelTable.of([], {(): (F(1, 2), F(1, 2))})},
+        )
+
+
 def test_conditional_independence_checker():
     dag = add_private_latents(PartitionedDag.of(visible="ab"))
     m = build(

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
-from smdg.graph import SmDG
+from smdg.enumeration import SmdgBounds, enumerate_smdgs
+from smdg.graph import GraphError, SmDG
 from smdg.project import canonical_graph
+from smdg import rewrite
 from smdg.rewrite import (
     RulePreconditionError,
     build_tilde_dag,
@@ -123,6 +127,31 @@ def test_rules_change_exactly_their_target():
     assert g2.edges - g3.edges == {("a", "a")}
     g4 = rule_remove_selected_face(g3, {"a", "b", "c"})
     assert (g4.edges, g4.marginal_system) == (g3.edges, g3.marginal_system)
+
+
+def test_rule_outputs_lift_to_acyclic_graphs():
+    """Cross-check of the liftability guard: every candidate step and every
+    default selected-face removal on a fixed stride of the liftable 3-visible
+    smDGs (at most 3 edges) rebuilds to an acyclic canonical graph."""
+    checked = 0
+    space = enumerate_smdgs(3, SmdgBounds(max_edges=3), liftable_only=True)
+    for g in itertools.islice(space, 0, None, 17):
+        outs = [out for _, out in rewrite._candidate_steps(g)]
+        for vs in g.selected_system.sorted_faces():
+            try:
+                outs.append(rule_remove_selected_face(g, vs))
+            except RulePreconditionError:
+                pass
+        for out in outs:
+            assert canonical_graph(out).is_acyclic, (g, out)
+        checked += len(outs)
+    assert checked > 4000
+
+
+def test_unliftable_rule_output_raises_not_asserts():
+    g = SmDG.of("ab", edges=[("a", "b"), ("b", "a")])
+    with pytest.raises(GraphError, match=r"^demo produced .* the cycle a -> b -> a has"):
+        rewrite._liftable_result("demo", g)
 
 
 # --- latent-projection lift --------------------------------------------------------------

@@ -10,11 +10,10 @@ from smdg.sep import (
     d_separated,
     functional_closure,
     sm_separated,
-    sm_vs_D_agreement,
 )
 
 import cases
-from helpers import UNLIFTABLE, assert_cycle_witness
+from helpers import UNLIFTABLE, assert_cycle_witness, assert_sm_matches_D
 
 
 def q(x, y, z=()):
@@ -187,7 +186,7 @@ def test_documented_example_discrepancy():
     canonical-DAG criterion agrees with the formal reading."""
     g = cases.canon_example_slp()
     assert sm_separated(g, q("b", "d", "c")) is Verdict.SEPARATED
-    assert sm_vs_D_agreement(g, q("b", "d", "c"))
+    assert_sm_matches_D(g, q("b", "d", "c"))
 
 
 def test_agreement_on_worked_example_queries():
@@ -199,7 +198,7 @@ def test_agreement_on_worked_example_queries():
             others = set("abcd") - {x, y}
             zs = [set()] + [{w} for w in others] + [others]
             for z in zs:
-                assert sm_vs_D_agreement(g, q(x, y, z))
+                assert_sm_matches_D(g, q(x, y, z))
 
 
 def test_agreement_on_chain_examples():
@@ -212,4 +211,4 @@ def test_agreement_on_chain_examples():
                 if x >= y:
                     continue
                 for z in [set(), set(g.visibles) - {x, y}]:
-                    assert sm_vs_D_agreement(g, q(x, y, z))
+                    assert_sm_matches_D(g, q(x, y, z))
