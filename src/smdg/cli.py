@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -366,14 +367,20 @@ def _cmd_enumerate(args) -> int:
         stream = enumeration.enumerate_smdgs(
             args.n_visible, bounds, liftable_only=args.liftable_only
         )
-        for g in stream:
-            sys.stdout.write(json.dumps(graph_io.smdg_to_obj(g), sort_keys=True) + "\n")
+        to_obj = graph_io.smdg_to_obj
     else:
         stream = enumeration.enumerate_partitioned_dags(
             args.n_visible, args.n_marginalized, args.n_selected
         )
-        for d in stream:
-            sys.stdout.write(json.dumps(graph_io.dag_to_obj(d), sort_keys=True) + "\n")
+        to_obj = graph_io.dag_to_obj
+    try:
+        for value in stream:
+            sys.stdout.write(json.dumps(to_obj(value), sort_keys=True) + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (`| head`): stop quietly, and point stdout at
+        # /dev/null so the interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

@@ -13,16 +13,24 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
-from . import canon, project
-from .graph import PartitionedDag, Role, SmDG, VertexId, is_acyclic
+from . import project
+from .graph import GraphError, PartitionedDag, SmDG, VertexId, is_acyclic
 
 VISIBLE_NAMES = ("a", "b", "c", "d", "e", "f")
 
 DEFAULT_VISIBLE_CAP = 4
 
 
-class EnumerationError(ValueError):
+class EnumerationError(GraphError):
     pass
+
+
+def _check_counts(n_visible: int, **counts: int) -> None:
+    if not 0 <= n_visible <= DEFAULT_VISIBLE_CAP:
+        raise EnumerationError(f"n_visible={n_visible} is outside 0..{DEFAULT_VISIBLE_CAP}")
+    for name, n in counts.items():
+        if n < 0:
+            raise EnumerationError(f"{name}={n} is negative")
 
 
 @dataclass(frozen=True)
@@ -69,10 +77,8 @@ def enumerate_smdgs(
     n_visible: int,
     bounds: Optional[SmdgBounds] = None,
     liftable_only: bool = False,
-    visible_cap: int = DEFAULT_VISIBLE_CAP,
 ) -> Iterator[SmDG]:
-    if n_visible > visible_cap:
-        raise EnumerationError(f"n_visible={n_visible} exceeds the cap {visible_cap}")
+    _check_counts(n_visible)
     bounds = bounds or SmdgBounds.default_for(n_visible)
     verts = VISIBLE_NAMES[:n_visible]
     universe = _edge_universe(verts)
@@ -109,6 +115,7 @@ def enumerate_partitioned_dags(
     """All partitioned DAGs over fixed labelled vertex pools; by default the
     latents are parentless and the selections childless (the shape every
     graph canonicalizes into), which keeps the space tractable."""
+    _check_counts(n_visible, n_marginalized=n_marginalized, n_selected=n_selected)
     vis = VISIBLE_NAMES[:n_visible]
     mar = tuple(f"m{i+1}" for i in range(n_marginalized))
     sel = tuple(f"s{i+1}" for i in range(n_selected))
@@ -170,34 +177,29 @@ def enumerate_canonical_dags(
                                     for f in s_faces
                                 ):
                                     continue
-                                d = _assemble_canonical(
+                                d = _lift_canonical(
                                     verts, plain, specials, l_faces, s_faces
                                 )
                                 if d is not None:
                                     yield d
 
 
-def _assemble_canonical(verts, plain, specials, l_faces, s_faces):
+def _lift_canonical(verts, plain, specials, l_faces, s_faces):
+    """The canonical DAG with these plain and special edges and faces, or
+    None when a plain edge would run from the selected support into the
+    marginal support (special-edge exhaustiveness). A special edge a -> b is
+    an smDG edge with a in a selected face and b in a marginal face, so the
+    singleton faces {a} and {b} make it one."""
     sel_support = {a for a, _ in specials} | {v for f in s_faces for v in f}
     mar_support = {b for _, b in specials} | {v for f in l_faces for v in f}
-    # special-edge exhaustiveness: a plain edge may not run from the selected
-    # support into the marginal support
     for a, b in plain:
         if a in sel_support and b in mar_support:
             return None
-    roles: dict[VertexId, Role] = {v: Role.VISIBLE for v in verts}
-    edges: set[tuple[VertexId, VertexId]] = set(plain)
-    for a, b in specials:
-        s_label, m_label = canon.pair_labels(a, b)
-        roles[s_label] = Role.SELECTED
-        roles[m_label] = Role.MARGINALIZED
-        edges.update({(a, s_label), (m_label, s_label), (m_label, b)})
-    for face in l_faces:
-        label = project.face_label("m", face)
-        roles[label] = Role.MARGINALIZED
-        edges.update({(label, v) for v in face})
-    for face in s_faces:
-        label = project.face_label("s", face)
-        roles[label] = Role.SELECTED
-        edges.update({(v, label) for v in face})
-    return PartitionedDag.from_roles(roles, edges)
+    return project.lift(
+        SmDG.of(
+            verts,
+            plain + specials,
+            [*l_faces, *({b} for _, b in specials)],
+            [*s_faces, *({a} for a, _ in specials)],
+        )
+    )

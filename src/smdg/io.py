@@ -25,10 +25,30 @@ def dag_to_obj(d: PartitionedDag) -> dict[str, Any]:
     }
 
 
+def _array(value: Any, what: str) -> list:
+    """A JSON array. A string is refused: ``"ab"`` would otherwise read as
+    the vertices ``a`` and ``b``."""
+    if not isinstance(value, list):
+        raise GraphError(f"{what} must be an array, got {value!r}")
+    return value
+
+
+def _edges(value: Any) -> list[tuple]:
+    edges = [tuple(_array(e, "an edge")) for e in _array(value, "edges")]
+    for e in edges:
+        if len(e) != 2:
+            raise GraphError(f"an edge must have two endpoints, got {list(e)!r}")
+    return edges
+
+
+def _faces(value: Any, what: str) -> list[list]:
+    return [_array(f, f"a face in {what}") for f in _array(value, what)]
+
+
 def dag_from_obj(obj: Mapping[str, Any]) -> PartitionedDag:
     try:
         roles = {item["id"]: Role.parse(item["role"]) for item in obj["vertices"]}
-        edges = [(a, b) for a, b in obj["edges"]]
+        edges = _edges(obj["edges"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed DAG object: {exc}") from exc
     return PartitionedDag.from_roles(roles, edges)
@@ -46,10 +66,10 @@ def smdg_to_obj(g: SmDG) -> dict[str, Any]:
 def smdg_from_obj(obj: Mapping[str, Any]) -> SmDG:
     try:
         return SmDG.of(
-            obj["visibles"],
-            [(a, b) for a, b in obj["edges"]],
-            obj.get("marginal_faces", []),
-            obj.get("selected_faces", []),
+            _array(obj["visibles"], "visibles"),
+            _edges(obj["edges"]),
+            _faces(obj.get("marginal_faces", []), "marginal_faces"),
+            _faces(obj.get("selected_faces", []), "selected_faces"),
         )
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed smDG object: {exc}") from exc
@@ -57,6 +77,8 @@ def smdg_from_obj(obj: Mapping[str, Any]) -> SmDG:
 
 def graph_from_obj(obj: Mapping[str, Any]) -> PartitionedDag | SmDG:
     """Dispatch on the JSON shape: DAGs carry "vertices", smDGs "visibles"."""
+    if not isinstance(obj, Mapping):
+        raise GraphError(f"a graph must be a JSON object, got {obj!r}")
     if "vertices" in obj:
         return dag_from_obj(obj)
     if "visibles" in obj:

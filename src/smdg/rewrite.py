@@ -5,7 +5,12 @@ Four local rules rewrite an smDG without changing which selected
 observational distributions it can produce: promoting a closed selected face
 to a marginal face, deleting an edge whose endpoints share a marginal face
 (self-loops as the special case), and deleting a selected face whose
-ancestry is suitably shielded. A fifth, non-local rule delegates to a
+ancestry is suitably shielded. Each local rule is one entry of a single
+table, ``_RULES``, keyed by its proof-step name: the rule's error label, its
+precondition check, its forward rewrite and its inverse. The public rule
+functions, proof replay in both directions and the search's candidate steps
+all apply a rule through one helper, ``_step`` (check, rewrite, then the
+liftability guard on the result). A fifth, non-local rule delegates to a
 pluggable equivalence checker for latent-projection structures obtained by
 treating selection vertices as visible. The rules are sufficient, never
 necessary: a failed search says nothing about inequivalence.
@@ -13,14 +18,14 @@ necessary: a failed search says nothing about inequivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .graph import (
     GraphError,
     IndependenceSystem,
     PartitionedDag,
-    Role,
     SmDG,
     VertexId,
     is_acyclic,
@@ -53,116 +58,53 @@ def _liftable_result(rule: str, out: SmDG) -> SmDG:
     return out
 
 
-def _face(face: Iterable[VertexId]) -> frozenset[VertexId]:
-    return frozenset(face)
+# --- the local rules ------------------------------------------------------------
+#
+# A check takes the rule's error label, the graph and the step parameters. It
+# raises RulePreconditionError naming the first failed precondition, or
+# returns the edges the rewrite deletes.
 
 
-# --- the local rules --------------------------------------------------------
-
-
-def rule_add_marginal_face(g: SmDG, vs: Iterable[VertexId]) -> SmDG:
-    """Promote a maximal selected face into the marginal system.
-
-    Requires the face to contain all its parents, every member to carry some
-    latent noise, and every marginal face it meets to sit inside it; the
-    selection can then impose any joint behaviour on the face, so a shared
-    latent cause adds nothing observable.
-    """
-    vs = _face(vs)
-    _require_liftable("add_marginal_face", g)
+def _check_add_marginal_face(label: str, g: SmDG, vs, _absorbed=()) -> frozenset:
+    vs = frozenset(vs)
     if vs not in g.selected_system.maximal_faces:
-        raise RulePreconditionError(
-            "add_marginal_face", f"{sorted(vs)} is not a maximal selected face"
-        )
+        raise RulePreconditionError(label, f"{sorted(vs)} is not a maximal selected face")
     outside_parents = frozenset().union(*(g.parents_of(v) for v in vs)) - vs
     if outside_parents:
         raise RulePreconditionError(
-            "add_marginal_face",
-            f"face has parents outside itself: {sorted(outside_parents)}",
+            label, f"face has parents outside itself: {sorted(outside_parents)}"
         )
     uncovered = vs - g.marginal_system.support
     if uncovered:
-        raise RulePreconditionError(
-            "add_marginal_face",
-            f"members in no marginal face: {sorted(uncovered)}",
-        )
-    for vm in g.marginal_system.maximal_faces:
-        if vm & vs and not vm <= vs:
+        raise RulePreconditionError(label, f"members in no marginal face: {sorted(uncovered)}")
+    for vm in g.marginal_system.sorted_faces():
+        if vs.intersection(vm) and not vs.issuperset(vm):
             raise RulePreconditionError(
-                "add_marginal_face",
-                f"marginal face {sorted(vm)} straddles the boundary of the face",
+                label, f"marginal face {list(vm)} straddles the boundary of the face"
             )
-    out = SmDG(
-        visibles=g.visibles,
-        edges=g.edges,
-        marginal_system=g.marginal_system.with_face(vs),
-        selected_system=g.selected_system,
-    )
-    return _liftable_result("add_marginal_face", out)
+    return frozenset()
 
 
-def rule_remove_special_edge(g: SmDG, a: VertexId, b: VertexId) -> SmDG:
-    """Delete an edge whose endpoints live in one marginal face.
-
-    The edge must be rendered through selection (tail in a selected face,
-    head in a marginal face); the shared latent cause can then supply all of
-    the dependence the edge carried.
-    """
-    if a == b:
-        return rule_remove_self_loop(g, a)
-    _require_liftable("remove_special_edge", g)
+def _special_edge_clause(g: SmDG, a: VertexId, b: VertexId) -> Optional[str]:
+    """Why a -> b is not a removable special edge (present, tail in a selected
+    face, both endpoints in one marginal face), or None when it is. On a
+    liftable smDG every self-loop is one: its vertex lies in both supports."""
     if (a, b) not in g.edges:
-        raise RulePreconditionError("remove_special_edge", f"edge {a!r} -> {b!r} is absent")
+        return f"no self-loop on {a!r}" if a == b else f"edge {a!r} -> {b!r} is absent"
     if a not in g.selected_system.support:
-        raise RulePreconditionError(
-            "remove_special_edge", f"{a!r} belongs to no selected face"
-        )
+        return f"{a!r} belongs to no selected face"
     if b not in g.marginal_system.support:
-        raise RulePreconditionError(
-            "remove_special_edge", f"{b!r} belongs to no marginal face"
-        )
+        return f"{b!r} belongs to no marginal face"
     if not g.marginal_system.contains_face({a, b}):
-        raise RulePreconditionError(
-            "remove_special_edge", f"{a!r} and {b!r} share no marginal face"
-        )
-    out = SmDG(
-        visibles=g.visibles,
-        edges=g.edges - {(a, b)},
-        marginal_system=g.marginal_system,
-        selected_system=g.selected_system,
-    )
-    return _liftable_result("remove_special_edge", out)
+        return f"{a!r} and {b!r} share no marginal face"
+    return None
 
 
-def rule_remove_self_loop(g: SmDG, a: VertexId) -> SmDG:
-    """Delete a self-loop; liftability already forces the vertex into both a
-    marginal and a selected face, so this is the a == b case above."""
-    _require_liftable("remove_self_loop", g)
-    if (a, a) not in g.edges:
-        raise RulePreconditionError("remove_self_loop", f"no self-loop on {a!r}")
-    out = SmDG(
-        visibles=g.visibles,
-        edges=g.edges - {(a, a)},
-        marginal_system=g.marginal_system,
-        selected_system=g.selected_system,
-    )
-    return _liftable_result("remove_self_loop", out)
-
-
-def _removable_edges_within(g: SmDG, region: frozenset[VertexId]) -> set:
-    out = set()
-    for a, b in g.edges:
-        if a in region and b in region:
-            if a == b:
-                if a in g.marginal_system.support and a in g.selected_system.support:
-                    out.add((a, b))
-            elif (
-                a in g.selected_system.support
-                and b in g.marginal_system.support
-                and g.marginal_system.contains_face({a, b})
-            ):
-                out.add((a, b))
-    return out
+def _check_special_edge(label: str, g: SmDG, a: VertexId, b: VertexId) -> frozenset:
+    clause = _special_edge_clause(g, a, b)
+    if clause is not None:
+        raise RulePreconditionError(label, clause)
+    return frozenset({(a, b)})
 
 
 def check_selected_face_removal(
@@ -176,66 +118,149 @@ def check_selected_face_removal(
             "remove_selected_face", f"{sorted(vs)} is not a maximal selected face"
         )
     region = g.ancestors_of(vs)
-    sub = g.induced_subgraph(region)
+    core = g.induced_subgraph(region)
     dropped: set = set()
-    core = sub
-
-    def acyclic(s):
-        return is_acyclic(s.visibles, s.edges)
-
-    if not acyclic(sub):
+    if not is_acyclic(core.visibles, core.edges):
         if auto_remove_special_edges:
-            dropped = _removable_edges_within(g, region)
-            core = SmDG(
-                visibles=sub.visibles,
-                edges=sub.edges - dropped,
-                marginal_system=sub.marginal_system,
-                selected_system=sub.selected_system,
-            )
-        if not acyclic(core):
+            dropped = {e for e in core.edges if _special_edge_clause(g, *e) is None}
+            core = replace(core, edges=core.edges - dropped)
+        if not is_acyclic(core.visibles, core.edges):
             raise RulePreconditionError(
                 "remove_selected_face",
                 "clause a: the ancestral subgraph is cyclic (removing special "
                 "edges whose endpoints share a marginal face can unblock this)",
             )
     # clause b on the (possibly pruned) ancestral subgraph
-    members = sorted(core.visibles)
-    for i, u in enumerate(members):
-        for v in members[i + 1:]:
-            share_child = bool(core.children_of(u) & core.children_of(v))
-            share_sel = any(
-                {u, v} <= f for f in core.selected_system.maximal_faces
+    for u, v in combinations(sorted(core.visibles), 2):
+        share_child = bool(core.children_of(u) & core.children_of(v))
+        share_sel = any({u, v} <= f for f in core.selected_system.maximal_faces)
+        if not (share_child or share_sel):
+            continue
+        neighbours = (u, v) in core.edges or (v, u) in core.edges
+        if not (neighbours or core.marginal_system.contains_face({u, v})):
+            raise RulePreconditionError(
+                "remove_selected_face",
+                f"clause b: {u!r} and {v!r} share a child or a selected "
+                "face but are neither neighbours nor in one marginal face",
             )
-            if not (share_child or share_sel):
-                continue
-            neighbours = (u, v) in core.edges or (v, u) in core.edges
-            share_marg = core.marginal_system.contains_face({u, v})
-            if not (neighbours or share_marg):
-                raise RulePreconditionError(
-                    "remove_selected_face",
-                    f"clause b: {u!r} and {v!r} share a child or a selected "
-                    "face but are neither neighbours nor in one marginal face",
-                )
     # clauses c and d are evaluated on the whole smDG
     touching = [
-        f for f in g.marginal_system.maximal_faces if f & region
+        frozenset(f) for f in g.marginal_system.sorted_faces() if region.intersection(f)
     ]
-    for i, f1 in enumerate(touching):
-        for f2 in touching[i + 1:]:
-            if f1 & f2:
-                raise RulePreconditionError(
-                    "remove_selected_face",
-                    f"clause c: marginal faces {sorted(f1)} and {sorted(f2)} overlap",
-                )
+    for f1, f2 in combinations(touching, 2):
+        if f1 & f2:
+            raise RulePreconditionError(
+                "remove_selected_face",
+                f"clause c: marginal faces {sorted(f1)} and {sorted(f2)} overlap",
+            )
     for f in touching:
         outside = frozenset().union(*(g.parents_of(v) for v in f)) - f
-        for v in f:
+        for v in sorted(f):
             if not outside <= g.parents_of(v):
                 raise RulePreconditionError(
                     "remove_selected_face",
                     f"clause d: parent of face {sorted(f)} not shared by {v!r}",
                 )
     return dropped
+
+
+@dataclass(frozen=True)
+class _Rule:
+    label: str  # names the rule in precondition and liftability errors
+    check: Callable[..., Iterable]  # (label, g, *params) -> edges the rewrite deletes
+    forward: Callable[..., SmDG]  # (g, deleted edges, *params) -> rewritten g
+    inverse: Callable[..., SmDG]  # (g, *params) -> the graph before the step
+
+
+def _drop_edges(g: SmDG, dropped, *_params) -> SmDG:
+    return replace(g, edges=g.edges - dropped)
+
+
+def _unpromote_face(g: SmDG, vs, absorbed) -> SmDG:
+    faces = (g.marginal_system.maximal_faces - {frozenset(vs)}) | {
+        frozenset(f) for f in absorbed
+    }
+    return replace(g, marginal_system=IndependenceSystem.of(g.visibles, faces))
+
+
+# Keyed by the RewriteStep rule name. Step parameters: AddMarginalFace
+# (face, the marginal faces it absorbs), RemoveSpecialEdge (a, b),
+# RemoveSelfLoop (a,), RemoveSelectedFace (face,); a public call may append
+# the auto_remove_special_edges flag to the last.
+_RULES: dict[str, _Rule] = {
+    "AddMarginalFace": _Rule(
+        "add_marginal_face",
+        _check_add_marginal_face,
+        lambda g, _, vs, *_absorbed: replace(
+            g, marginal_system=g.marginal_system.with_face(vs)
+        ),
+        _unpromote_face,
+    ),
+    "RemoveSpecialEdge": _Rule(
+        "remove_special_edge",
+        _check_special_edge,
+        _drop_edges,
+        lambda g, a, b: replace(g, edges=g.edges | {(a, b)}),
+    ),
+    "RemoveSelfLoop": _Rule(
+        "remove_self_loop",
+        lambda label, g, a: _check_special_edge(label, g, a, a),
+        _drop_edges,
+        lambda g, a: replace(g, edges=g.edges | {(a, a)}),
+    ),
+    "RemoveSelectedFace": _Rule(
+        "remove_selected_face",
+        lambda _, g, vs, auto=False: check_selected_face_removal(g, frozenset(vs), auto),
+        lambda g, dropped, vs, *_auto: replace(
+            g,
+            edges=g.edges - dropped,
+            selected_system=g.selected_system.without_maximal_face(vs),
+        ),
+        lambda g, vs: replace(g, selected_system=g.selected_system.with_face(vs)),
+    ),
+}
+
+
+def _step(g: SmDG, name: str, params: tuple) -> SmDG:
+    """Check one rule on g and rewrite; the result must be liftable."""
+    rule = _RULES[name]
+    dropped = rule.check(rule.label, g, *params)
+    return _liftable_result(rule.label, rule.forward(g, dropped, *params))
+
+
+def _apply(g: SmDG, name: str, params: tuple) -> SmDG:
+    """``_step`` on a caller's graph, which must itself be liftable."""
+    _require_liftable(_RULES[name].label, g)
+    return _step(g, name, params)
+
+
+def rule_add_marginal_face(g: SmDG, vs: Iterable[VertexId]) -> SmDG:
+    """Promote a maximal selected face into the marginal system.
+
+    Requires the face to contain all its parents, every member to carry some
+    latent noise, and every marginal face it meets to sit inside it; the
+    selection can then impose any joint behaviour on the face, so a shared
+    latent cause adds nothing observable.
+    """
+    return _apply(g, "AddMarginalFace", (vs,))
+
+
+def rule_remove_special_edge(g: SmDG, a: VertexId, b: VertexId) -> SmDG:
+    """Delete an edge whose endpoints live in one marginal face.
+
+    The edge must be rendered through selection (tail in a selected face,
+    head in a marginal face); the shared latent cause can then supply all of
+    the dependence the edge carried.
+    """
+    if a == b:
+        return rule_remove_self_loop(g, a)
+    return _apply(g, "RemoveSpecialEdge", (a, b))
+
+
+def rule_remove_self_loop(g: SmDG, a: VertexId) -> SmDG:
+    """Delete a self-loop; liftability already forces the vertex into both a
+    marginal and a selected face, so this is the a == b case above."""
+    return _apply(g, "RemoveSelfLoop", (a,))
 
 
 def rule_remove_selected_face(
@@ -247,16 +272,7 @@ def rule_remove_selected_face(
     edges are broken first and those edge removals are folded into the
     result (each is an equivalence on its own).
     """
-    vs = _face(vs)
-    _require_liftable("remove_selected_face", g)
-    dropped = check_selected_face_removal(g, vs, auto_remove_special_edges)
-    out = SmDG(
-        visibles=g.visibles,
-        edges=g.edges - dropped,
-        marginal_system=g.marginal_system,
-        selected_system=g.selected_system.without_maximal_face(vs),
-    )
-    return _liftable_result("remove_selected_face", out)
+    return _apply(g, "RemoveSelectedFace", (vs, auto_remove_special_edges))
 
 
 # --- latent-projection lift -----------------------------------------------------
@@ -326,96 +342,37 @@ class EquivalenceProof:
         return g
 
 
-def _forward(g: SmDG, step: RewriteStep) -> SmDG:
-    rule, params = step.rule, step.params
-    if rule == "AddMarginalFace":
-        vs, _absorbed = params
-        return rule_add_marginal_face(g, vs)
-    if rule == "RemoveSpecialEdge":
-        (a, b) = params
-        return rule_remove_special_edge(g, a, b)
-    if rule == "RemoveSelfLoop":
-        (a,) = params
-        return rule_remove_self_loop(g, a)
-    if rule == "RemoveSelectedFace":
-        (vs,) = params
-        return rule_remove_selected_face(g, vs, auto_remove_special_edges=False)
-    raise GraphError(f"cannot replay rule {rule!r}")
-
-
-def _inverse(g: SmDG, step: RewriteStep) -> SmDG:
-    rule, params = step.rule, step.params
-    if rule == "AddMarginalFace":
-        vs, absorbed = params
-        faces = (g.marginal_system.maximal_faces - {frozenset(vs)}) | {
-            frozenset(f) for f in absorbed
-        }
-        out = SmDG(
-            visibles=g.visibles,
-            edges=g.edges,
-            marginal_system=IndependenceSystem.of(g.visibles, faces),
-            selected_system=g.selected_system,
-        )
-    elif rule in ("RemoveSpecialEdge", "RemoveSelfLoop"):
-        edge = params if rule == "RemoveSpecialEdge" else (params[0], params[0])
-        out = SmDG(
-            visibles=g.visibles,
-            edges=g.edges | {edge},
-            marginal_system=g.marginal_system,
-            selected_system=g.selected_system,
-        )
-    elif rule == "RemoveSelectedFace":
-        (vs,) = params
-        out = SmDG(
-            visibles=g.visibles,
-            edges=g.edges,
-            marginal_system=g.marginal_system,
-            selected_system=g.selected_system.with_face(vs),
-        )
-    else:
-        raise GraphError(f"cannot invert rule {rule!r}")
-    # the forward rule must reproduce g from the reconstruction
-    if _forward(out, RewriteStep(rule=step.rule, params=step.params)) != g:
+def apply_step(g: SmDG, step: RewriteStep) -> SmDG:
+    """Replay one proof step. A backward step rebuilds the graph before the
+    step with the rule's inverse, and the forward rule must take that graph
+    back to g."""
+    if step.rule not in _RULES:
+        raise GraphError(f"cannot replay rule {step.rule!r}")
+    if step.direction == "forward":
+        return _apply(g, step.rule, step.params)
+    out = _RULES[step.rule].inverse(g, *step.params)
+    if _apply(out, step.rule, step.params) != g:
         raise GraphError(f"inverse replay of {step.rule} did not round-trip")
     return out
 
 
-def apply_step(g: SmDG, step: RewriteStep) -> SmDG:
-    return _forward(g, step) if step.direction == "forward" else _inverse(g, step)
-
-
 def _candidate_steps(g: SmDG) -> list[tuple[RewriteStep, SmDG]]:
-    out = []
+    """Every rule step that applies to a liftable g, with its result: per
+    sorted selected face, face promotion and then face removal; then per
+    sorted edge, its removal."""
+    targets = []
     for vs in g.selected_system.sorted_faces():
         face = frozenset(vs)
-        try:
-            new = rule_add_marginal_face(g, face)
-        except RulePreconditionError:
-            pass
-        else:
-            absorbed = tuple(
-                f for f in g.marginal_system.sorted_faces() if frozenset(f) < face
-            )
-            out.append((RewriteStep("AddMarginalFace", (vs, absorbed)), new))
-        try:
-            new = rule_remove_selected_face(g, face, auto_remove_special_edges=False)
-        except RulePreconditionError:
-            pass
-        else:
-            out.append((RewriteStep("RemoveSelectedFace", (vs,)), new))
+        absorbed = tuple(f for f in g.marginal_system.sorted_faces() if frozenset(f) < face)
+        targets += [("AddMarginalFace", (vs, absorbed)), ("RemoveSelectedFace", (vs,))]
     for a, b in sorted(g.edges):
-        if a == b:
-            try:
-                new = rule_remove_self_loop(g, a)
-            except RulePreconditionError:
-                continue
-            out.append((RewriteStep("RemoveSelfLoop", (a,)), new))
-        else:
-            try:
-                new = rule_remove_special_edge(g, a, b)
-            except RulePreconditionError:
-                continue
-            out.append((RewriteStep("RemoveSpecialEdge", (a, b)), new))
+        targets.append(("RemoveSelfLoop", (a,)) if a == b else ("RemoveSpecialEdge", (a, b)))
+    out = []
+    for name, params in targets:
+        try:
+            out.append((RewriteStep(name, params), _step(g, name, params)))
+        except RulePreconditionError:
+            pass
     return out
 
 
@@ -537,7 +494,7 @@ def build_tilde_dag(g: SmDG, vs: Iterable[VertexId]) -> PartitionedDag:
     """The intermediate DAG of the face-removal argument: rendered edges whose
     endpoints share no latent parent become plain edges (dropping latents
     made redundant), and the remaining rendered edges lose their latent."""
-    vs = _face(vs)
+    vs = frozenset(vs)
     check_selected_face_removal(g, vs, auto_remove_special_edges=False)
     d = canonical_graph(g).to_partitioned_dag()
     for a, s, m, b in _special_paths(d):

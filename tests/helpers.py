@@ -1,7 +1,10 @@
 """Test-only helpers."""
 
 import itertools
+import os
+from pathlib import Path
 
+import smdg
 from smdg.graph import PartitionedDag, SmDG
 from smdg.project import canonical_graph
 from smdg.sep import D_separated, SeparationQuery, sm_separated
@@ -13,6 +16,13 @@ UNLIFTABLE = (
     SmDG.of("ab", edges=[("a", "b"), ("b", "b")]),
     SmDG.of("abcd", edges=[("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")]),
 )
+
+
+def python_env(**extra: str) -> dict:
+    """Environment for a child Python process that imports this smdg."""
+    src = str(Path(smdg.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 def assert_cycle_witness(cycle, edges, message: str) -> None:

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -8,7 +10,7 @@ from smdg.model import model_loads, smo_distribution
 from smdg.project import canonical_graph
 
 import cases
-from helpers import UNLIFTABLE, assert_cycle_witness
+from helpers import UNLIFTABLE, assert_cycle_witness, python_env
 
 
 def write(tmp_path, name, text):
@@ -208,6 +210,33 @@ def test_enumerate_ndjson_deterministic(tmp_path, capsys):
     assert graph_io.graph_from_obj(json.loads(first)) is not None
 
 
+@pytest.mark.parametrize("argv", [
+    ["smdgs", "--n-visible", "-1"],
+    ["smdgs", "--n-visible", "9"],
+    ["dags", "--n-visible", "9"],
+    ["dags", "--n-visible", "2", "--n-marginalized", "-1"],
+], ids=["smdgs_negative", "smdgs_above_cap", "dags_above_cap", "dags_negative_latents"])
+def test_enumerate_counts_out_of_range_exit_65(capsys, argv):
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert code == 65 and out == "", err
+    assert err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_enumerate_stops_quietly_on_closed_pipe():
+    """`smdg enumerate smdgs --n-visible 3 | head -n 1`: the reader leaves
+    after one line while the enumeration still has output to write."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "smdg.cli", "enumerate", "smdgs", "--n-visible", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=python_env(),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert json.loads(first)["visibles"] == ["a", "b", "c"]
+
+
 def test_unknown_flag_is_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["canon", "--bogus"])
@@ -270,6 +299,29 @@ MALFORMED = {
     ),
     "row_outside_parent_domain": (["eval", "smo", "{model}"], _out_of_domain_row, None),
     "fractional_domain_size": (["eval", "smo", "{model}"], _fractional_domain_size, None),
+    "graph_json_scalar": (["lift", "{model}"], lambda: 5, None),
+    "smdg_edge_one_endpoint": (
+        ["lift", "{model}"], lambda: {"visibles": ["a"], "edges": [["a"]]}, None
+    ),
+    "smdg_edge_as_string": (
+        ["lift", "{model}"], lambda: {"visibles": ["a", "b"], "edges": ["ab"]}, None
+    ),
+    "dag_edge_as_string": (
+        ["canon", "{model}"],
+        lambda: {
+            "vertices": [{"id": "a", "role": "visible"}, {"id": "b", "role": "visible"}],
+            "edges": ["ab"],
+        },
+        None,
+    ),
+    "smdg_face_as_string": (
+        ["lift", "{model}"],
+        lambda: {"visibles": ["a", "b"], "edges": [], "marginal_faces": ["ab"]},
+        None,
+    ),
+    "smdg_visibles_as_string": (
+        ["lift", "{model}"], lambda: {"visibles": "ab", "edges": []}, None
+    ),
 }
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from smdg.canon import is_canonical
 from smdg.enumeration import (
+    DEFAULT_VISIBLE_CAP,
     EnumerationError,
     SmdgBounds,
     antichains,
@@ -9,6 +10,7 @@ from smdg.enumeration import (
     enumerate_partitioned_dags,
     enumerate_smdgs,
 )
+from smdg.graph import GraphError
 from smdg.project import signature
 
 
@@ -34,6 +36,20 @@ def test_zero_visible_smdg_is_single_empty_graph():
 def test_visible_cap_enforced():
     with pytest.raises(EnumerationError):
         next(enumerate_smdgs(5))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: enumerate_smdgs(-1),
+    lambda: enumerate_partitioned_dags(-1, 1, 1),
+    lambda: enumerate_partitioned_dags(DEFAULT_VISIBLE_CAP + 1, 0, 0),
+    lambda: enumerate_partitioned_dags(2, -1, 1),
+    lambda: enumerate_partitioned_dags(2, 1, -1),
+], ids=["smdgs_negative", "dags_negative", "dags_above_cap", "dags_negative_latents",
+        "dags_negative_selections"])
+def test_counts_outside_bounds_rejected(make):
+    with pytest.raises(EnumerationError):
+        next(make())
+    assert issubclass(EnumerationError, GraphError)
 
 
 def test_enumeration_is_deterministic():

@@ -1,4 +1,6 @@
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -7,7 +9,9 @@ from smdg.graph import GraphError, SmDG
 from smdg.project import canonical_graph
 from smdg import rewrite
 from smdg.rewrite import (
+    RewriteStep,
     RulePreconditionError,
+    apply_step,
     build_tilde_dag,
     district_block_order,
     mdag_of,
@@ -23,6 +27,7 @@ from smdg.rewrite import (
 from smdg.sep import SeparationQuery, sm_separated
 
 import cases
+from helpers import python_env
 
 
 # --- add marginal face -----------------------------------------------------
@@ -148,6 +153,69 @@ def test_rule_outputs_lift_to_acyclic_graphs():
     assert checked > 4000
 
 
+def test_candidate_steps_replay_backward():
+    """Cross-check of every rule's inverse: replaying a candidate step
+    backward from its output rebuilds the input. Every 5th liftable 3-visible
+    smDG (at most 3 edges); the full space has 48,741 non-identity steps, all
+    of which round-trip."""
+    checked = 0
+    space = enumerate_smdgs(3, SmdgBounds(max_edges=3), liftable_only=True)
+    for g in itertools.islice(space, 0, None, 5):
+        for step, out in rewrite._candidate_steps(g):
+            if out == g:
+                continue
+            back = RewriteStep(step.rule, step.params, "backward")
+            assert apply_step(out, back) == g, (g, step)
+            checked += 1
+    assert checked > 9000
+
+
+def test_mdag_lift_step_cannot_be_replayed():
+    g = cases.chain_face_removed()
+    for direction in ("forward", "backward"):
+        with pytest.raises(GraphError, match="cannot replay rule 'MdagLift'"):
+            apply_step(g, RewriteStep("MdagLift", (), direction))
+
+
+_WITNESS_SCRIPT = """
+from smdg.graph import SmDG
+from smdg.rewrite import RulePreconditionError, rule_add_marginal_face, rule_remove_selected_face
+overlap = SmDG.of("abc", marginal_faces=[("a", "b"), ("a", "c")], selected_faces=[("a",)])
+unshared = SmDG.of(
+    "abcd", edges=[("a", "c"), ("b", "d")],
+    marginal_faces=[("c", "d")], selected_faces=[("c", "d")],
+)
+for rule, g, face in (
+    (rule_add_marginal_face, overlap, {"a"}),
+    (rule_remove_selected_face, overlap, {"a"}),
+    (rule_remove_selected_face, unshared, {"c", "d"}),
+):
+    try:
+        rule(g, face)
+    except RulePreconditionError as exc:
+        print(exc)
+"""
+
+
+def test_precondition_witnesses_ignore_hash_seed():
+    """Witness faces and vertices are picked in sorted order, not in the
+    interpreter's frozenset iteration order."""
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", _WITNESS_SCRIPT],
+            env=python_env(PYTHONHASHSEED=seed),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines() == [
+        "add_marginal_face: marginal face ['a', 'b'] straddles the boundary of the face",
+        "remove_selected_face: clause c: marginal faces ['a', 'b'] and ['a', 'c'] overlap",
+        "remove_selected_face: clause d: parent of face ['c', 'd'] not shared by 'c'",
+    ]
+
+
 def test_unliftable_rule_output_raises_not_asserts():
     g = SmDG.of("ab", edges=[("a", "b"), ("b", "a")])
     with pytest.raises(GraphError, match=r"^demo produced .* the cycle a -> b -> a has"):
@@ -202,6 +270,43 @@ def test_search_worked_chain():
         "AddMarginalFace", "RemoveSpecialEdge", "RemoveSelfLoop", "RemoveSelectedFace",
     }
     assert res.proof.replay() == cases.chain_face_removed()
+
+
+# Proof steps (rule, params, direction) found before the rules moved into one
+# table; the reversed pairs are proved from the target side, so their steps
+# are replayed backward.
+GOLDEN_PROOFS = {
+    "worked_chain": (
+        cases.canon_example_slp, cases.chain_face_removed,
+        [
+            ("AddMarginalFace", (("a", "b", "c"), (("a", "b"), ("c",))), "forward"),
+            ("RemoveSelfLoop", ("a",), "forward"),
+            ("RemoveSpecialEdge", ("b", "a"), "forward"),
+            ("RemoveSelectedFace", (("a", "b", "c"),), "forward"),
+        ],
+    ),
+    "worked_chain_reversed": (
+        cases.chain_face_removed, cases.canon_example_slp,
+        [
+            ("RemoveSelectedFace", (("a", "b", "c"),), "backward"),
+            ("RemoveSpecialEdge", ("b", "a"), "backward"),
+            ("RemoveSelfLoop", ("a",), "backward"),
+            ("AddMarginalFace", (("a", "b", "c"), (("a", "b"), ("c",))), "backward"),
+        ],
+    ),
+    "unshielded_pair_reversed": (
+        cases.unshielded_pair_after, cases.unshielded_pair_before,
+        [("RemoveSelectedFace", (("c", "d"),), "backward")],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROOFS))
+def test_search_golden_proofs(name):
+    start, end, expected = GOLDEN_PROOFS[name]
+    res = search_equivalence(start(), end(), depth=4)
+    assert [(s.rule, s.params, s.direction) for s in res.proof.steps] == expected
+    assert res.proof.replay() == end()
 
 
 def test_search_not_found_diagnostic_names_the_hook():
