@@ -69,6 +69,16 @@ def pair_labels(a: VertexId, b: VertexId) -> tuple[str, str]:
     return f"s⟨{a}·{b}⟩", f"m⟨{a}·{b}⟩"
 
 
+def fresh_pair(a: VertexId, b: VertexId, taken: set[VertexId]) -> tuple[VertexId, VertexId]:
+    """Pair labels for a and b made fresh against taken, which records them."""
+    s_label, m_label = pair_labels(a, b)
+    s_label = _fresh(s_label, taken)
+    taken.add(s_label)
+    m_label = _fresh(m_label, taken)
+    taken.add(m_label)
+    return s_label, m_label
+
+
 # --- the single-step rewrites -------------------------------------------
 
 def exogenize(d: PartitionedDag, m: VertexId) -> PartitionedDag:
@@ -180,16 +190,7 @@ def split_pair_label_map(
     v_s = sorted(d.parents_of(s) & d.visible)
     v_m = sorted(d.children_of(m) & d.visible)
     taken = set(d.vertices)
-    out = {}
-    for a in v_s:
-        for b in v_m:
-            s_label, m_label = pair_labels(a, b)
-            s_label = _fresh(s_label, taken)
-            taken.add(s_label)
-            m_label = _fresh(m_label, taken)
-            taken.add(m_label)
-            out[(a, b)] = (s_label, m_label)
-    return out
+    return {(a, b): fresh_pair(a, b, taken) for a in v_s for b in v_m}
 
 
 def split_m_to_s(d: PartitionedDag, m: VertexId, s: VertexId) -> PartitionedDag:
@@ -241,9 +242,7 @@ def to_special(d: PartitionedDag, a: VertexId, b: VertexId) -> PartitionedDag:
         raise PreconditionError("to_special", f"{a!r} has no selected child")
     if not (d.parents_of(b) & d.marginalized):
         raise PreconditionError("to_special", f"{b!r} has no marginalized parent")
-    s_label, m_label = pair_labels(a, b)
-    s_label = _fresh(s_label, d.vertices)
-    m_label = _fresh(m_label, set(d.vertices) | {s_label})
+    s_label, m_label = fresh_pair(a, b, set(d.vertices))
     return d.with_vertices(
         add={s_label: Role.SELECTED, m_label: Role.MARGINALIZED},
         add_edges={(a, s_label), (m_label, s_label), (m_label, b)},

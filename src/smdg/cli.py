@@ -253,10 +253,12 @@ def _cmd_oracle_witness(args) -> int:
         payload = {"model": model_mod.model_to_obj(_plainify(model)), "expected": expected}
     elif kind == "edge":
         pair = _split_names(args.pair)
-        if len(pair) != 2:
+        if not pair:
             a, b = _first_visible_edge(d)
+        elif len(pair) != 2 or pair[0] == pair[1]:
+            raise GraphError(f"--pair needs two distinct visibles tail,head, got {args.pair!r}")
         else:
-            a, b = pair
+            a, b = _visibles_of(d, pair, "--pair")
         data, plain, special = oracle.witness_directed_edge(a, b)
         expected = {
             "kind": "edge",
@@ -271,7 +273,7 @@ def _cmd_oracle_witness(args) -> int:
             "expected": expected,
         }
     elif kind == "marginal":
-        face = _split_names(args.face) or _default_marginal_face(d)
+        face = _visibles_of(d, _split_names(args.face), "--face") or _default_marginal_face(d)
         model = oracle.witness_marginal_face(face)
         expected = {
             "kind": "marginal",
@@ -281,7 +283,7 @@ def _cmd_oracle_witness(args) -> int:
         }
         payload = {"model": model_mod.model_to_obj(model), "expected": expected}
     else:
-        face = _split_names(args.face) or _default_selected_face(d)
+        face = _visibles_of(d, _split_names(args.face), "--face") or _default_selected_face(d)
         model = oracle.witness_selected_face(face)
         expected = {
             "kind": "selected",
@@ -316,6 +318,14 @@ def _plainify(model):
     for v, zero in model.selected_zeros:
         zeros[v] = mapping[v][zero]
     return model_mod.DiscreteModel.of(model.dag, domains, kernels, zeros)
+
+
+def _visibles_of(d, names: list[str], flag: str) -> list[str]:
+    """names, refused unless each is a visible vertex of d."""
+    outside = sorted(set(names) - (d.visibles if isinstance(d, SmDG) else d.visible))
+    if outside:
+        raise GraphError(f"{flag} names {outside}, which are not visible vertices of the graph")
+    return names
 
 
 def _first_visible_edge(d):

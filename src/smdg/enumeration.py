@@ -78,10 +78,11 @@ def enumerate_smdgs(
     bounds: Optional[SmdgBounds] = None,
     liftable_only: bool = False,
 ) -> Iterator[SmDG]:
-    _check_counts(n_visible)
     bounds = bounds or SmdgBounds.default_for(n_visible)
     verts = VISIBLE_NAMES[:n_visible]
     universe = _edge_universe(verts)
+    max_edges = len(universe) if bounds.max_edges is None else bounds.max_edges
+    _check_counts(n_visible, max_edges=max_edges)
     if bounds.systems == "antichains":
         families = antichains(verts, bounds.max_face_size)
         systems = [families, families]
@@ -95,7 +96,6 @@ def enumerate_smdgs(
     else:
         raise EnumerationError(f"unknown system mode {bounds.systems!r}")
 
-    max_edges = len(universe) if bounds.max_edges is None else bounds.max_edges
     for n_e in range(0, max_edges + 1):
         for edges in combinations(universe, n_e):
             for l_faces in systems[0]:

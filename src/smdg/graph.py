@@ -242,9 +242,6 @@ class PartitionedDag:
         """Reflexive-transitive closure of parenthood over a vertex set."""
         return _closure(self._parents, ws)
 
-    def descendants_of(self, ws: Iterable[VertexId]) -> frozenset[VertexId]:
-        return _closure(self._children, ws)
-
     def induced_subgraph(self, keep: Iterable[VertexId]) -> "PartitionedDag":
         keep = set(keep)
         for v in keep:
@@ -322,10 +319,6 @@ class IndependenceSystem:
     def support(self) -> frozenset[VertexId]:
         """Union of all faces."""
         return frozenset().union(*self.maximal_faces) if self.maximal_faces else frozenset()
-
-    def restricted_to(self, keep: Iterable[VertexId]) -> "IndependenceSystem":
-        keep = frozenset(keep)
-        return IndependenceSystem.of(self.ground & keep, (f & keep for f in self.maximal_faces))
 
     def with_face(self, face: Iterable[VertexId]) -> "IndependenceSystem":
         return IndependenceSystem.of(self.ground, list(self.maximal_faces) + [frozenset(face)])
@@ -408,9 +401,6 @@ class SmDG:
 
     def ancestors_of(self, ws: Iterable[VertexId]) -> frozenset[VertexId]:
         return _closure(self._parents, ws)
-
-    def descendants_of(self, ws: Iterable[VertexId]) -> frozenset[VertexId]:
-        return _closure(self._children, ws)
 
     def induced_subgraph(self, keep: Iterable[VertexId]) -> "SmDG":
         keep = set(keep)

@@ -48,10 +48,9 @@ def _faces(value: Any, what: str) -> list[list]:
 def dag_from_obj(obj: Mapping[str, Any]) -> PartitionedDag:
     try:
         roles = {item["id"]: Role.parse(item["role"]) for item in obj["vertices"]}
-        edges = _edges(obj["edges"])
+        return PartitionedDag.from_roles(roles, _edges(obj["edges"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed DAG object: {exc}") from exc
-    return PartitionedDag.from_roles(roles, edges)
 
 
 def smdg_to_obj(g: SmDG) -> dict[str, Any]:

@@ -515,10 +515,13 @@ def model_from_obj(obj: Mapping[str, Any]) -> DiscreteModel:
         kernels = {}
         for v, spec in specs.items():
             rows = {
-                _key_from_str(key_text): tuple(_fraction_from_str(p) for p in vec)
+                _key_from_str(key_text): tuple(
+                    _fraction_from_str(p) for p in graph_io._array(vec, f"a kernel row of {v!r}")
+                )
                 for key_text, vec in spec["table"].items()
             }
-            kernels[v] = KernelTable.of([str(p) for p in spec["parents"]], rows)
+            parents = graph_io._array(spec["parents"], f"the parents of {v!r}")
+            kernels[v] = KernelTable.of([str(p) for p in parents], rows)
     except KeyError as exc:
         raise ModelError(f"malformed model object: missing key {exc}") from exc
     except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
@@ -545,7 +548,7 @@ def prob_table_to_obj(dist: ProbTable) -> dict[str, Any]:
 
 def prob_table_from_obj(obj: Mapping[str, Any]) -> ProbTable:
     try:
-        variables = [str(v) for v in obj["variables"]]
+        variables = [str(v) for v in graph_io._array(obj["variables"], "variables")]
         table = {
             _key_from_str(key_text): _fraction_from_str(p)
             for key_text, p in obj["table"].items()

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
+from . import canon
 from .graph import GraphError, PartitionedDag, Role, VertexId
 from .model import (
     DiscreteModel,
@@ -292,7 +293,7 @@ def witness_directed_edge(a: VertexId, b: VertexId):
             b: deterministic_kernel([a], [(0, 1)], (0, 1), lambda x: x),
         },
     )
-    s_ab, m_ab = f"s⟨{a}·{b}⟩", f"m⟨{a}·{b}⟩"
+    s_ab, m_ab = canon.pair_labels(a, b)
     special_dag = PartitionedDag.of(
         visible=[a, b], marginalized=[m_ab], selected=[s_ab],
         edges=[(a, s_ab), (m_ab, s_ab), (m_ab, b)],

@@ -106,11 +106,7 @@ def canonical_graph(g: SmDG) -> CanonicalGraph:
     taken = set(g.visibles)
     for a, b in sorted(g.edges):
         if a in sel_support and b in mar_support:
-            s_label, m_label = canon.pair_labels(a, b)
-            s_label = canon._fresh(s_label, taken)
-            taken.add(s_label)
-            m_label = canon._fresh(m_label, taken)
-            taken.add(m_label)
+            s_label, m_label = canon.fresh_pair(a, b, taken)
             roles[s_label] = Role.SELECTED
             roles[m_label] = Role.MARGINALIZED
             edges.update({(a, s_label), (m_label, s_label), (m_label, b)})

@@ -113,6 +113,7 @@ def check_selected_face_removal(
     """Validate the four clauses guarding selected-face removal; returns the
     set of edges that must also be dropped when cycle-breaking via special
     edge removal was needed."""
+    vs = frozenset(vs)
     if vs not in g.selected_system.maximal_faces:
         raise RulePreconditionError(
             "remove_selected_face", f"{sorted(vs)} is not a maximal selected face"
@@ -404,6 +405,8 @@ def search_equivalence(
     ``depth`` steps; every rule is an equivalence, so steps found from the
     target side are recorded with backward direction. Not finding a proof
     does not establish inequivalence."""
+    if depth < 0:
+        raise RulePreconditionError("search_equivalence", f"depth={depth} is negative")
     for g in (g1, g2):
         _require_liftable("search_equivalence", g)
     if g1.visibles != g2.visibles:

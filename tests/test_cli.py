@@ -211,13 +211,17 @@ def test_enumerate_ndjson_deterministic(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["smdgs", "--n-visible", "-1"],
-    ["smdgs", "--n-visible", "9"],
-    ["dags", "--n-visible", "9"],
-    ["dags", "--n-visible", "2", "--n-marginalized", "-1"],
-], ids=["smdgs_negative", "smdgs_above_cap", "dags_above_cap", "dags_negative_latents"])
-def test_enumerate_counts_out_of_range_exit_65(capsys, argv):
-    code, out, err = run(capsys, "enumerate", *argv)
+    ["enumerate", "smdgs", "--n-visible", "-1"],
+    ["enumerate", "smdgs", "--n-visible", "9"],
+    ["enumerate", "dags", "--n-visible", "9"],
+    ["enumerate", "dags", "--n-visible", "2", "--n-marginalized", "-1"],
+    ["enumerate", "smdgs", "--n-visible", "2", "--max-edges", "-1"],
+    ["equiv-obs", "{g}", "{g}", "--depth", "-3"],
+], ids=["smdgs_negative", "smdgs_above_cap", "dags_above_cap", "dags_negative_latents",
+        "smdgs_negative_max_edges", "equiv_obs_negative_depth"])
+def test_enumerate_counts_out_of_range_exit_65(tmp_path, capsys, argv):
+    g = write(tmp_path, "g.json", graph_io.dumps(cases.fork_mdag()))
+    code, out, err = run(capsys, *[arg.format(g=g) for arg in argv])
     assert code == 65 and out == "", err
     assert err.startswith("error:") and "Traceback" not in err, err
 
@@ -275,6 +279,20 @@ def _out_of_domain_row():
     return obj
 
 
+def _kernel_parents_as_string():
+    obj = _model_obj()
+    obj["kernels"]["s"]["parents"] = "".join(obj["kernels"]["s"]["parents"])
+    return obj
+
+
+def _kernel_row_as_string():
+    obj = _model_obj()
+    table = obj["kernels"]["a"]["table"]
+    table["0"] = "10"
+    table["1"] = "01"
+    return obj
+
+
 def _fractional_domain_size():
     obj = _model_obj()
     obj["domains"]["a"] = 2.5
@@ -298,6 +316,13 @@ MALFORMED = {
         {"required": [{"assignment": {"a": 1}}]},
     ),
     "row_outside_parent_domain": (["eval", "smo", "{model}"], _out_of_domain_row, None),
+    "kernel_parents_as_string": (["eval", "smo", "{model}"], _kernel_parents_as_string, None),
+    "kernel_row_as_string": (["eval", "smo", "{model}"], _kernel_row_as_string, None),
+    "q_variables_as_string": (
+        ["eval", "smi", "{model}", "--q", "{extra}"],
+        _model_obj,
+        {"variables": "abc", "table": {"0,1,0": "1"}},
+    ),
     "fractional_domain_size": (["eval", "smo", "{model}"], _fractional_domain_size, None),
     "graph_json_scalar": (["lift", "{model}"], lambda: 5, None),
     "smdg_edge_one_endpoint": (
@@ -335,6 +360,36 @@ def test_malformed_inputs_exit_65(tmp_path, capsys, name):
     code, _, err = run(capsys, *[arg.format(**paths) for arg in argv])
     assert code == 65, err
     assert err.startswith("error:") and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["edge", "{g}", "--pair", "a,zz"],
+    ["edge", "{g}", "--pair", "a"],
+    ["edge", "{g}", "--pair", "a,b,c"],
+    ["edge", "{g}", "--pair", "a,a"],
+    ["marginal", "{g}", "--face", "zz,a"],
+    ["selected", "{g}", "--face", "a,s1"],
+    ["edge", "{smdg}", "--pair", "b,zz"],
+], ids=["pair_outside", "pair_one_name", "pair_three_names", "pair_repeated",
+        "marginal_face_outside", "selected_face_non_visible", "smdg_pair_outside"])
+def test_oracle_witness_rejects_names_outside_graph(tmp_path, capsys, argv):
+    paths = {
+        "g": write(tmp_path, "g.json", graph_io.dumps(cases.teaser_a())),
+        "smdg": write(tmp_path, "s.json", graph_io.dumps(cases.fork_mdag())),
+    }
+    code, out, err = run(capsys, "oracle", "witness", *[arg.format(**paths) for arg in argv])
+    assert code == 65 and out == "", err
+    assert err.startswith("error:") and "Traceback" not in err, err
+
+
+def test_oracle_witness_named_pair_and_face(tmp_path, capsys):
+    path = write(tmp_path, "g.json", graph_io.dumps(cases.pairwise_selectors()))
+    code, out, _ = run(capsys, "oracle", "witness", "edge", path, "--pair", "b,c")
+    assert code == 0
+    assert json.loads(out)["expected"]["tail"] == "b"
+    code, out, _ = run(capsys, "oracle", "witness", "selected", path, "--face", "c,a")
+    assert code == 0
+    assert json.loads(out)["expected"]["face"] == ["a", "c"]
 
 
 def test_dot_output(tmp_path, capsys):

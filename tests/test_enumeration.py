@@ -44,8 +44,9 @@ def test_visible_cap_enforced():
     lambda: enumerate_partitioned_dags(DEFAULT_VISIBLE_CAP + 1, 0, 0),
     lambda: enumerate_partitioned_dags(2, -1, 1),
     lambda: enumerate_partitioned_dags(2, 1, -1),
+    lambda: enumerate_smdgs(2, SmdgBounds(max_edges=-1)),
 ], ids=["smdgs_negative", "dags_negative", "dags_above_cap", "dags_negative_latents",
-        "dags_negative_selections"])
+        "dags_negative_selections", "smdgs_negative_max_edges"])
 def test_counts_outside_bounds_rejected(make):
     with pytest.raises(EnumerationError):
         next(make())

@@ -13,6 +13,7 @@ from smdg.rewrite import (
     RulePreconditionError,
     apply_step,
     build_tilde_dag,
+    check_selected_face_removal,
     district_block_order,
     mdag_of,
     rule_add_marginal_face,
@@ -214,6 +215,17 @@ def test_precondition_witnesses_ignore_hash_seed():
         "remove_selected_face: clause c: marginal faces ['a', 'b'] and ['a', 'c'] overlap",
         "remove_selected_face: clause d: parent of face ['c', 'd'] not shared by 'c'",
     ]
+
+
+@pytest.mark.parametrize("face", [("a", "b"), ["b", "a"]])
+def test_selected_face_check_accepts_any_face_collection(face):
+    """The public check takes the face as the rule functions do: any
+    collection of its members."""
+    shielded = SmDG.of("ab", marginal_faces=[("a", "b")], selected_faces=[("a", "b")])
+    assert check_selected_face_removal(shielded, face) == set()
+    unshielded = SmDG.of("ab", marginal_faces=[("a",), ("b",)], selected_faces=[("a", "b")])
+    with pytest.raises(RulePreconditionError, match="clause b"):
+        check_selected_face_removal(unshielded, face)
 
 
 def test_unliftable_rule_output_raises_not_asserts():

@@ -3,10 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from smdg import canon
+from smdg.canon import PreconditionError
 from smdg.graph import PartitionedDag
 from smdg.model import (
     DiscreteModel,
+    KernelTable,
+    ModelError,
     ProbTable,
+    SelectedOutError,
     deterministic_kernel,
     flat,
     observe_or_do_distribution,
@@ -16,7 +21,7 @@ from smdg.model import (
     table_kernel,
     uniform,
 )
-from smdg.transport import transport, transport_chain, transport_obs_or_do
+from smdg.transport import _CONSTRUCTIONS, transport, transport_chain, transport_obs_or_do
 
 F = Fraction
 
@@ -224,6 +229,38 @@ def test_transport_chain_through_full_canonicalization():
     moved = transport_chain(model, report.steps)
     assert moved.dag == report.output
     assert smo_distribution(moved).dist == smo_distribution(model).dist
+
+
+def test_constructions_cover_every_canon_step():
+    assert set(_CONSTRUCTIONS) == {rule.step for rule in canon._RULES}
+
+
+def _never_selected():
+    dag = PartitionedDag.of(visible="a", selected="s")
+    return DiscreteModel.of(
+        dag,
+        {"a": (0, 1), "s": (0, 1)},
+        {"a": deterministic_kernel([], [], (0, 1), lambda: 0),
+         "s": KernelTable.of([], {(): (0, 1)})},
+    )
+
+
+@pytest.mark.parametrize("make, move, error, message", [
+    (lambda: split_shape(random.Random(0))[0], ("bogus", ()), ModelError,
+     "unknown transport move 'bogus'"),
+    (lambda: split_shape(random.Random(0))[0], ("remove_vertex", ("v1",)), ModelError,
+     "cannot transport the removal of visible vertex 'v1'"),
+    (lambda: redundant_m_shape(random.Random(0))[0], ("remove_vertex", ("m2",)), ModelError,
+     "marginalized vertex 'm2' is not redundant"),
+    (_never_selected, ("remove_vertex", ("s",)), SelectedOutError,
+     "removing 's' would change a model whose selection never succeeds"),
+    (lambda: split_shape(random.Random(0))[0], ("to_special", ("v1", "v3")), PreconditionError,
+     "to_special: splittable marginalized -> selected edges remain"),
+], ids=["unknown_move", "visible_removal", "not_redundant", "never_selected", "precondition"])
+def test_transport_errors(make, move, error, message):
+    with pytest.raises(error) as exc:
+        transport(make(), move)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 # --- observe-or-do transport ---------------------------------------------------
