@@ -1,17 +1,21 @@
 """Exact finite discrete models over partitioned DAGs.
 
-All probability arithmetic uses ``fractions.Fraction``; there is no floating
-point and no tolerance anywhere in this module. Visible variables must have
-deterministic kernels (their randomness, when needed, comes from explicit
-marginalized parents; see :func:`add_private_latents`). Selected variables
-are conditioned to a designated zero value in every reported distribution.
+All probability arithmetic is exact: kernels hold ``fractions.Fraction``
+entries and evaluation works on their integer numerators; there is no
+floating point and no tolerance anywhere in this module. Visible variables
+must have deterministic kernels (their randomness, when needed, comes from
+explicit marginalized parents; see :func:`add_private_latents`). Selected
+variables are conditioned to a designated zero value in every reported
+distribution.
 
-Every distribution here comes from one walk over the topological order that
-multiplies kernel rows and prunes zero branches. An intervention is a parent
-read: a kernel takes an intervened parent's value from the intervention
-instead of from the walk. Selection is weighted evidence: a selected vertex
-is pinned to its zero value and weighted by its kernel, which gives the
-numerator of the conditioning.
+Every distribution here comes from one exact sum-product evaluator,
+:func:`smdg.sumproduct.sum_product`. An intervention is a parent read: a
+kernel takes an intervened parent's value from the intervention cell
+instead of from the parent. Selection is evidence: a selected vertex is
+pinned to its zero value, which gives the numerator of the conditioning.
+Every other vertex outside the reported variables is summed out, and each
+reported probability is one ``Fraction`` of two integers. The tests check
+this evaluator against a brute-force walk over every joint assignment.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .graph import GraphError, PartitionedDag, Role, VertexId
 from . import io as graph_io
+from .sumproduct import sum_product
 
 Value = Any  # hashable; ints for serializable models, tuples for transported ones
 Assignment = tuple[Value, ...]
@@ -284,54 +290,11 @@ def flat(v: VertexId) -> str:
 
 # --- evaluation -----------------------------------------------------------
 
-
-def _walk(
-    model: DiscreteModel,
-    reads: Mapping[VertexId, Value],
-    evidence: Mapping[VertexId, Value],
-):
-    """Stream (assignment, probability) over every vertex in topological
-    order, pruning zero-probability branches.
-
-    A kernel reads parent u from ``reads`` when u is there and from the
-    assignment otherwise. A vertex in ``evidence`` is pinned to that value
-    and weighted by its kernel. The yielded assignment is reused; read it
-    before advancing the stream.
-    """
-    domains = dict(model.domains)
-    kernels = dict(model.kernels)
-    steps = []
-    for v in model.dag.topological_order():
-        dom = domains[v]
-        choices = tuple(enumerate(dom))
-        if v in evidence:
-            i = dom.index(evidence[v])
-            choices = ((i, dom[i]),)
-        steps.append((v, kernels[v].parents, kernels[v]._index, choices))
-    assign: dict[VertexId, Value] = {}
-
-    def rec(i: int, p: Fraction):
-        if i == len(steps):
-            yield assign, p
-            return
-        v, parents, rows, choices = steps[i]
-        vec = rows[tuple(reads[u] if u in reads else assign[u] for u in parents)]
-        for j, value in choices:
-            if vec[j] != 0:
-                assign[v] = value
-                yield from rec(i + 1, p * vec[j])
-
-    yield from rec(0, ONE)
-
-
 def eval_joint(model: DiscreteModel) -> ProbTable:
     """Full product-of-kernels joint over all vertices (no conditioning)."""
     order = tuple(model.dag.topological_order())
-    out: dict[Assignment, Fraction] = {}
-    for assign, p in _walk(model, {}, {}):
-        key = tuple(assign[v] for v in order)
-        out[key] = out.get(key, ZERO) + p
-    return ProbTable.of(order, out)
+    evaluate, den = sum_product(model, (), order, {})
+    return ProbTable.of(order, {key: Fraction(w, den) for key, w in evaluate(()).items()})
 
 
 def smo_distribution(model: DiscreteModel) -> SelectedDistribution:
@@ -341,21 +304,25 @@ def smo_distribution(model: DiscreteModel) -> SelectedDistribution:
     return observe_or_do_distribution(model, ())
 
 
-def _selected(model, variables, cells, key) -> tuple[Optional[ProbTable], Fraction]:
-    """Sum ``weight * p`` over the walks of every ``(reads, weight)`` cell
-    into ``key(reads, assignment)``, with each selected vertex pinned to its
-    zero value. Returns the normalized table and the selection probability,
-    or ``(None, 0)`` when the selection event has probability zero."""
-    evidence = {s: model.selected_zero(s) for s in model.dag.selected}
-    out: dict[Assignment, Fraction] = {}
-    for reads, weight in cells:
-        for assign, p in _walk(model, reads, evidence):
-            k = key(reads, assign)
-            out[k] = out.get(k, ZERO) + weight * p
-    total = sum(out.values(), ZERO)
+def _selected(model, variables, read, outputs, cells, key) -> tuple[Optional[ProbTable], Fraction]:
+    """Sum ``weight * P(outputs, selection)`` over every ``(read values,
+    weight)`` cell into ``key(read values, output values)``, with each
+    selected vertex pinned to its zero value. Returns the normalized table
+    and the selection probability, or ``(None, 0)`` when the selection event
+    has probability zero."""
+    pinned = {s: model.selected_zero(s) for s in model.dag.selected}
+    evaluate, den = sum_product(model, read, outputs, pinned, len(cells))
+    q_den = lcm(*(w.denominator for _, w in cells))
+    acc: dict[Assignment, int] = {}
+    for values, w in cells:
+        qn = w.numerator * (q_den // w.denominator)
+        for out, x in evaluate(values).items():
+            acc[key(values, out)] = qn * x
+    total = sum(acc.values())
     if total == 0:
         return None, ZERO
-    return ProbTable.of(variables, {k: p / total for k, p in out.items()}), total
+    table = tuple(sorted((k, Fraction(x, total)) for k, x in acc.items()))
+    return ProbTable(variables, table), Fraction(total, q_den * den)
 
 
 def _check_q(model: DiscreteModel, q: ProbTable, over: Sequence[VertexId],
@@ -392,11 +359,8 @@ def smi_distribution(
     visibles = tuple(sorted(model.dag.visible))
     _check_q(model, q, visibles, full_support)
     variables = tuple(sharp(v) for v in visibles) + tuple(flat(v) for v in visibles)
-    cells = [(dict(zip(visibles, key)), p) for key, p in q.items()]
-    dist, total = _selected(
-        model, variables, cells,
-        lambda reads, a: tuple(reads[v] for v in visibles) + tuple(a[v] for v in visibles),
-    )
+    dist, total = _selected(model, variables, visibles, visibles, q.items(),
+                            lambda values, out: values + out)
     if dist is None:
         return SmiResult(q=q, status="selected_out", dist=None, selection_probability=ZERO)
     return SmiResult(q=q, status="ok", dist=dist, selection_probability=total)
@@ -410,22 +374,24 @@ def observe_or_do_distribution(
     intervened to q and everything else is passively observed; each visible
     is either intervened or observed, never both.
 
-    The intervened values are parent reads. A visible kernel is
-    deterministic, so the row of an intervened vertex adds a factor of 1.
+    The intervened values are read by z's children; z's own kernel then
+    sums to one and drops out.
     """
     z = tuple(sorted(set(z)))
     if not set(z) <= model.dag.visible:
         raise ModelError("only visible variables can be intervened")
-    cells = [({}, ONE)]
+    cells = (((), ONE),)
     if z:
         if q is None:
             raise ModelError("an intervention distribution is required when z is non-empty")
         _check_q(model, q, z, full_support)
-        cells = [(dict(zip(z, key)), p) for key, p in q.items()]
+        cells = q.items()
     visibles = tuple(sorted(model.dag.visible))
+    observed = tuple(v for v in visibles if v not in z)
+    slots = [(v in z, z.index(v) if v in z else observed.index(v)) for v in visibles]
     dist, total = _selected(
-        model, visibles, cells,
-        lambda reads, a: tuple(reads[v] if v in reads else a[v] for v in visibles),
+        model, visibles, z, observed, cells,
+        lambda values, out: tuple(values[i] if is_read else out[i] for is_read, i in slots),
     )
     if dist is None:
         raise SelectedOutError("the selection event has probability zero")

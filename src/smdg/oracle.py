@@ -273,13 +273,6 @@ class EdgeWitnessData:
     tail: VertexId
     head: VertexId
 
-    def expectations(self):
-        return {
-            ("do_tail", 0): {self.head: 0},
-            ("do_tail", 1): {self.head: 1},
-            ("do_head", 1): {self.tail: 0},
-        }
-
 
 def witness_directed_edge(a: VertexId, b: VertexId):
     """The target data plus two realizations: a plain-edge model and a
@@ -319,14 +312,15 @@ def witness_marginal_face(face: Sequence[VertexId]) -> DiscreteModel:
     face = sorted(set(face))
     if not face:
         raise OracleError("face must be non-empty")
+    m = canon._fresh("m", face)
     dag = PartitionedDag.of(
-        visible=face, marginalized=["m"], edges=[("m", v) for v in face]
+        visible=face, marginalized=[m], edges=[(m, v) for v in face]
     )
     domains = {v: (0, 1) for v in face}
-    domains["m"] = (0, 1)
-    kernels = {"m": table_kernel([], [], (0, 1), lambda: uniform((0, 1)))}
+    domains[m] = (0, 1)
+    kernels = {m: table_kernel([], [], (0, 1), lambda: uniform((0, 1)))}
     for v in face:
-        kernels[v] = deterministic_kernel(["m"], [(0, 1)], (0, 1), lambda x: x)
+        kernels[v] = deterministic_kernel([m], [(0, 1)], (0, 1), lambda x: x)
     return DiscreteModel.of(dag, domains, kernels)
 
 
@@ -335,16 +329,17 @@ def witness_selected_face(face: Sequence[VertexId]) -> DiscreteModel:
     face = sorted(set(face))
     if not face:
         raise OracleError("face must be non-empty")
-    dag = PartitionedDag.of(visible=face, selected=["s"], edges=[(v, "s") for v in face])
+    s = canon._fresh("s", face)
+    dag = PartitionedDag.of(visible=face, selected=[s], edges=[(v, s) for v in face])
     dag = add_private_latents(dag, only=face)
-    domains: dict[VertexId, tuple] = {"s": (0, 1)}
+    domains: dict[VertexId, tuple] = {s: (0, 1)}
     kernels: dict[VertexId, KernelTable] = {}
     for v in face:
         domains[v] = (0, 1)
         domains[private_latent(v)] = (0, 1)
         kernels[private_latent(v)] = table_kernel([], [], (0, 1), lambda: uniform((0, 1)))
         kernels[v] = deterministic_kernel([private_latent(v)], [(0, 1)], (0, 1), lambda u: u)
-    kernels["s"] = deterministic_kernel(
+    kernels[s] = deterministic_kernel(
         face, [(0, 1)] * len(face), (0, 1), lambda *bits: sum(bits) % 2
     )
     return DiscreteModel.of(dag, domains, kernels)

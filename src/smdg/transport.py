@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping, Sequence
 
 from . import canon
@@ -36,6 +37,12 @@ from .model import (
 )
 
 CanonMove = canon.CanonStep
+
+# The most values a library latent may hold. A library keeps one value per
+# slot, and a slot per assignment to the parents it stands in for, so it has
+# |dom| ** slots values; exogenize and split_m_to_s raise ModelError rather
+# than build a larger one. The test suite and the benchmark build at most 16.
+LIBRARY_LIMIT = 2 ** 16
 
 
 def transport(model: DiscreteModel, move: CanonMove) -> DiscreteModel:
@@ -82,11 +89,23 @@ def _reread(model: DiscreteModel, dag2: PartitionedDag, domains, kernels,
         kernels[w] = _make_kernel(dag2, domains, w, row_fn)
 
 
-def _slot_library(base_dom: Sequence[Value], keys: Iterable, dist_of):
+def _slot_library(move: str, base_dom: Sequence[Value], slot_domains: Sequence[Sequence[Value]],
+                  dist_of):
     """Domain, parentless kernel and slot index of a latent that holds one
-    value per key, the value in key's slot drawn independently from
-    dist_of(key)."""
-    keys = list(keys)
+    value per slot, an assignment to ``slot_domains``, the value in a slot
+    drawn independently from dist_of(slot).
+
+    The library has |base_dom| ** slots values; above ``LIBRARY_LIMIT`` it
+    raises ModelError before building anything.
+    """
+    slots = prod(len(dom) for dom in slot_domains)
+    # base ** n > LIBRARY_LIMIT for every base >= 2 once n reaches the limit's bit length
+    if len(base_dom) ** min(slots, LIBRARY_LIMIT.bit_length()) > LIBRARY_LIMIT:
+        raise ModelError(
+            f"{move}: a library of {len(base_dom)}^{slots} values exceeds the limit of "
+            f"{LIBRARY_LIMIT}"
+        )
+    keys = list(product(*slot_domains))
     dists = [dist_of(key) for key in keys]
     library_dom = tuple(product(base_dom, repeat=len(keys)))
     probs = []
@@ -154,8 +173,9 @@ def _exogenize(model, dag2, domains, kernels, zeros, m: VertexId) -> None:
         return
     base_dom, old_m = domains[m], kernels[m]
     domains[m], kernels[m], slot = _slot_library(
+        "exogenize",
         base_dom,
-        product(*[domains[p] for p in old_parents]),
+        [domains[p] for p in old_parents],
         lambda key: dict(zip(base_dom, _read(old_m, dict(zip(old_parents, key))))),
     )
     _reread(model, dag2, domains, kernels, model.dag.children_of(m),
@@ -234,7 +254,7 @@ def _split(model, dag2, domains, kernels, zeros, m: VertexId, s: VertexId) -> No
         return {x: w / total for x, w in weights.items()}
 
     domains[m], kernels[m], slot = _slot_library(
-        base_dom, product(*[domains[a] for a in v_s]), conditional
+        "split_m_to_s", base_dom, [domains[a] for a in v_s], conditional
     )
     _reread(model, dag2, domains, kernels, v_m,
             lambda b, env: {m: env[m][slot[tuple(env[labels[(a, b)][1]] for a in v_s)]]})

@@ -2,10 +2,19 @@
 
 import itertools
 import os
+from fractions import Fraction
 from pathlib import Path
 
 import smdg
 from smdg.graph import PartitionedDag, SmDG
+from smdg.model import (
+    ProbTable,
+    SelectedDistribution,
+    SelectedOutError,
+    SmiResult,
+    flat,
+    sharp,
+)
 from smdg.project import canonical_graph
 from smdg.sep import D_separated, SeparationQuery, sm_separated
 
@@ -79,3 +88,89 @@ def same_up_to_nonvisible_labels(d1: PartitionedDag, d2: PartitionedDag) -> bool
             if mapped == edges1:
                 return True
     return False
+
+
+# --- brute-force evaluation oracle ---------------------------------------------
+
+
+def walk(model, reads, evidence):
+    """Stream (assignment, probability) over every vertex in topological
+    order, pruning zero-probability branches.
+
+    A kernel reads parent u from ``reads`` when u is there and from the
+    assignment otherwise. A vertex in ``evidence`` is pinned to that value
+    and weighted by its kernel. The yielded assignment is reused; read it
+    before advancing the stream.
+    """
+    domains, kernels = dict(model.domains), dict(model.kernels)
+    steps = []
+    for v in model.dag.topological_order():
+        dom = domains[v]
+        choices = tuple(enumerate(dom))
+        if v in evidence:
+            i = dom.index(evidence[v])
+            choices = ((i, dom[i]),)
+        steps.append((v, kernels[v].parents, kernels[v].row, choices))
+    assign = {}
+
+    def rec(i, p):
+        if i == len(steps):
+            yield assign, p
+            return
+        v, parents, row, choices = steps[i]
+        vec = row(tuple(reads[u] if u in reads else assign[u] for u in parents))
+        for j, value in choices:
+            if vec[j] != 0:
+                assign[v] = value
+                yield from rec(i + 1, p * vec[j])
+
+    yield from rec(0, Fraction(1))
+
+
+def walk_joint(model) -> ProbTable:
+    order = tuple(model.dag.topological_order())
+    out = {}
+    for assign, p in walk(model, {}, {}):
+        key = tuple(assign[v] for v in order)
+        out[key] = out.get(key, 0) + p
+    return ProbTable.of(order, out)
+
+
+def _walk_selected(model, variables, cells, key):
+    evidence = {s: model.selected_zero(s) for s in model.dag.selected}
+    out = {}
+    for reads, weight in cells:
+        for assign, p in walk(model, reads, evidence):
+            k = key(reads, assign)
+            out[k] = out.get(k, 0) + weight * p
+    total = sum(out.values(), Fraction(0))
+    if total == 0:
+        return None, Fraction(0)
+    return ProbTable.of(variables, {k: p / total for k, p in out.items()}), total
+
+
+def walk_smi(model, q) -> SmiResult:
+    visibles = tuple(sorted(model.dag.visible))
+    variables = tuple(sharp(v) for v in visibles) + tuple(flat(v) for v in visibles)
+    cells = [(dict(zip(visibles, key)), p) for key, p in q.items()]
+    dist, total = _walk_selected(
+        model, variables, cells,
+        lambda reads, a: tuple(reads[v] for v in visibles) + tuple(a[v] for v in visibles),
+    )
+    status = "selected_out" if dist is None else "ok"
+    return SmiResult(q=q, status=status, dist=dist, selection_probability=total)
+
+
+def walk_ood(model, z, q=None) -> SelectedDistribution:
+    """Observe-or-do (smo when z is empty); raises SelectedOutError when the
+    selection event has probability zero."""
+    z = tuple(sorted(set(z)))
+    cells = [(dict(zip(z, key)), p) for key, p in q.items()] if z else [({}, Fraction(1))]
+    visibles = tuple(sorted(model.dag.visible))
+    dist, total = _walk_selected(
+        model, visibles, cells,
+        lambda reads, a: tuple(reads[v] if v in reads else a[v] for v in visibles),
+    )
+    if dist is None:
+        raise SelectedOutError("the selection event has probability zero")
+    return SelectedDistribution(dist=dist, selection_probability=total)

@@ -6,6 +6,7 @@ import pytest
 
 from smdg import io as graph_io
 from smdg.cli import main
+from smdg.graph import SmDG
 from smdg.model import model_loads, smo_distribution
 from smdg.project import canonical_graph
 
@@ -390,6 +391,21 @@ def test_oracle_witness_named_pair_and_face(tmp_path, capsys):
     code, out, _ = run(capsys, "oracle", "witness", "selected", path, "--face", "c,a")
     assert code == 0
     assert json.loads(out)["expected"]["face"] == ["a", "c"]
+
+
+@pytest.mark.parametrize("kind, visibles, faces", [
+    ("marginal", "am", {"marginal_faces": [("a", "m")]}),
+    ("selected", "as", {"selected_faces": [("a", "s")]}),
+])
+def test_oracle_face_witness_with_clashing_member(tmp_path, capsys, kind, visibles, faces):
+    g = SmDG.of(visibles, **faces)
+    path = write(tmp_path, "g.json", graph_io.dumps(g))
+    code, out, err = run(capsys, "oracle", "witness", kind, path)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["expected"]["face"] == sorted(visibles)
+    model = model_loads(json.dumps(payload["model"]))
+    assert model.dag.visible == set(visibles)
 
 
 def test_dot_output(tmp_path, capsys):

@@ -202,6 +202,23 @@ def test_marginal_face_witness_singleton():
     )
 
 
+def test_face_witnesses_take_fresh_labels():
+    """Members named like the witness's own latent or selection keep their
+    names; the witness labels its extra vertex around them."""
+    model = witness_marginal_face(["a", "m"])
+    assert model.dag.visible == {"a", "m"} and model.dag.marginalized == {"m~2"}
+    assert smo_distribution(model).dist == ProbTable.of(
+        ("a", "m"), {(0, 0): F(1, 2), (1, 1): F(1, 2)}
+    )
+    model = witness_selected_face(["a", "s"])
+    assert model.dag.visible == {"a", "s"} and model.dag.selected == {"s~2"}
+    q = product_intervention(model, {v: uniform((0, 1)) for v in "as"})
+    res = smi_distribution(model, q)
+    assert res.dist.marginal([sharp("a"), sharp("s")]) == ProbTable.of(
+        (sharp("a"), sharp("s")), {(0, 0): F(1, 2), (1, 1): F(1, 2)}
+    )
+
+
 def test_selected_face_witness_parity_tables():
     for size, members in ((2, ["x", "y"]), (3, ["x", "y", "z"])):
         model = witness_selected_face(members)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,13 @@ from smdg.model import (
     table_kernel,
     uniform,
 )
-from smdg.transport import _CONSTRUCTIONS, transport, transport_chain, transport_obs_or_do
+from smdg.transport import (
+    _CONSTRUCTIONS,
+    LIBRARY_LIMIT,
+    transport,
+    transport_chain,
+    transport_obs_or_do,
+)
 
 F = Fraction
 
@@ -229,6 +236,42 @@ def test_transport_chain_through_full_canonicalization():
     moved = transport_chain(model, report.steps)
     assert moved.dag == report.output
     assert smo_distribution(moved).dist == smo_distribution(model).dist
+
+
+# The partitioned DAG that random.Random("eq-19") draws from the benchmark's
+# dag_spec generator. Its canonicalization exogenizes m1 into a 16-value
+# library and then asks m2 for one slot per assignment of (m0, m1, v0).
+EQ19 = PartitionedDag.of(
+    visible=["v0", "v1", "v2", "v3"],
+    marginalized=["m0", "m1", "m2"],
+    selected=["s0", "s1", "s2"],
+    edges=[
+        ("m0", "m1"), ("m0", "v1"), ("m0", "v2"), ("m0", "v3"), ("m1", "m2"),
+        ("s0", "v1"), ("s2", "m1"), ("v0", "m1"), ("v0", "m2"), ("v0", "s0"),
+        ("v0", "s2"), ("v0", "v1"), ("v1", "v3"),
+    ],
+)
+
+
+def test_library_limit_stops_before_building():
+    from smdg.canon import canonicalize
+
+    model = _rand_model(random.Random("eq-19"), EQ19)
+    steps = canonicalize(model.dag).steps
+    stop = steps.index(("exogenize", ("m2",)))
+    model = transport_chain(model, steps[:stop])
+    assert len(model.domain("m1")) == 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelError) as exc:
+            transport(model, steps[stop])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == (
+        f"exogenize: a library of 2^64 values exceeds the limit of {LIBRARY_LIMIT}"
+    )
+    assert peak < 1 << 20
 
 
 def test_constructions_cover_every_canon_step():
