@@ -250,7 +250,7 @@ def _cmd_oracle_witness(args) -> int:
             "natural_zero_given_selection_do_0": "0",
             "natural_zero_given_selection_do_1": "1/4",
         }
-        payload = {"model": model_mod.model_to_obj(_plainify(model)), "expected": expected}
+        payload = {"model": model_mod.model_to_obj(model), "expected": expected}
     elif kind == "edge":
         pair = _split_names(args.pair)
         if not pair:
@@ -300,26 +300,6 @@ def _cmd_oracle_witness(args) -> int:
     return EXIT_OK
 
 
-def _plainify(model):
-    """Re-index tuple-valued domains to 0..k-1 so the model serializes."""
-    domains = {}
-    kernels = {}
-    zeros = {}
-    mapping = {}
-    for v, dom in model.domains:
-        mapping[v] = {value: i for i, value in enumerate(dom)}
-        domains[v] = tuple(range(len(dom)))
-    for v, kern in model.kernels:
-        rows = {}
-        for key, vec in kern.rows:
-            new_key = tuple(mapping[p][val] for p, val in zip(kern.parents, key))
-            rows[new_key] = vec
-        kernels[v] = model_mod.KernelTable.of(kern.parents, rows)
-    for v, zero in model.selected_zeros:
-        zeros[v] = mapping[v][zero]
-    return model_mod.DiscreteModel.of(model.dag, domains, kernels, zeros)
-
-
 def _visibles_of(d, names: list[str], flag: str) -> list[str]:
     """names, refused unless each is a visible vertex of d."""
     outside = sorted(set(names) - (d.visibles if isinstance(d, SmDG) else d.visible))
@@ -367,13 +347,7 @@ def _default_selected_face(d):
 
 def _cmd_enumerate(args) -> int:
     if args.kind == "smdgs":
-        bounds = enumeration.SmdgBounds.default_for(args.n_visible)
-        if args.max_edges is not None:
-            bounds = enumeration.SmdgBounds(
-                max_edges=args.max_edges,
-                max_face_size=bounds.max_face_size,
-                systems=bounds.systems,
-            )
+        bounds = None if args.max_edges is None else enumeration.SmdgBounds(args.max_edges)
         stream = enumeration.enumerate_smdgs(
             args.n_visible, bounds, liftable_only=args.liftable_only
         )

@@ -35,22 +35,22 @@ def _check_counts(n_visible: int, **counts: int) -> None:
 
 @dataclass(frozen=True)
 class SmdgBounds:
+    """Edge-count bound for :func:`enumerate_smdgs`; the face systems follow
+    from the visible count (every antichain up to three visibles, one
+    singleton family per support at four)."""
+
     max_edges: Optional[int] = None
-    max_face_size: int = 3
-    systems: str = "antichains"  # or "singleton_unions"
 
     @classmethod
     def default_for(cls, n_visible: int) -> "SmdgBounds":
-        if n_visible <= 3:
-            return cls()
-        return cls(max_edges=4, systems="singleton_unions")
+        return cls() if n_visible <= 3 else cls(max_edges=4)
 
 
-def antichains(ground: tuple[VertexId, ...], max_face_size: int) -> list[tuple]:
+def antichains(ground: tuple[VertexId, ...]) -> list[tuple]:
     """All families of pairwise-incomparable non-empty subsets, smallest
     families first, in a fixed order."""
     subsets = []
-    for k in range(1, min(len(ground), max_face_size) + 1):
+    for k in range(1, len(ground) + 1):
         subsets.extend(frozenset(c) for c in combinations(ground, k))
 
     out: list[tuple] = []
@@ -83,23 +83,20 @@ def enumerate_smdgs(
     universe = _edge_universe(verts)
     max_edges = len(universe) if bounds.max_edges is None else bounds.max_edges
     _check_counts(n_visible, max_edges=max_edges)
-    if bounds.systems == "antichains":
-        families = antichains(verts, bounds.max_face_size)
-        systems = [families, families]
-    elif bounds.systems == "singleton_unions":
-        # representative systems with each possible support
-        unions = []
-        for k in range(0, n_visible + 1):
-            for support in combinations(verts, k):
-                unions.append(tuple(frozenset({v}) for v in support))
-        systems = [unions, unions]
+    if n_visible <= 3:
+        systems = antichains(verts)
     else:
-        raise EnumerationError(f"unknown system mode {bounds.systems!r}")
+        # representative systems with each possible support
+        systems = [
+            tuple(frozenset({v}) for v in support)
+            for k in range(0, n_visible + 1)
+            for support in combinations(verts, k)
+        ]
 
     for n_e in range(0, max_edges + 1):
         for edges in combinations(universe, n_e):
-            for l_faces in systems[0]:
-                for s_faces in systems[1]:
+            for l_faces in systems:
+                for s_faces in systems:
                     g = SmDG.of(verts, edges, l_faces, s_faces)
                     if liftable_only and not project.is_liftable(g):
                         continue
@@ -150,7 +147,7 @@ def enumerate_canonical_dags(
         verts = VISIBLE_NAMES[:n_v]
         plain_universe = sorted((a, b) for a in verts for b in verts if a != b)
         special_universe = sorted((a, b) for a in verts for b in verts)
-        families = antichains(verts, max_face_size=len(verts) or 1)
+        families = antichains(verts)
         for n_plain in range(len(plain_universe) + 1):
             for plain in combinations(plain_universe, n_plain):
                 if not is_acyclic(verts, plain):

@@ -15,7 +15,8 @@ function, so instances can be shared and processed in parallel freely.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 VertexId = str
@@ -48,107 +49,135 @@ def _check_vertex_ids(ids: Iterable[VertexId]) -> None:
             raise GraphError(f"vertex ids must be non-empty strings, got {v!r}")
 
 
-def is_acyclic(vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]) -> bool:
-    """True when the directed graph has no cycle; a self-loop counts as a cycle."""
-    return find_cycle(vertices, edges) is None
+_Adjacency = dict[VertexId, list[VertexId]]
+
+
+def _adjacency(
+    vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]
+) -> tuple[_Adjacency, _Adjacency]:
+    """Parent and child lists, in edge order, keyed by exactly the given vertices."""
+    parents: _Adjacency = {v: [] for v in vertices}
+    children: _Adjacency = {v: [] for v in parents}
+    for a, b in edges:
+        try:
+            parents[b].append(a)
+            children[a].append(b)
+        except KeyError:
+            raise UnknownVertexError(
+                f"edge ({a!r}, {b!r}) has an endpoint outside the graph"
+            ) from None
+    return parents, children
+
+
+def _search_cycle(children: _Adjacency) -> Optional[tuple[VertexId, ...]]:
+    """Depth-first search for a directed cycle (first == last), roots in
+    sorted order and successors in edge order, so sorted edges give sorted
+    successors. An explicit stack, so no recursion-depth limit."""
+    on_path: dict[VertexId, bool] = {}  # False once a vertex is finished
+    for root in sorted(children):
+        if root in on_path:
+            continue
+        path = [root]
+        on_path[root] = True
+        todo = [iter(children[root])]
+        while todo:
+            for w in todo[-1]:
+                if w not in on_path:
+                    path.append(w)
+                    on_path[w] = True
+                    todo.append(iter(children[w]))
+                    break
+                if on_path[w]:
+                    return tuple(path[path.index(w):]) + (w,)
+            else:
+                on_path[path.pop()] = False
+                todo.pop()
+    return None
 
 
 def find_cycle(
     vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]
 ) -> Optional[tuple[VertexId, ...]]:
-    """Return some directed cycle as a vertex tuple (first == last), or None."""
-    out: dict[VertexId, list[VertexId]] = {v: [] for v in vertices}
-    for a, b in edges:
-        out.setdefault(a, []).append(b)
-        out.setdefault(b, [])
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in out}
-    stack: list[VertexId] = []
+    """Return some directed cycle as a vertex tuple (first == last), or None.
+    A self-loop counts as a cycle."""
+    return _search_cycle(_adjacency(vertices, edges)[1])
 
-    def visit(v: VertexId) -> Optional[tuple[VertexId, ...]]:
-        color[v] = GREY
-        stack.append(v)
-        for w in out[v]:
-            if color[w] == GREY:
-                return tuple(stack[stack.index(w):]) + (w,)
-            if color[w] == WHITE:
-                found = visit(w)
-                if found is not None:
-                    return found
-        stack.pop()
-        color[v] = BLACK
-        return None
 
-    for v in sorted(out):
-        if color[v] == WHITE:
-            found = visit(v)
-            if found is not None:
-                return found
-    return None
+def is_acyclic(vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]) -> bool:
+    """True when the directed graph has no cycle; a self-loop counts as a cycle."""
+    return find_cycle(vertices, edges) is None
 
 
 def topological_order(
     vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]
 ) -> list[VertexId]:
-    """Deterministic (lexicographic Kahn) topological order; raises on cycles."""
-    verts = sorted(set(vertices))
-    indeg = {v: 0 for v in verts}
-    out: dict[VertexId, list[VertexId]] = {v: [] for v in verts}
-    for a, b in edges:
-        out[a].append(b)
-        indeg[b] += 1
-    import heapq
-
-    ready = [v for v in verts if indeg[v] == 0]
+    """Deterministic (lexicographic Kahn) topological order; raises on cycles,
+    naming one."""
+    parents, children = _adjacency(vertices, edges)
+    indeg = {v: len(p) for v, p in parents.items()}
+    ready = [v for v, n in indeg.items() if n == 0]
     heapq.heapify(ready)
     order: list[VertexId] = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for w in sorted(out[v]):
+        for w in children[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 heapq.heappush(ready, w)
-    if len(order) != len(verts):
-        raise GraphError("graph contains a cycle; no topological order exists")
+    if len(order) != len(indeg):
+        cycle = " -> ".join(_search_cycle(children))
+        raise GraphError(f"no topological order exists; the cycle {cycle} has no first vertex")
     return order
 
 
-def _closure(
-    step: Mapping[VertexId, frozenset[VertexId]], ws: Iterable[VertexId]
-) -> frozenset[VertexId]:
-    """Reflexive-transitive closure of a vertex set under an adjacency map
-    whose keys are all the vertices of the graph."""
-    todo = list(ws)
-    for w in todo:
-        if w not in step:
-            raise UnknownVertexError(f"vertex {w!r} is not in the graph")
-    seen: set[VertexId] = set()
-    while todo:
-        v = todo.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        todo.extend(step[v])
-    return frozenset(seen)
+class _Digraph:
+    """Vertex queries shared by the two graph types, over the parent and
+    child maps that each type's ``__post_init__`` stores once."""
+
+    _parents: Mapping[VertexId, frozenset[VertexId]]
+    _children: Mapping[VertexId, frozenset[VertexId]]
+
+    def _store_adjacency(self, parents: _Adjacency, children: _Adjacency) -> None:
+        object.__setattr__(self, "_parents", {v: frozenset(p) for v, p in parents.items()})
+        object.__setattr__(self, "_children", {v: frozenset(c) for v, c in children.items()})
+
+    def _require(self, v: VertexId) -> None:
+        if v not in self._parents:
+            raise UnknownVertexError(f"vertex {v!r} is not in the graph")
+
+    def parents_of(self, v: VertexId) -> frozenset[VertexId]:
+        self._require(v)
+        return self._parents[v]
+
+    def children_of(self, v: VertexId) -> frozenset[VertexId]:
+        self._require(v)
+        return self._children[v]
+
+    def ancestors_of(self, ws: Iterable[VertexId]) -> frozenset[VertexId]:
+        """Reflexive-transitive closure of parenthood over a vertex set."""
+        todo = list(ws)
+        for w in todo:
+            self._require(w)
+        seen: set[VertexId] = set()
+        while todo:
+            v = todo.pop()
+            if v in seen:
+                continue
+            seen.add(v)
+            todo.extend(self._parents[v])
+        return frozenset(seen)
 
 
 @dataclass(frozen=True)
-class PartitionedDag:
-    """A DAG whose vertices carry visible / marginalized / selected roles."""
+class PartitionedDag(_Digraph):
+    """A DAG whose vertices carry visible / marginalized / selected roles.
+
+    The constructor rejects a cycle, however the value is built.
+    """
 
     roles: tuple[tuple[VertexId, Role], ...]
     edges: tuple[tuple[VertexId, VertexId], ...]
-    _parents: Mapping[VertexId, frozenset[VertexId]] = field(
-        default=None, repr=False, compare=False
-    )
-    _children: Mapping[VertexId, frozenset[VertexId]] = field(
-        default=None, repr=False, compare=False
-    )
-    _role: Mapping[VertexId, Role] = field(default=None, repr=False, compare=False)
-    _by_role: Mapping[Role, frozenset[VertexId]] = field(
-        default=None, repr=False, compare=False
-    )
 
     @classmethod
     def of(
@@ -183,23 +212,17 @@ class PartitionedDag:
                 raise UnknownVertexError(f"edge ({a!r}, {b!r}) has an endpoint outside the graph")
             if a == b:
                 raise GraphError(f"self-loop on {a!r} is not allowed in a DAG")
-        edge_list = tuple(sorted(edge_set))
-        cycle = find_cycle(roles, edge_list)
-        if cycle is not None:
-            raise GraphError("edges contain the cycle " + " -> ".join(cycle))
         return cls(
             roles=tuple(sorted(roles.items(), key=lambda kv: kv[0])),
-            edges=edge_list,
+            edges=tuple(sorted(edge_set)),
         )
 
     def __post_init__(self) -> None:
-        parents: dict[VertexId, set[VertexId]] = {v: set() for v, _ in self.roles}
-        children: dict[VertexId, set[VertexId]] = {v: set() for v, _ in self.roles}
-        for a, b in self.edges:
-            parents[b].add(a)
-            children[a].add(b)
-        object.__setattr__(self, "_parents", {v: frozenset(p) for v, p in parents.items()})
-        object.__setattr__(self, "_children", {v: frozenset(c) for v, c in children.items()})
+        parents, children = _adjacency((v for v, _ in self.roles), self.edges)
+        cycle = _search_cycle(children)
+        if cycle is not None:
+            raise GraphError("edges contain the cycle " + " -> ".join(cycle))
+        self._store_adjacency(parents, children)
         object.__setattr__(self, "_role", dict(self.roles))
         object.__setattr__(self, "_by_role", {
             role: frozenset(v for v, r in self.roles if r is role) for role in Role
@@ -214,10 +237,6 @@ class PartitionedDag:
         self._require(v)
         return self._role[v]
 
-    def _require(self, v: VertexId) -> None:
-        if v not in self._parents:
-            raise UnknownVertexError(f"vertex {v!r} is not in the graph")
-
     @property
     def visible(self) -> frozenset[VertexId]:
         return self._by_role[Role.VISIBLE]
@@ -229,18 +248,6 @@ class PartitionedDag:
     @property
     def selected(self) -> frozenset[VertexId]:
         return self._by_role[Role.SELECTED]
-
-    def parents_of(self, v: VertexId) -> frozenset[VertexId]:
-        self._require(v)
-        return self._parents[v]
-
-    def children_of(self, v: VertexId) -> frozenset[VertexId]:
-        self._require(v)
-        return self._children[v]
-
-    def ancestors_of(self, ws: Iterable[VertexId]) -> frozenset[VertexId]:
-        """Reflexive-transitive closure of parenthood over a vertex set."""
-        return _closure(self._parents, ws)
 
     def induced_subgraph(self, keep: Iterable[VertexId]) -> "PartitionedDag":
         keep = set(keep)
@@ -334,7 +341,7 @@ class IndependenceSystem:
 
 
 @dataclass(frozen=True)
-class SmDG:
+class SmDG(_Digraph):
     """Directed structure over visible vertices plus two independence systems.
 
     The directed structure may contain cycles and self-loops. The marginal
@@ -346,12 +353,6 @@ class SmDG:
     edges: frozenset[tuple[VertexId, VertexId]]
     marginal_system: IndependenceSystem
     selected_system: IndependenceSystem
-    _parents: Mapping[VertexId, frozenset[VertexId]] = field(
-        default=None, repr=False, compare=False
-    )
-    _children: Mapping[VertexId, frozenset[VertexId]] = field(
-        default=None, repr=False, compare=False
-    )
 
     @classmethod
     def of(
@@ -379,28 +380,7 @@ class SmDG:
             raise GraphError("marginal system ground set must equal the visible vertices")
         if self.selected_system.ground != self.visibles:
             raise GraphError("selected system ground set must equal the visible vertices")
-        parents: dict[VertexId, set[VertexId]] = {v: set() for v in self.visibles}
-        children: dict[VertexId, set[VertexId]] = {v: set() for v in self.visibles}
-        for a, b in self.edges:
-            parents[b].add(a)
-            children[a].add(b)
-        object.__setattr__(self, "_parents", {v: frozenset(p) for v, p in parents.items()})
-        object.__setattr__(self, "_children", {v: frozenset(c) for v, c in children.items()})
-
-    def _require(self, v: VertexId) -> None:
-        if v not in self.visibles:
-            raise UnknownVertexError(f"vertex {v!r} is not in the graph")
-
-    def parents_of(self, v: VertexId) -> frozenset[VertexId]:
-        self._require(v)
-        return self._parents[v]
-
-    def children_of(self, v: VertexId) -> frozenset[VertexId]:
-        self._require(v)
-        return self._children[v]
-
-    def ancestors_of(self, ws: Iterable[VertexId]) -> frozenset[VertexId]:
-        return _closure(self._parents, ws)
+        self._store_adjacency(*_adjacency(self.visibles, self.edges))
 
     def induced_subgraph(self, keep: Iterable[VertexId]) -> "SmDG":
         keep = set(keep)

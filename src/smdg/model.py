@@ -24,11 +24,11 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .graph import GraphError, PartitionedDag, Role, VertexId
-from . import io as graph_io
+from . import canon, io as graph_io
 from .sumproduct import sum_product
 
 Value = Any  # hashable; ints for serializable models, tuples for transported ones
@@ -213,12 +213,6 @@ class ProbTable:
 
     def total(self) -> Fraction:
         return sum((p for _, p in self.table), ZERO)
-
-    def normalized(self) -> "ProbTable":
-        total = self.total()
-        if total == 0:
-            raise SelectedOutError("cannot normalize a zero table")
-        return ProbTable.of(self.variables, {k: p / total for k, p in self.table})
 
     def prob(self, key: Assignment) -> Fraction:
         return self._index.get(tuple(key), ZERO)
@@ -411,41 +405,40 @@ def product_intervention(
         dist = marginals[v]
         per.append([(value, Fraction(p)) for value, p in dist.items() if p != 0])
     for combo in product(*per):
-        table[tuple(value for value, _ in combo)] = (
-            Fraction(1) if not combo else _prod(p for _, p in combo)
-        )
+        table[tuple(value for value, _ in combo)] = prod((p for _, p in combo), start=ONE)
     return ProbTable.of(names, table)
 
 
-def _prod(ps) -> Fraction:
-    out = ONE
-    for p in ps:
-        out *= p
-    return out
-
-
 def private_latent(v: VertexId) -> VertexId:
+    """The label a private latent of v gets unless the graph already holds it."""
     return f"u⟨{v}⟩"
 
 
+def private_latents(
+    d: PartitionedDag, only: Optional[Iterable[VertexId]] = None
+) -> dict[VertexId, VertexId]:
+    """The label of each target's private latent (by default every visible
+    vertex's), made fresh against d's vertices and each other."""
+    taken = set(d.vertices)
+    labels = {}
+    for v in sorted(d.visible if only is None else set(only)):
+        labels[v] = canon._fresh(private_latent(v), taken)
+        taken.add(labels[v])
+    return labels
+
+
 def add_private_latents(d: PartitionedDag, only: Optional[Iterable[VertexId]] = None) -> PartitionedDag:
-    """Give each visible vertex a fresh marginalized parent, so the visible
-    kernels can stay deterministic while the variables behave stochastically."""
-    targets = sorted(d.visible if only is None else set(only))
-    add = {private_latent(v): Role.MARGINALIZED for v in targets}
-    edges = {(private_latent(v), v) for v in targets}
-    return d.with_vertices(add=add, add_edges=edges)
+    """Give each visible vertex a fresh marginalized parent, labelled by
+    :func:`private_latents`, so the visible kernels can stay deterministic
+    while the variables behave stochastically."""
+    labels = private_latents(d, only)
+    return d.with_vertices(
+        add={u: Role.MARGINALIZED for u in labels.values()},
+        add_edges={(u, v) for v, u in labels.items()},
+    )
 
 
 # --- JSON -------------------------------------------------------------------
-
-
-def _fraction_to_str(p: Fraction) -> str:
-    return str(p)
-
-
-def _fraction_from_str(text: str | int) -> Fraction:
-    return Fraction(text)
 
 
 def model_to_obj(model: DiscreteModel) -> dict[str, Any]:
@@ -459,7 +452,7 @@ def model_to_obj(model: DiscreteModel) -> dict[str, Any]:
     kernels = {}
     for v, kern in model.kernels:
         table = {
-            ",".join(str(x) for x in key): [_fraction_to_str(p) for p in vec]
+            ",".join(str(x) for x in key): [str(p) for p in vec]
             for key, vec in kern.rows
         }
         kernels[v] = {"parents": list(kern.parents), "table": table}
@@ -482,7 +475,7 @@ def model_from_obj(obj: Mapping[str, Any]) -> DiscreteModel:
         for v, spec in specs.items():
             rows = {
                 _key_from_str(key_text): tuple(
-                    _fraction_from_str(p) for p in graph_io._array(vec, f"a kernel row of {v!r}")
+                    Fraction(p) for p in graph_io._array(vec, f"a kernel row of {v!r}")
                 )
                 for key_text, vec in spec["table"].items()
             }
@@ -507,7 +500,7 @@ def prob_table_to_obj(dist: ProbTable) -> dict[str, Any]:
     return {
         "variables": list(dist.variables),
         "table": {
-            ",".join(str(x) for x in key): _fraction_to_str(p) for key, p in dist.items()
+            ",".join(str(x) for x in key): str(p) for key, p in dist.items()
         },
     }
 
@@ -516,7 +509,7 @@ def prob_table_from_obj(obj: Mapping[str, Any]) -> ProbTable:
     try:
         variables = [str(v) for v in graph_io._array(obj["variables"], "variables")]
         table = {
-            _key_from_str(key_text): _fraction_from_str(p)
+            _key_from_str(key_text): Fraction(p)
             for key_text, p in obj["table"].items()
         }
     except KeyError as exc:

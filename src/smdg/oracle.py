@@ -26,7 +26,7 @@ from .model import (
     KernelTable,
     add_private_latents,
     deterministic_kernel,
-    private_latent,
+    private_latents,
     table_kernel,
     uniform,
 )
@@ -184,12 +184,12 @@ def witness_to_model(fs: FactorizationStructure, witness: frozenset[Cell]) -> Di
     selection factor becomes a selected vertex whose zero indicates a
     positive cell."""
     var_names = [name for name, _ in fs.variables]
-    dag = PartitionedDag.of(visible=var_names)
-    dag = add_private_latents(dag)
-    dag = dag.with_vertices(
+    dag = PartitionedDag.of(visible=var_names).with_vertices(
         add={f.name: Role.SELECTED for f in fs.selection_factors},
         add_edges={(v, f.name) for f in fs.selection_factors for v in f.scope},
     )
+    latent = private_latents(dag)
+    dag = add_private_latents(dag)
     domains: dict[VertexId, tuple] = {}
     kernels: dict[VertexId, KernelTable] = {}
     for name, values in fs.variables:
@@ -197,13 +197,11 @@ def witness_to_model(fs: FactorizationStructure, witness: frozenset[Cell]) -> Di
             v for v in values if (fs.root_name(name), (v,)) in witness
         ) or tuple(values)
         domains[name] = tuple(values)
-        domains[private_latent(name)] = tuple(values)
-        kernels[private_latent(name)] = table_kernel(
+        domains[latent[name]] = tuple(values)
+        kernels[latent[name]] = table_kernel(
             [], [], values, lambda pr=positive_roots: uniform(pr)
         )
-        kernels[name] = deterministic_kernel(
-            [private_latent(name)], [values], values, lambda u: u
-        )
+        kernels[name] = deterministic_kernel([latent[name]], [values], values, lambda u: u)
     for f in fs.selection_factors:
         domains[f.name] = (0, 1)
         doms = [domains[v] for v in f.scope]
@@ -230,15 +228,16 @@ def find_self_loop_pattern(
 
 def witness_self_loop(d: PartitionedDag) -> DiscreteModel:
     """Model whose natural value responds to interventions on the same
-    variable under selection: the latent holds two fair bits, the visible
-    fires unless both are zero, and selection fails exactly when the first
-    bit and the visible are zero. Every other vertex is pinned to zero."""
+    variable under selection: the latent holds two fair bits (b0, b1) as the
+    index 2·b0 + b1, the visible fires unless both are zero, and selection
+    fails exactly when the first bit and the visible are zero. Every other
+    vertex is pinned to zero."""
     pattern = find_self_loop_pattern(d)
     if pattern is None:
         raise OracleError("graph contains no latent/visible/selection triangle")
     v, s, m = pattern
     domains: dict[VertexId, tuple] = {w: (0,) for w in d.vertices}
-    domains[m] = ((0, 0), (0, 1), (1, 0), (1, 1))
+    domains[m] = (0, 1, 2, 3)
     domains[v] = (0, 1)
     domains[s] = (0, 1)
     kernels: dict[VertexId, KernelTable] = {}
@@ -251,12 +250,12 @@ def witness_self_loop(d: PartitionedDag) -> DiscreteModel:
         elif w == v:
             kernels[w] = deterministic_kernel(
                 parents, pdoms, (0, 1),
-                lambda *key: 0 if dict(zip(parents, key))[m] == (0, 0) else 1,
+                lambda *key: 0 if dict(zip(parents, key))[m] == 0 else 1,
             )
         elif w == s:
             def s_fn(*key, parents=parents):
                 env = dict(zip(parents, key))
-                return 1 if (env[m][0] == 0 and env[v] == 0) else 0
+                return 1 if (env[m] < 2 and env[v] == 0) else 0
 
             kernels[w] = deterministic_kernel(parents, pdoms, (0, 1), s_fn)
         else:
@@ -331,14 +330,15 @@ def witness_selected_face(face: Sequence[VertexId]) -> DiscreteModel:
         raise OracleError("face must be non-empty")
     s = canon._fresh("s", face)
     dag = PartitionedDag.of(visible=face, selected=[s], edges=[(v, s) for v in face])
+    latent = private_latents(dag, face)
     dag = add_private_latents(dag, only=face)
     domains: dict[VertexId, tuple] = {s: (0, 1)}
     kernels: dict[VertexId, KernelTable] = {}
     for v in face:
         domains[v] = (0, 1)
-        domains[private_latent(v)] = (0, 1)
-        kernels[private_latent(v)] = table_kernel([], [], (0, 1), lambda: uniform((0, 1)))
-        kernels[v] = deterministic_kernel([private_latent(v)], [(0, 1)], (0, 1), lambda u: u)
+        domains[latent[v]] = (0, 1)
+        kernels[latent[v]] = table_kernel([], [], (0, 1), lambda: uniform((0, 1)))
+        kernels[v] = deterministic_kernel([latent[v]], [(0, 1)], (0, 1), lambda u: u)
     kernels[s] = deterministic_kernel(
         face, [(0, 1)] * len(face), (0, 1), lambda *bits: sum(bits) % 2
     )

@@ -29,6 +29,7 @@ from .graph import (
     SmDG,
     VertexId,
     is_acyclic,
+    topological_order,
 )
 from .project import canonical_graph, is_liftable, unliftable_cycle
 
@@ -536,8 +537,6 @@ def district_block_order(d: PartitionedDag, s: VertexId) -> list[VertexId]:
     for a, b in d.edges:
         if a in owner and b in owner and owner[a] != owner[b]:
             block_edges.add((owner[a], owner[b]))
-    from .graph import topological_order
-
     order = topological_order(blocks.keys(), block_edges)
     out: list[VertexId] = []
     for b in order:

@@ -34,6 +34,28 @@ def python_env(**extra: str) -> dict:
     return dict(os.environ, PYTHONPATH=path, **extra)
 
 
+def chain_names(n: int) -> list[str]:
+    """n visible names whose sorted order is their order along a chain."""
+    return [f"v{i:04d}" for i in range(n)]
+
+
+def long_chain_dag(n: int) -> PartitionedDag:
+    names = chain_names(n)
+    return PartitionedDag.of(visible=names, edges=zip(names, names[1:]))
+
+
+def long_chain_smdg(n: int) -> SmDG:
+    """A visible chain whose vertices each carry a singleton marginal face, so
+    separation queries on it are not functionally determined."""
+    names = chain_names(n)
+    return SmDG.of(names, zip(names, names[1:]), marginal_faces=[[v] for v in names])
+
+
+def cycle_in_message(message: str) -> tuple[str, ...]:
+    """The vertices of the cycle that an error message names."""
+    return tuple(message.split("the cycle ")[1].split(" has ")[0].split(" -> "))
+
+
 def assert_cycle_witness(cycle, edges, message: str) -> None:
     """The witness is a closed walk over edges, and the message names it
     once: each vertex, then the closing one."""

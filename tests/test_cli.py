@@ -11,7 +11,13 @@ from smdg.model import model_loads, smo_distribution
 from smdg.project import canonical_graph
 
 import cases
-from helpers import UNLIFTABLE, assert_cycle_witness, python_env
+from helpers import (
+    UNLIFTABLE,
+    assert_cycle_witness,
+    chain_names,
+    long_chain_smdg,
+    python_env,
+)
 
 
 def write(tmp_path, name, text):
@@ -396,6 +402,7 @@ def test_oracle_witness_named_pair_and_face(tmp_path, capsys):
 @pytest.mark.parametrize("kind, visibles, faces", [
     ("marginal", "am", {"marginal_faces": [("a", "m")]}),
     ("selected", "as", {"selected_faces": [("a", "s")]}),
+    ("selected", ["a", "u⟨a⟩"], {"selected_faces": [("a", "u⟨a⟩")]}),
 ])
 def test_oracle_face_witness_with_clashing_member(tmp_path, capsys, kind, visibles, faces):
     g = SmDG.of(visibles, **faces)
@@ -412,3 +419,29 @@ def test_dot_output(tmp_path, capsys):
     path = write(tmp_path, "g.json", graph_io.dumps(cases.latent_fork()))
     code, out, _ = run(capsys, "--format", "dot", "project", path)
     assert code == 0 and out.startswith("digraph")
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (["project", "{dag}"], 0),
+    (["canon", "{dag}", "--check"], 0),
+    (["lift", "{smdg}"], 0),
+    (["sep", "{smdg}", "--criterion", "sm", "--x", "v0000", "--y", "v1499", "--z", "v0750"], 0),
+    (["sep", "{smdg}", "--criterion", "sm", "--x", "v0000", "--y", "v1499"], 1),
+], ids=["project", "canon", "lift", "sep_separated", "sep_connected"])
+def test_long_chain_commands(tmp_path, argv, expected_code):
+    """A 1,500-visible chain is valid input: each command gives its verdict."""
+    names = chain_names(1500)
+    dag = {
+        "vertices": [{"id": v, "role": "visible"} for v in names],
+        "edges": [list(e) for e in zip(names, names[1:])],
+    }
+    paths = {
+        "dag": write(tmp_path, "dag.json", json.dumps(dag)),
+        "smdg": write(tmp_path, "smdg.json", graph_io.dumps(long_chain_smdg(1500))),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "smdg.cli", *[arg.format(**paths) for arg in argv]],
+        capture_output=True, text=True, env=python_env(), timeout=120,
+    )
+    assert proc.returncode == expected_code, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -16,7 +16,7 @@ from smdg.project import signature
 
 def test_antichain_count_three_elements():
     # families of pairwise-incomparable non-empty subsets of a 3-set
-    assert len(antichains(("a", "b", "c"), 3)) == 19
+    assert len(antichains(("a", "b", "c"))) == 19
 
 
 def test_single_visible_smdg_counts():
@@ -88,7 +88,8 @@ def test_constructive_enumeration_matches_filter_based():
 
 
 def test_singleton_union_bounds_for_four_visibles():
-    bounds = SmdgBounds.default_for(4)
-    assert bounds.systems == "singleton_unions"
     gs = [g for g, _ in zip(enumerate_smdgs(4), range(50))]
     assert all(len(g.visibles) == 4 for g in gs)
+    for g in gs:
+        for system in (g.marginal_system, g.selected_system):
+            assert all(len(f) == 1 for f in system.maximal_faces), g

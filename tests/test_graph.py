@@ -9,9 +9,11 @@ from smdg.graph import (
     SmDG,
     UnknownVertexError,
     is_acyclic,
+    topological_order,
 )
 
 import cases
+from helpers import assert_cycle_witness, chain_names, cycle_in_message, long_chain_dag
 
 
 # --- strategies -----------------------------------------------------------
@@ -218,3 +220,35 @@ def test_is_acyclic_self_loop():
     g = cases.canon_example_slp()
     assert not is_acyclic(g.visibles, g.edges)
 
+
+def test_long_chain_has_no_depth_limit():
+    d = long_chain_dag(5000)
+    assert d.topological_order() == chain_names(5000)
+    assert d.ancestors_of(["v4999"]) == d.vertices
+
+
+@pytest.mark.parametrize("edges", [
+    (("a", "b"), ("b", "a")),
+    (("a", "a"),),
+    (("a", "b"), ("b", "c"), ("c", "b")),
+], ids=["two_cycle", "self_loop", "cycle_behind_a_tail"])
+def test_direct_construction_rejects_cycles(edges):
+    roles = tuple((v, Role.VISIBLE) for v in "abc")
+    with pytest.raises(GraphError, match="^edges contain the cycle ") as exc:
+        PartitionedDag(roles=roles, edges=edges)
+    cycle = cycle_in_message(str(exc.value))
+    assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+    assert all(pair in edges for pair in zip(cycle, cycle[1:]))
+
+
+def test_direct_construction_rejects_unknown_endpoint():
+    with pytest.raises(UnknownVertexError):
+        PartitionedDag(roles=(("a", Role.VISIBLE),), edges=(("a", "z"),))
+
+
+def test_topological_order_names_a_cycle():
+    edges = [("a", "b"), ("b", "c"), ("c", "b"), ("c", "d")]
+    with pytest.raises(GraphError) as exc:
+        topological_order("abcd", edges)
+    message = str(exc.value)
+    assert_cycle_witness(cycle_in_message(message), edges, message)

@@ -219,6 +219,25 @@ def test_face_witnesses_take_fresh_labels():
     )
 
 
+def test_private_latents_take_fresh_labels():
+    """A variable named like another variable's private latent keeps its
+    name; the latents are labelled around it."""
+    members = ["a", "u⟨a⟩"]
+    model = witness_selected_face(members)
+    assert model.dag.visible == set(members)
+    assert model.dag.marginalized == {"u⟨a⟩~2", "u⟨u⟨a⟩⟩"}
+    q = product_intervention(model, {v: uniform((0, 1)) for v in members})
+    res = smi_distribution(model, q)
+    assert res.dist.marginal([sharp(v) for v in members]) == ProbTable.of(
+        tuple(sharp(v) for v in members), {(0, 0): F(1, 2), (1, 1): F(1, 2)}
+    )
+    fs = FactorizationStructure.of({"a": 2, "u⟨a⟩": 2}, {"e": members})
+    res = support_feasible(fs, SupportQuery.of([SupportPoint.of({"a": 1, "u⟨a⟩": 0})], []))
+    model = witness_to_model(fs, res.witness)
+    assert model.dag.marginalized == {"u⟨a⟩~2", "u⟨u⟨a⟩⟩"}
+    assert smo_distribution(model).dist == ProbTable.of(("a", "u⟨a⟩"), {(1, 0): F(1)})
+
+
 def test_selected_face_witness_parity_tables():
     for size, members in ((2, ["x", "y"]), (3, ["x", "y", "z"])):
         model = witness_selected_face(members)

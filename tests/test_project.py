@@ -15,7 +15,13 @@ from smdg.project import (
 )
 
 import cases
-from helpers import UNLIFTABLE, assert_cycle_witness, same_up_to_nonvisible_labels
+from helpers import (
+    UNLIFTABLE,
+    assert_cycle_witness,
+    long_chain_dag,
+    long_chain_smdg,
+    same_up_to_nonvisible_labels,
+)
 
 
 # --- selected-latent projection ------------------------------------------------
@@ -182,3 +188,14 @@ def test_signature_round_trip_bare_special_edge():
     rebuilt = canonical_graph(slp(d)).to_partitioned_dag()
     assert signature(rebuilt) == signature(d)
     assert same_up_to_nonvisible_labels(rebuilt, d)
+
+
+def test_long_chain_projects_and_lifts():
+    d = long_chain_dag(1500)
+    g = slp(d)
+    assert g.edges == frozenset(d.edges)
+    assert is_liftable(g)
+    assert lift(g) == d
+    faced = long_chain_smdg(1500)
+    assert is_liftable(faced)
+    assert len(lift(faced).marginalized) == 1500

@@ -13,7 +13,12 @@ from smdg.sep import (
 )
 
 import cases
-from helpers import UNLIFTABLE, assert_cycle_witness, assert_sm_matches_D
+from helpers import (
+    UNLIFTABLE,
+    assert_cycle_witness,
+    assert_sm_matches_D,
+    long_chain_smdg,
+)
 
 
 def q(x, y, z=()):
@@ -212,3 +217,9 @@ def test_agreement_on_chain_examples():
                     continue
                 for z in [set(), set(g.visibles) - {x, y}]:
                     assert_sm_matches_D(g, q(x, y, z))
+
+
+def test_sm_separation_on_long_chain():
+    g = long_chain_smdg(1500)
+    assert sm_separated(g, q(["v0000"], ["v1499"], ["v0750"])) is Verdict.SEPARATED
+    assert sm_separated(g, q(["v0000"], ["v1499"])) is Verdict.CONNECTED
