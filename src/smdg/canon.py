@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .graph import GraphError, PartitionedDag, Role, VertexId
@@ -155,24 +156,19 @@ def merge_selected(d: PartitionedDag, s1: VertexId, s2: VertexId) -> Partitioned
     )
 
 
+def _shared_pairs(groups: Iterable[frozenset[VertexId]]) -> list[Target]:
+    """The sorted distinct pairs of vertices that share a group."""
+    return sorted({
+        pair for group in groups if len(group) > 1 for pair in combinations(sorted(group), 2)
+    })
+
+
 def _merge_m_pairs(d: PartitionedDag) -> list[Target]:
-    ms = sorted(d.marginalized)
-    return [
-        (m1, m2)
-        for i, m1 in enumerate(ms)
-        for m2 in ms[i + 1:]
-        if d.children_of(m1) & d.children_of(m2) & d.selected
-    ]
+    return _shared_pairs(d.parents_of(s) & d.marginalized for s in d.selected)
 
 
 def _merge_s_pairs(d: PartitionedDag) -> list[Target]:
-    ss = sorted(d.selected)
-    return [
-        (s1, s2)
-        for i, s1 in enumerate(ss)
-        for s2 in ss[i + 1:]
-        if d.parents_of(s1) & d.parents_of(s2) & d.marginalized
-    ]
+    return _shared_pairs(d.children_of(m) & d.selected for m in d.marginalized)
 
 
 def _require_merged(op: str, d: PartitionedDag) -> None:
@@ -262,35 +258,36 @@ def _special_targets(d: PartitionedDag) -> list[Target]:
     )
 
 
-def _redundant_marginalized(d: PartitionedDag) -> list[Target]:
-    ms = sorted(d.marginalized)
-    victims = []
-    for m1 in ms:
-        ch1 = d.children_of(m1)
-        for m2 in ms:
-            if m1 == m2:
-                continue
-            ch2 = d.children_of(m2)
-            # Equal child sets tie-break: keep the smaller label.
-            if ch1 < ch2 or (ch1 == ch2 and m1 > m2):
-                victims.append((m1,))
+def _dominated(
+    vs: frozenset[VertexId],
+    set_of: Callable[[VertexId], frozenset[VertexId]],
+    back_of: Callable[[VertexId], frozenset[VertexId]],
+) -> list[Target]:
+    """The vertices v of vs whose set_of(v) lies strictly inside another's,
+    or equals another's with a smaller label. back_of inverts set_of, so the
+    vertices whose set holds v's lie in back_of of any one member. An empty
+    set is dominated by any non-empty one, or by a smaller label's."""
+    if len(vs) < 2:
+        return []
+    sets = {v: set_of(v) for v in vs}
+    empty = sorted(v for v, own in sets.items() if not own)
+    victims = empty if len(empty) < len(vs) else empty[1:]
+    for v, own in sets.items():
+        if not own:
+            continue
+        for w in back_of(next(iter(own))) & vs:
+            if w != v and own <= sets[w] and (w < v or own != sets[w]):
+                victims.append(v)
                 break
-    return victims
+    return [(v,) for v in sorted(victims)]
+
+
+def _redundant_marginalized(d: PartitionedDag) -> list[Target]:
+    return _dominated(d.marginalized, d.children_of, d.parents_of)
 
 
 def _redundant_selected(d: PartitionedDag) -> list[Target]:
-    ss = sorted(d.selected)
-    victims = []
-    for s1 in ss:
-        pa1 = d.parents_of(s1)
-        for s2 in ss:
-            if s1 == s2:
-                continue
-            pa2 = d.parents_of(s2)
-            if pa1 < pa2 or (pa1 == pa2 and s1 > s2):
-                victims.append((s1,))
-                break
-    return victims
+    return _dominated(d.selected, d.parents_of, d.children_of)
 
 
 def _vacuous(d: PartitionedDag) -> list[Target]:

@@ -178,31 +178,39 @@ class CanonicalSignature:
     selected_parent_sets: tuple[tuple[VertexId, ...], ...]
 
 
+def special_paths(d: PartitionedDag) -> list[tuple[VertexId, VertexId, VertexId, VertexId]]:
+    """The special paths a -> s <- m -> b of a canonical DAG as (a, s, m, b),
+    one per marginalized vertex with a selected child, in sorted order of m.
+    Raises ``NotCanonicalError`` when such a vertex, or its selected child,
+    is in any other shape."""
+    vis = d.visible
+    out = []
+    for m in sorted(d.marginalized):
+        ch = d.children_of(m)
+        sel_children = ch & d.selected
+        if not sel_children:
+            continue
+        if len(sel_children) != 1 or len(ch) != 2 or not ch & vis:
+            raise NotCanonicalError(f"marginalized vertex {m!r} is not in canonical shape")
+        (s,), (b,) = sel_children, ch - sel_children
+        others = d.parents_of(s) - {m}
+        if len(others) != 1 or not others <= vis:
+            raise NotCanonicalError(f"selected vertex {s!r} is not in canonical shape")
+        (a,) = others
+        out.append((a, s, m, b))
+    return out
+
+
 def signature(d: PartitionedDag) -> CanonicalSignature:
     if not canon.is_canonical(d):
         raise NotCanonicalError("signature is only defined for canonical DAGs")
     vis = d.visible
     plain = sorted((a, b) for a, b in d.edges if a in vis and b in vis)
-    specials: list[tuple[VertexId, VertexId]] = []
-    face_m: list[tuple[VertexId, ...]] = []
-    face_s: list[tuple[VertexId, ...]] = []
-    for m in sorted(d.marginalized):
-        ch = d.children_of(m)
-        sel_children = sorted(ch & d.selected)
-        if not sel_children:
-            face_m.append(tuple(sorted(ch)))
-            continue
-        if len(sel_children) != 1 or len(ch & vis) != 1:
-            raise NotCanonicalError(f"marginalized vertex {m!r} is not in canonical shape")
-        (s,), (b,) = sel_children, sorted(ch & vis)
-        a_candidates = sorted(d.parents_of(s) & vis)
-        if len(a_candidates) != 1:
-            raise NotCanonicalError(f"selected vertex {s!r} is not in canonical shape")
-        specials.append((a_candidates[0], b))
-    for s in sorted(d.selected):
-        pa = d.parents_of(s)
-        if not (pa & d.marginalized):
-            face_s.append(tuple(sorted(pa)))
+    specials = [(a, b) for a, _, _, b in special_paths(d)]
+    face_m = [tuple(sorted(d.children_of(m))) for m in d.marginalized
+              if not d.children_of(m) & d.selected]
+    face_s = [tuple(sorted(d.parents_of(s))) for s in d.selected
+              if not d.parents_of(s) & d.marginalized]
     return CanonicalSignature(
         directed_edges=tuple(plain),
         special_pairs=tuple(sorted(specials)),

@@ -31,7 +31,7 @@ from .graph import (
     is_acyclic,
     topological_order,
 )
-from .project import canonical_graph, is_liftable, unliftable_cycle
+from .project import canonical_graph, is_liftable, special_paths, unliftable_cycle
 
 
 class RulePreconditionError(GraphError):
@@ -480,20 +480,6 @@ def search_equivalence(
 # --- proof-side constructions used by the shielding analysis ---------------------
 
 
-def _special_paths(d: PartitionedDag) -> list[tuple[VertexId, VertexId, VertexId, VertexId]]:
-    """Quadruples (a, s, m, b) realizing rendered edges in a canonical DAG."""
-    out = []
-    for m in sorted(d.marginalized):
-        sel = sorted(d.children_of(m) & d.selected)
-        if not sel:
-            continue
-        (s,) = sel
-        (b,) = sorted(d.children_of(m) - {s})
-        (a,) = sorted(d.parents_of(s) - {m})
-        out.append((a, s, m, b))
-    return out
-
-
 def build_tilde_dag(g: SmDG, vs: Iterable[VertexId]) -> PartitionedDag:
     """The intermediate DAG of the face-removal argument: rendered edges whose
     endpoints share no latent parent become plain edges (dropping latents
@@ -501,7 +487,7 @@ def build_tilde_dag(g: SmDG, vs: Iterable[VertexId]) -> PartitionedDag:
     vs = frozenset(vs)
     check_selected_face_removal(g, vs, auto_remove_special_edges=False)
     d = canonical_graph(g).to_partitioned_dag()
-    for a, s, m, b in _special_paths(d):
+    for a, s, m, b in special_paths(d):
         share = d.parents_of(a) & d.parents_of(b) & d.marginalized
         if not share:
             # A) replace the rendering with the plain edge

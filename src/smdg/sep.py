@@ -7,7 +7,9 @@ fixed; ``functional_closure`` computes that least fixed point. The
 determinism-aware criterion runs d-separation against the closed set. The
 smDG criterion walks paths built from four edge kinds: directed edges, a
 bidirected connection for vertices sharing a marginal face, and an
-undirected connection for vertices sharing a selected face.
+undirected connection for vertices sharing a selected face. Trails of all
+three criteria walk the graph's stored parent and child maps, plus maximal
+face co-membership for an smDG; nothing else is built per query.
 
 Queries whose endpoints are themselves functionally determined by Z get the
 distinct ``DETERMINED`` verdict: conditional independence against a
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator
 
 from .graph import GraphError, PartitionedDag, SmDG, VertexId
 from .project import NotLiftableError, unliftable_cycle
@@ -55,64 +57,48 @@ def functional_closure(g: PartitionedDag | SmDG, z: Iterable[VertexId]) -> froze
     an smDG, only vertices outside every marginal face, i.e. with no latent
     noise source). Terminates on cyclic structures too."""
     closure = set(z)
-    if isinstance(g, SmDG):
-        candidates = sorted(g.visibles - g.marginal_system.support)
-    else:
-        candidates = sorted(g.visible)
     for v in closure:
         g.parents_of(v)  # raises on unknown vertices
-    changed = True
-    while changed:
-        changed = False
-        for v in candidates:
-            if v not in closure and g.parents_of(v) <= closure:
-                closure.add(v)
-                changed = True
+    if isinstance(g, SmDG):
+        candidates = g.visibles - g.marginal_system.support
+    else:
+        candidates = g.visible
+    # A candidate can only join once its last parent has: seed with those
+    # whose parents lie in z, then re-check the children of each joiner.
+    todo = [v for v in candidates - closure if g.parents_of(v) <= closure]
+    closure.update(todo)
+    while todo:
+        for w in g.children_of(todo.pop()):
+            if w in candidates and w not in closure and g.parents_of(w) <= closure:
+                closure.add(w)
+                todo.append(w)
     return frozenset(closure)
 
 
-# Incidence item: (neighbour, arrowhead at this vertex, arrowhead at neighbour).
-_Items = Mapping[VertexId, list[tuple[VertexId, bool, bool]]]
-
-
-def _dag_items(d: PartitionedDag) -> _Items:
-    items: dict[VertexId, list[tuple[VertexId, bool, bool]]] = {v: [] for v in d.vertices}
-    for a, b in d.edges:
-        items[a].append((b, False, True))
-        items[b].append((a, True, False))
-    return items
-
-
-def _smdg_items(g: SmDG) -> _Items:
-    items: dict[VertexId, list[tuple[VertexId, bool, bool]]] = {v: [] for v in g.visibles}
-    for a, b in g.edges:
-        if a == b:
-            continue  # paths never traverse a self-loop; its separation
-            # content is captured by face membership
-        items[a].append((b, False, True))
-        items[b].append((a, True, False))
-    seen_pairs: set[tuple[VertexId, VertexId, str]] = set()
-    for face in g.marginal_system.maximal_faces:
-        members = sorted(face)
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                if (u, v, "m") not in seen_pairs:
-                    seen_pairs.add((u, v, "m"))
-                    items[u].append((v, True, True))
-                    items[v].append((u, True, True))
-    for face in g.selected_system.maximal_faces:
-        members = sorted(face)
-        for i, u in enumerate(members):
-            for v in members[i + 1:]:
-                if (u, v, "s") not in seen_pairs:
-                    seen_pairs.add((u, v, "s"))
-                    items[u].append((v, False, False))
-                    items[v].append((u, False, False))
-    return items
+def _steps(g: PartitionedDag | SmDG, v: VertexId) -> Iterator[tuple[VertexId, bool, bool]]:
+    """Each step of a trail out of v, as (neighbour, arrowhead at v, arrowhead
+    at the neighbour): directed edges from the stored parent and child maps,
+    then for an smDG a bidirected step to each co-member of a maximal marginal
+    face and an undirected step to each co-member of a maximal selected face.
+    Trails never traverse a self-loop; its separation content is captured by
+    face membership."""
+    for w in g.parents_of(v):
+        if w != v:
+            yield w, True, False
+    for w in g.children_of(v):
+        if w != v:
+            yield w, False, True
+    if isinstance(g, SmDG):
+        for system, head in ((g.marginal_system, True), (g.selected_system, False)):
+            for face in system.maximal_faces:
+                if v in face:
+                    for w in face:
+                        if w != v:
+                            yield w, head, head
 
 
 def _has_active_trail(
-    items: _Items,
+    g: PartitionedDag | SmDG,
     x: frozenset[VertexId],
     y: frozenset[VertexId],
     blocking: frozenset[VertexId],
@@ -126,7 +112,7 @@ def _has_active_trail(
     seen: set[tuple[VertexId, bool]] = set()
     stack: list[tuple[VertexId, bool]] = []
     for src in x:
-        for w, _, head_w in items[src]:
+        for w, _, head_w in _steps(g, src):
             if w in y:
                 return True
             state = (w, head_w)
@@ -135,7 +121,7 @@ def _has_active_trail(
                 stack.append(state)
     while stack:
         v, head_in = stack.pop()
-        for w, head_v, head_w in items[v]:
+        for w, head_v, head_w in _steps(g, v):
             if head_in and head_v:
                 if v not in activated:
                     continue
@@ -150,27 +136,36 @@ def _has_active_trail(
     return False
 
 
+def _verdict(
+    g: PartitionedDag | SmDG,
+    query: SeparationQuery,
+    blocking: frozenset[VertexId],
+    activators: frozenset[VertexId],
+) -> Verdict:
+    """The body the three criteria share: non-colliders in blocking block,
+    endpoints in it give ``DETERMINED``, and colliders among the ancestors of
+    activators are active."""
+    for v in query.vertices():
+        g.parents_of(v)
+    if (query.x | query.y) & blocking:
+        return Verdict.DETERMINED
+    activated = g.ancestors_of(activators)
+    connected = _has_active_trail(g, query.x, query.y, blocking, activated)
+    return Verdict.CONNECTED if connected else Verdict.SEPARATED
+
+
 def d_separated(d: PartitionedDag, query: SeparationQuery) -> bool:
     """Classical d-separation: colliders are active when they have a
     descendant in the conditioning set (are among its ancestors), everything
     else blocks on it."""
-    for v in query.vertices():
-        d.parents_of(v)
-    activated = d.ancestors_of(query.z)
-    return not _has_active_trail(_dag_items(d), query.x, query.y, query.z, activated)
+    return _verdict(d, query, query.z, query.z) is Verdict.SEPARATED
 
 
 def D_separated(d: PartitionedDag, query: SeparationQuery) -> Verdict:
     """d-separation with the conditioning set replaced by its functional
     closure; endpoint sets inside the closure yield ``DETERMINED``."""
-    for v in query.vertices():
-        d.parents_of(v)
     closure = functional_closure(d, query.z)
-    if (query.x | query.y) & closure:
-        return Verdict.DETERMINED
-    activated = d.ancestors_of(closure)
-    connected = _has_active_trail(_dag_items(d), query.x, query.y, closure, activated)
-    return Verdict.CONNECTED if connected else Verdict.SEPARATED
+    return _verdict(d, query, closure, closure)
 
 
 def sm_separated(g: SmDG, query: SeparationQuery) -> Verdict:
@@ -183,12 +178,5 @@ def sm_separated(g: SmDG, query: SeparationQuery) -> Verdict:
     cycle = unliftable_cycle(g)
     if cycle is not None:
         raise NotLiftableError(cycle)
-    for v in query.vertices():
-        g.parents_of(v)
     closure = functional_closure(g, query.z)
-    if (query.x | query.y) & closure:
-        return Verdict.DETERMINED
-    activated = g.ancestors_of(query.z | g.selected_system.support)
-    connected = _has_active_trail(_smdg_items(g), query.x, query.y, closure, activated)
-    return Verdict.CONNECTED if connected else Verdict.SEPARATED
-
+    return _verdict(g, query, closure, query.z | g.selected_system.support)

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,6 +52,31 @@ def long_chain_smdg(n: int) -> SmDG:
     return SmDG.of(names, zip(names, names[1:]), marginal_faces=[[v] for v in names])
 
 
+def decorated_chain_dag(n: int, role: str) -> PartitionedDag:
+    """A visible chain with one non-visible vertex per visible: a parentless
+    latent parent when role is "marginalized", a childless selected child
+    when it is "selected"."""
+    names = chain_names(n)
+    extra = [f"{role[0]}{v}" for v in names]
+    edges = list(zip(names, names[1:]))
+    if role == "marginalized":
+        edges += zip(extra, names)
+    else:
+        edges += zip(names, extra)
+    return PartitionedDag.of(visible=names, edges=edges, **{role: extra})
+
+
+def count_calls(monkeypatch, cls, *names: str) -> Counter:
+    """Wrap the named methods of cls so that each call is counted by name."""
+    calls: Counter = Counter()
+    for name in names:
+        def counted(self, *args, _name=name, _method=getattr(cls, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 def cycle_in_message(message: str) -> tuple[str, ...]:
     """The vertices of the cycle that an error message names."""
     return tuple(message.split("the cycle ")[1].split(" has ")[0].split(" -> "))
@@ -70,6 +96,42 @@ def assert_sm_matches_D(g: SmDG, query: SeparationQuery) -> None:
     d = canonical_graph(g).to_partitioned_dag()
     rhs = D_separated(d, SeparationQuery(query.x, query.y, query.z | d.selected))
     assert sm_separated(g, query) == rhs, query
+
+
+def moral_criterion(d: PartitionedDag):
+    """A test of whether X and Y are separated given Z by the moralized
+    ancestral graph criterion (Lauritzen, Dawid, Larsen & Leimer 1990): Z
+    separates X from Y in the moral graph of An(X u Y u Z). Reads only
+    d.edges, so it shares no code with the trail search."""
+    parents: dict = {v: [] for v in d.vertices}
+    for a, b in d.edges:
+        parents[b].append(a)
+
+    def separated(x, y, z) -> bool:
+        keep = set(x) | set(y) | set(z)
+        todo = list(keep)
+        while todo:
+            for p in parents[todo.pop()]:
+                if p not in keep:
+                    keep.add(p)
+                    todo.append(p)
+        neighbours: dict = {v: set() for v in keep}
+        for v in keep:
+            for a, b in itertools.combinations([v, *parents[v]], 2):
+                neighbours[a].add(b)
+                neighbours[b].add(a)
+        seen = set(x)
+        todo = list(x)
+        while todo:
+            for w in neighbours[todo.pop()]:
+                if w in y:
+                    return False
+                if w not in seen and w not in z:
+                    seen.add(w)
+                    todo.append(w)
+        return True
+
+    return separated
 
 
 def same_up_to_nonvisible_labels(d1: PartitionedDag, d2: PartitionedDag) -> bool:

@@ -22,7 +22,7 @@ from smdg.canon import (
 from smdg.project import signature
 
 import cases
-from helpers import same_up_to_nonvisible_labels
+from helpers import count_calls, decorated_chain_dag, same_up_to_nonvisible_labels
 
 
 # --- exogenize / terminalize -------------------------------------------------
@@ -279,6 +279,17 @@ def test_is_canonical_builds_no_graph(monkeypatch):
     monkeypatch.setattr(PartitionedDag, "from_roles", classmethod(refuse))
     monkeypatch.setattr(PartitionedDag, "__post_init__", refuse)
     assert [is_canonical(d) for d in graphs] == [True, False, False, False, False]
+
+
+@pytest.mark.parametrize("role", ["marginalized", "selected"])
+def test_is_canonical_work_linear_in_latent_count(monkeypatch, role):
+    # one latent parent, or one selected child, per visible: no rule fires,
+    # and the finders must not compare every pair of such vertices
+    n = 400
+    d = decorated_chain_dag(n, role)
+    calls = count_calls(monkeypatch, PartitionedDag, "parents_of", "children_of")
+    assert is_canonical(d)
+    assert sum(calls.values()) <= 12 * n, calls
 
 
 def test_is_canonical_worked_examples():

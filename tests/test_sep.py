@@ -1,6 +1,9 @@
+from itertools import chain, combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
+from smdg.enumeration import enumerate_partitioned_dags
 from smdg.graph import GraphError, PartitionedDag, SmDG
 from smdg.project import NotLiftableError
 from smdg.sep import (
@@ -17,7 +20,10 @@ from helpers import (
     UNLIFTABLE,
     assert_cycle_witness,
     assert_sm_matches_D,
+    chain_names,
+    count_calls,
     long_chain_smdg,
+    moral_criterion,
 )
 
 
@@ -71,6 +77,16 @@ def test_closure_is_a_closure_operator(z1, z2):
     assert functional_closure(d, c1) == c1
     if z1 <= z2:
         assert c1 <= functional_closure(d, z2)
+
+
+def test_closure_linear_on_reversed_chain(monkeypatch):
+    # sorted order runs against the edges, so a rescan per round adds one vertex
+    n = 600
+    names = chain_names(n)
+    d = PartitionedDag.of(visible=names, edges=zip(names[1:], names))
+    calls = count_calls(monkeypatch, PartitionedDag, "parents_of", "children_of")
+    assert functional_closure(d, {names[-1]}) == frozenset(names)
+    assert sum(calls.values()) <= 4 * n, calls
 
 
 # --- d-separation ----------------------------------------------------------------
@@ -223,3 +239,44 @@ def test_sm_separation_on_long_chain():
     g = long_chain_smdg(1500)
     assert sm_separated(g, q(["v0000"], ["v1499"], ["v0750"])) is Verdict.SEPARATED
     assert sm_separated(g, q(["v0000"], ["v1499"])) is Verdict.CONNECTED
+
+
+# --- cross-check against the moralized ancestral graph ---------------------------
+
+def _subsets(vs, sizes):
+    return chain.from_iterable(combinations(vs, k) for k in sizes)
+
+
+# (3, 1, 1) has 3,200 DAGs, (2, 2, 1) 768 and (2, 1, 1) with edges in every
+# direction 543; the largest shape takes one-element x and y only, which keeps
+# the three cases near fifteen seconds together.
+@pytest.mark.parametrize("counts, exogenous_terminal_only, sizes", [
+    ((3, 1, 1), True, (1,)),
+    ((2, 2, 1), True, (1, 2)),
+    ((2, 1, 1), False, (1, 2)),
+])
+def test_d_and_D_separation_match_moralized_ancestral_graph(
+    counts, exogenous_terminal_only, sizes
+):
+    dags = list(enumerate_partitioned_dags(*counts, exogenous_terminal_only))
+    vertices = sorted(dags[0].vertices)
+    queries = []  # both criteria are symmetric in x and y: unordered pairs
+    for x in _subsets(vertices, sizes):
+        for y in _subsets([v for v in vertices if v not in x], sizes):
+            rest = [v for v in vertices if v not in x and v not in y]
+            if x < y:
+                queries += (SeparationQuery.of(x, y, z)
+                            for z in _subsets(rest, range(len(rest) + 1)))
+    for d in dags:
+        moral_separated = moral_criterion(d)
+        for query in queries:
+            x, y, z = query.x, query.y, query.z
+            assert d_separated(d, query) == moral_separated(x, y, z), (d, query)
+            closure = functional_closure(d, z)
+            if (x | y) & closure:
+                expected = Verdict.DETERMINED
+            elif moral_separated(x, y, closure):
+                expected = Verdict.SEPARATED
+            else:
+                expected = Verdict.CONNECTED
+            assert D_separated(d, query) is expected, (d, query)
