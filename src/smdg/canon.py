@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
 from .graph import GraphError, PartitionedDag, Role, VertexId
 
@@ -50,8 +50,8 @@ Target = tuple[VertexId, ...]
 CanonStep = tuple[str, Target]
 
 
-def _fresh(label: str, taken: Iterable[VertexId]) -> VertexId:
-    taken = set(taken)
+def _fresh(label: str, taken: Collection[VertexId]) -> VertexId:
+    """The first of label, label~2, label~3, ... not in taken (never copied)."""
     if label not in taken:
         return label
     i = 2

@@ -115,25 +115,23 @@ def _split_names(text: Optional[str]) -> list[str]:
     return [part for part in text.split(",") if part]
 
 
+# criterion: (graph type it reads, the name of that input, verdict function)
+_CRITERIA = {
+    "d": (PartitionedDag, "a partitioned DAG",
+          lambda d, q: sep.Verdict.SEPARATED if sep.d_separated(d, q) else sep.Verdict.CONNECTED),
+    "D": (PartitionedDag, "a partitioned DAG", sep.D_separated),
+    "sm": (SmDG, "an smDG", sep.sm_separated),
+}
+
 def _cmd_sep(args) -> int:
     value = graph_io.graph_from_obj(_read_json(args.graph))
     query = sep.SeparationQuery.of(
         _split_names(args.x), _split_names(args.y), _split_names(args.z)
     )
-    if args.criterion == "sm":
-        if not isinstance(value, SmDG):
-            raise GraphError("criterion sm needs an smDG input")
-        verdict = sep.sm_separated(value, query)
-    elif args.criterion == "D":
-        if not isinstance(value, PartitionedDag):
-            raise GraphError("criterion D needs a partitioned DAG input")
-        verdict = sep.D_separated(value, query)
-    else:
-        if not isinstance(value, PartitionedDag):
-            raise GraphError("criterion d needs a partitioned DAG input")
-        verdict = (
-            sep.Verdict.SEPARATED if sep.d_separated(value, query) else sep.Verdict.CONNECTED
-        )
+    graph_type, input_name, criterion = _CRITERIA[args.criterion]
+    if not isinstance(value, graph_type):
+        raise GraphError(f"criterion {args.criterion} needs {input_name} input")
+    verdict = criterion(value, query)
     print(verdict.value)
     return {
         sep.Verdict.SEPARATED: EXIT_OK,
@@ -146,31 +144,21 @@ def _cmd_eval(args) -> int:
     m = model_mod.model_from_obj(_read_json(args.model))
     q = model_mod.prob_table_from_obj(_read_json(args.q)) if args.q else None
     try:
-        if args.mode == "smo":
-            res = model_mod.smo_distribution(m)
-            payload = {
-                "distribution": model_mod.prob_table_to_obj(res.dist),
-                "selection_probability": str(res.selection_probability),
-            }
-        elif args.mode == "smi":
+        if args.mode == "smi":
             if q is None:
                 raise ModelError("eval smi needs --q")
             res = model_mod.smi_distribution(m, q)
             if res.status != "ok":
                 print("selected-out: the intervention removes all data", file=sys.stderr)
                 return EXIT_DEGENERATE
-            payload = {
-                "q": model_mod.prob_table_to_obj(res.q),
-                "distribution": model_mod.prob_table_to_obj(res.dist),
-                "selection_probability": str(res.selection_probability),
-            }
+            payload = {"q": model_mod.prob_table_to_obj(res.q)}
         else:
-            z = _split_names(args.z)
+            # smo is ood with nothing intervened
+            z = _split_names(args.z) if args.mode == "ood" else []
             res = model_mod.observe_or_do_distribution(m, z, q)
-            payload = {
-                "distribution": model_mod.prob_table_to_obj(res.dist),
-                "selection_probability": str(res.selection_probability),
-            }
+            payload = {}
+        payload["distribution"] = model_mod.prob_table_to_obj(res.dist)
+        payload["selection_probability"] = str(res.selection_probability)
     except SelectedOutError as exc:
         print(f"selected-out: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -237,69 +225,6 @@ def _cmd_oracle_support(args) -> int:
     return EXIT_OK if res.feasible else EXIT_NEGATIVE
 
 
-def _cmd_oracle_witness(args) -> int:
-    d = graph_io.graph_from_obj(_read_json(args.graph))
-    kind = args.kind
-    if kind == "self-loop":
-        if not isinstance(d, PartitionedDag):
-            raise GraphError("self-loop witnesses need a partitioned DAG input")
-        model = oracle.witness_self_loop(d)
-        expected = {
-            "kind": "self-loop",
-            "natural_zero_given_selection": "0",
-            "natural_zero_given_selection_do_0": "0",
-            "natural_zero_given_selection_do_1": "1/4",
-        }
-        payload = {"model": model_mod.model_to_obj(model), "expected": expected}
-    elif kind == "edge":
-        pair = _split_names(args.pair)
-        if not pair:
-            a, b = _first_visible_edge(d)
-        elif len(pair) != 2 or pair[0] == pair[1]:
-            raise GraphError(f"--pair needs two distinct visibles tail,head, got {args.pair!r}")
-        else:
-            a, b = _visibles_of(d, pair, "--pair")
-        data, plain, special = oracle.witness_directed_edge(a, b)
-        expected = {
-            "kind": "edge",
-            "tail": data.tail,
-            "head": data.head,
-            "do_tail_copies": True,
-            "do_head_leaves_tail_zero": True,
-        }
-        payload = {
-            "plain_model": model_mod.model_to_obj(plain),
-            "special_model": model_mod.model_to_obj(special),
-            "expected": expected,
-        }
-    elif kind == "marginal":
-        face = _visibles_of(d, _split_names(args.face), "--face") or _default_marginal_face(d)
-        model = oracle.witness_marginal_face(face)
-        expected = {
-            "kind": "marginal",
-            "face": sorted(set(face)),
-            "selected_distribution": "half all-zero, half all-one; marginals "
-            "invariant under interventions on members",
-        }
-        payload = {"model": model_mod.model_to_obj(model), "expected": expected}
-    else:
-        face = _visibles_of(d, _split_names(args.face), "--face") or _default_selected_face(d)
-        model = oracle.witness_selected_face(face)
-        expected = {
-            "kind": "selected",
-            "face": sorted(set(face)),
-            "selected_distribution": "uniform over even-parity assignments "
-            "under independent fair interventions",
-        }
-        payload = {"model": model_mod.model_to_obj(model), "expected": expected}
-    if args.expected:
-        _emit(json.dumps(payload["expected"], indent=2, sort_keys=True) + "\n",
-              args.expected, args.quiet)
-        payload = {k: v for k, v in payload.items() if k != "expected"}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output, args.quiet)
-    return EXIT_OK
-
-
 def _visibles_of(d, names: list[str], flag: str) -> list[str]:
     """names, refused unless each is a visible vertex of d."""
     outside = sorted(set(names) - (d.visibles if isinstance(d, SmDG) else d.visible))
@@ -308,41 +233,95 @@ def _visibles_of(d, names: list[str], flag: str) -> list[str]:
     return names
 
 
-def _first_visible_edge(d):
-    if isinstance(d, PartitionedDag):
-        for a, b in d.edges:
-            if a in d.visible and b in d.visible:
-                return a, b
+def _default_target(d, kind: str) -> list:
+    """The first visible edge (kind "edge") or the first marginal or selected
+    face of either graph type. A DAG's faces are the visible children
+    (parents) of its marginalized (selected) vertices in sorted order; an
+    smDG's are its sorted maximal faces."""
+    if kind == "edge":
+        found = d.sorted_edges() if isinstance(d, SmDG) else [
+            (a, b) for a, b in d.edges if a in d.visible and b in d.visible
+        ]
+    elif isinstance(d, SmDG):
+        found = (d.marginal_system if kind == "marginal" else d.selected_system).sorted_faces()
+    elif kind == "marginal":
+        found = [sorted(d.children_of(m) & d.visible) for m in sorted(d.marginalized)]
     else:
-        for a, b in sorted(d.edges):
-            return a, b
-    raise GraphError("no visible edge to witness; pass --pair a,b")
+        found = [sorted(d.parents_of(s) & d.visible) for s in sorted(d.selected)]
+    for target in found:
+        if target:
+            return list(target)
+    if kind == "edge":
+        raise GraphError("no visible edge to witness; pass --pair a,b")
+    raise GraphError(f"no {kind} face to witness; pass --face v1,v2")
 
 
-def _default_marginal_face(d):
-    if isinstance(d, SmDG):
-        faces = d.marginal_system.sorted_faces()
-        if faces:
-            return list(faces[0])
+# Each witness kind maps (graph, args) to its models, keyed by payload name,
+# and the expected data they realize.
+
+def _self_loop_witness(d, args):
+    if not isinstance(d, PartitionedDag):
+        raise GraphError("self-loop witnesses need a partitioned DAG input")
+    return {"model": oracle.witness_self_loop(d)}, {
+        "natural_zero_given_selection": "0",
+        "natural_zero_given_selection_do_0": "0",
+        "natural_zero_given_selection_do_1": "1/4",
+    }
+
+
+def _edge_witness(d, args):
+    pair = _split_names(args.pair)
+    if not pair:
+        a, b = _default_target(d, "edge")
+    elif len(pair) != 2 or pair[0] == pair[1]:
+        raise GraphError(f"--pair needs two distinct visibles tail,head, got {args.pair!r}")
     else:
-        for m in sorted(d.marginalized):
-            vis = sorted(d.children_of(m) & d.visible)
-            if vis:
-                return vis
-    raise GraphError("no marginal face to witness; pass --face v1,v2")
+        a, b = _visibles_of(d, pair, "--pair")
+    plain, special = oracle.witness_directed_edge(a, b)
+    return {"plain_model": plain, "special_model": special}, {
+        "tail": a,
+        "head": b,
+        "do_tail_copies": True,
+        "do_head_leaves_tail_zero": True,
+    }
 
 
-def _default_selected_face(d):
-    if isinstance(d, SmDG):
-        faces = d.selected_system.sorted_faces()
-        if faces:
-            return list(faces[0])
+def _face_witness(kind: str, build, selected_distribution: str):
+    def witness(d, args):
+        face = _visibles_of(d, _split_names(args.face), "--face") or _default_target(d, kind)
+        return {"model": build(face)}, {
+            "face": sorted(set(face)),
+            "selected_distribution": selected_distribution,
+        }
+
+    return witness
+
+
+_WITNESSES = {
+    "self-loop": _self_loop_witness,
+    "edge": _edge_witness,
+    "marginal": _face_witness(
+        "marginal", oracle.witness_marginal_face,
+        "half all-zero, half all-one; marginals invariant under interventions on members",
+    ),
+    "selected": _face_witness(
+        "selected", oracle.witness_selected_face,
+        "uniform over even-parity assignments under independent fair interventions",
+    ),
+}
+
+
+def _cmd_oracle_witness(args) -> int:
+    d = graph_io.graph_from_obj(_read_json(args.graph))
+    models, expected = _WITNESSES[args.kind](d, args)
+    payload = {key: model_mod.model_to_obj(m) for key, m in models.items()}
+    expected = {"kind": args.kind, **expected}
+    if args.expected:
+        _emit(json.dumps(expected, indent=2, sort_keys=True) + "\n", args.expected, args.quiet)
     else:
-        for s in sorted(d.selected):
-            vis = sorted(d.parents_of(s) & d.visible)
-            if vis:
-                return vis
-    raise GraphError("no selected face to witness; pass --face v1,v2")
+        payload["expected"] = expected
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output, args.quiet)
+    return EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:
@@ -399,7 +378,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sep", help="separation verdicts")
     p.add_argument("graph")
-    p.add_argument("--criterion", choices=["d", "D", "sm"], required=True)
+    p.add_argument("--criterion", choices=list(_CRITERIA), required=True)
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
     p.add_argument("--z", default="")
@@ -428,7 +407,7 @@ def build_parser() -> _Parser:
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_oracle_support)
     p = oracle_sub.add_parser("witness")
-    p.add_argument("kind", choices=["self-loop", "edge", "marginal", "selected"])
+    p.add_argument("kind", choices=list(_WITNESSES))
     p.add_argument("graph")
     p.add_argument("-o", "--output")
     p.add_argument("--expected", help="write the expected data to this path")

@@ -206,15 +206,15 @@ class PartitionedDag(_Digraph):
         edges: Iterable[tuple[VertexId, VertexId]],
     ) -> "PartitionedDag":
         _check_vertex_ids(roles)
-        edge_set = {(a, b) for a, b in edges}
-        for a, b in edge_set:
+        edges = [(a, b) for a, b in edges]
+        for a, b in edges:  # in input order, so the first bad edge is named
             if a not in roles or b not in roles:
                 raise UnknownVertexError(f"edge ({a!r}, {b!r}) has an endpoint outside the graph")
             if a == b:
                 raise GraphError(f"self-loop on {a!r} is not allowed in a DAG")
         return cls(
             roles=tuple(sorted(roles.items(), key=lambda kv: kv[0])),
-            edges=tuple(sorted(edge_set)),
+            edges=tuple(sorted(set(edges))),
         )
 
     def __post_init__(self) -> None:
@@ -364,13 +364,13 @@ class SmDG(_Digraph):
     ) -> "SmDG":
         vis = frozenset(visibles)
         _check_vertex_ids(vis)
-        edge_set = frozenset((a, b) for a, b in edges)
-        for a, b in edge_set:
+        edges = [(a, b) for a, b in edges]
+        for a, b in edges:  # in input order, so the first bad edge is named
             if a not in vis or b not in vis:
                 raise UnknownVertexError(f"edge ({a!r}, {b!r}) has an endpoint outside the graph")
         return cls(
             visibles=vis,
-            edges=edge_set,
+            edges=frozenset(edges),
             marginal_system=IndependenceSystem.of(vis, marginal_faces),
             selected_system=IndependenceSystem.of(vis, selected_faces),
         )

@@ -438,6 +438,21 @@ def add_private_latents(d: PartitionedDag, only: Optional[Iterable[VertexId]] = 
     )
 
 
+def copy_check(domains, kernels, zeros, a: VertexId, m_label: VertexId,
+               s_label: VertexId) -> None:
+    """Add a uniform latent m_label over a's domain and an indicator selection
+    s_label whose zero value means the latent copied a: the kernels of the
+    selected/marginalized pair that stands in for an edge a -> b."""
+    domains[m_label] = domains[a]
+    kernels[m_label] = table_kernel([], [], domains[a], lambda: uniform(domains[a]))
+    domains[s_label] = (0, 1)
+    zeros[s_label] = 0
+    par = sorted((a, m_label))
+    kernels[s_label] = deterministic_kernel(
+        par, [domains[p] for p in par], (0, 1), lambda x1, x2: 0 if x1 == x2 else 1
+    )
+
+
 # --- JSON -------------------------------------------------------------------
 
 

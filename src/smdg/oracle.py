@@ -25,6 +25,7 @@ from .model import (
     DiscreteModel,
     KernelTable,
     add_private_latents,
+    copy_check,
     deterministic_kernel,
     private_latents,
     table_kernel,
@@ -263,46 +264,28 @@ def witness_self_loop(d: PartitionedDag) -> DiscreteModel:
     return DiscreteModel.of(d, domains, kernels)
 
 
-@dataclass(frozen=True)
-class EdgeWitnessData:
-    """Interventional targets realizable only with a directed connection:
-    forcing the tail makes the head copy it, while forcing the head leaves
-    the tail at zero."""
-
-    tail: VertexId
-    head: VertexId
-
-
-def witness_directed_edge(a: VertexId, b: VertexId):
-    """The target data plus two realizations: a plain-edge model and a
-    special-path model (uniform latent with a copy-check selection)."""
-    plain_dag = PartitionedDag.of(visible=[a, b], edges=[(a, b)])
+def witness_directed_edge(a: VertexId, b: VertexId) -> tuple[DiscreteModel, DiscreteModel]:
+    """A plain-edge model and a special-path model a -> s <- m -> b (built
+    with the copy-check gadget) of the interventional data that only a
+    directed connection explains: forcing the tail makes the head copy it,
+    while forcing the head leaves the tail at zero."""
+    bit = (0, 1)
+    zero = deterministic_kernel([], [], bit, lambda: 0)
     plain = DiscreteModel.of(
-        plain_dag,
-        {a: (0, 1), b: (0, 1)},
-        {
-            a: deterministic_kernel([], [], (0, 1), lambda: 0),
-            b: deterministic_kernel([a], [(0, 1)], (0, 1), lambda x: x),
-        },
+        PartitionedDag.of(visible=[a, b], edges=[(a, b)]),
+        {a: bit, b: bit},
+        {a: zero, b: deterministic_kernel([a], [bit], bit, lambda x: x)},
     )
     s_ab, m_ab = canon.pair_labels(a, b)
+    domains = {a: bit, b: bit}
+    kernels = {a: zero, b: deterministic_kernel([m_ab], [bit], bit, lambda x: x)}
+    zeros: dict[VertexId, int] = {}
+    copy_check(domains, kernels, zeros, a, m_ab, s_ab)
     special_dag = PartitionedDag.of(
         visible=[a, b], marginalized=[m_ab], selected=[s_ab],
         edges=[(a, s_ab), (m_ab, s_ab), (m_ab, b)],
     )
-    par = sorted((a, m_ab))
-    special = DiscreteModel.of(
-        special_dag,
-        {a: (0, 1), b: (0, 1), m_ab: (0, 1), s_ab: (0, 1)},
-        {
-            a: deterministic_kernel([], [], (0, 1), lambda: 0),
-            m_ab: table_kernel([], [], (0, 1), lambda: uniform((0, 1))),
-            s_ab: deterministic_kernel(par, [(0, 1), (0, 1)], (0, 1),
-                                       lambda x1, x2: 0 if x1 == x2 else 1),
-            b: deterministic_kernel([m_ab], [(0, 1)], (0, 1), lambda x: x),
-        },
-    )
-    return EdgeWitnessData(tail=a, head=b), plain, special
+    return plain, DiscreteModel.of(special_dag, domains, kernels, zeros)
 
 
 def witness_marginal_face(face: Sequence[VertexId]) -> DiscreteModel:

@@ -46,19 +46,18 @@ def slp(d: PartitionedDag) -> SmDG:
     """Project a partitioned DAG onto its visible vertices.
 
     Non-canonical inputs are canonicalized first. The directed structure is
-    the induced visible subgraph plus one edge a -> b per path
-    a -> s <- m -> b; the marginal (selected) system collects the visible
-    children (parents) of each marginalized (selected) vertex.
+    the induced visible subgraph plus one edge a -> b per special path
+    a -> s <- m -> b, read by :func:`special_paths`, which cannot raise on a
+    canonical DAG (any other shape of a latent with a selected child would
+    still be split, merged, exogenized or terminalized). The marginal
+    (selected) system collects the visible children (parents) of each
+    marginalized (selected) vertex.
     """
     if not canon.is_canonical(d):
         d = canon.canonicalize(d).output
     vis = d.visible
     edges = {(a, b) for a, b in d.edges if a in vis and b in vis}
-    for m in d.marginalized:
-        for s in d.children_of(m) & d.selected:
-            for a in d.parents_of(s) & vis:
-                for b in d.children_of(m) & vis:
-                    edges.add((a, b))
+    edges.update((a, b) for a, _, _, b in special_paths(d))
     marginal = [d.children_of(m) & vis for m in d.marginalized]
     selected = [d.parents_of(s) & vis for s in d.selected]
     return SmDG.of(vis, edges, marginal, selected)

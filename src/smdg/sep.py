@@ -106,8 +106,10 @@ def _has_active_trail(
 ) -> bool:
     """Reachability over (vertex, incoming-arrowhead) states.
 
-    A transit through an internal vertex is legal when it forms an activated
-    collider (arrowheads on both sides) or an unblocked non-collider.
+    A transit through an internal vertex is legal when it forms a collider
+    (arrowheads on both sides) in activated or an unblocked non-collider. A
+    collider with a descendant in activated is passed by walking down to that
+    descendant and back, so activated need not hold ancestors.
     """
     seen: set[tuple[VertexId, bool]] = set()
     stack: list[tuple[VertexId, bool]] = []
@@ -144,13 +146,23 @@ def _verdict(
 ) -> Verdict:
     """The body the three criteria share: non-colliders in blocking block,
     endpoints in it give ``DETERMINED``, and colliders among the ancestors of
-    activators are active."""
+    activators are active. The trail search is handed the activators
+    themselves; the comment below says why their ancestors come for free."""
     for v in query.vertices():
         g.parents_of(v)
     if (query.x | query.y) & blocking:
         return Verdict.DETERMINED
-    activated = g.ancestors_of(activators)
-    connected = _has_active_trail(g, query.x, query.y, blocking, activated)
+    # Write A for activators and C for blocking; C is z or its functional
+    # closure, and A holds z. A collider in An(A) - A outside C is still
+    # passed: take a shortest directed path from it down to A. No inner
+    # vertex is in C: the first one would not be in z (the path is
+    # shortest), so it joined the closure with all its parents in C, yet
+    # its parent on the path is outside C. So the walk goes down, bounces at
+    # the activated vertex and comes back up through non-colliders, as in
+    # Shachter's Bayes-ball. A collider in C - A is never entered with an
+    # arrowhead: it joined the closure, so it lies in no marginal face (no
+    # bidirected step) and all its parents are in C, which block.
+    connected = _has_active_trail(g, query.x, query.y, blocking, activators)
     return Verdict.CONNECTED if connected else Verdict.SEPARATED
 
 

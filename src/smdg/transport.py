@@ -30,6 +30,7 @@ from .model import (
     ModelError,
     SelectedOutError,
     Value,
+    copy_check,
     deterministic_kernel,
     smo_distribution,
     table_kernel,
@@ -117,20 +118,6 @@ def _slot_library(move: str, base_dom: Sequence[Value], slot_domains: Sequence[S
                 break
         probs.append(p)
     return library_dom, KernelTable.of([], {(): probs}), {key: i for i, key in enumerate(keys)}
-
-
-def _copy_check(domains, kernels, zeros, a: VertexId, m_label: VertexId,
-                s_label: VertexId) -> None:
-    """Add a uniform latent m_label over a's domain and an indicator selection
-    s_label whose zero value means the latent copied a."""
-    domains[m_label] = domains[a]
-    kernels[m_label] = table_kernel([], [], domains[a], lambda: uniform(domains[a]))
-    domains[s_label] = (0, 1)
-    zeros[s_label] = 0
-    par = sorted((a, m_label))
-    kernels[s_label] = deterministic_kernel(
-        par, [domains[p] for p in par], (0, 1), lambda x1, x2: 0 if x1 == x2 else 1
-    )
 
 
 def _pair_latent(model: DiscreteModel, dag2: PartitionedDag, domains, kernels,
@@ -238,7 +225,7 @@ def _split(model, dag2, domains, kernels, zeros, m: VertexId, s: VertexId) -> No
 
     kernels[s] = _make_kernel(dag2, domains, s, s_row)
     for (a, b), (s_label, m_label) in labels.items():
-        _copy_check(domains, kernels, zeros, a, m_label, s_label)
+        copy_check(domains, kernels, zeros, a, m_label, s_label)
     if not v_m:
         return
 
@@ -264,7 +251,7 @@ def _to_special(model, dag2, domains, kernels, zeros, a: VertexId, b: VertexId) 
     """Uniform latent plus copy-check indicator standing in for the edge."""
     (s_label,) = dag2.selected - model.dag.selected
     (m_label,) = dag2.marginalized - model.dag.marginalized
-    _copy_check(domains, kernels, zeros, a, m_label, s_label)
+    copy_check(domains, kernels, zeros, a, m_label, s_label)
     _reread(model, dag2, domains, kernels, [b], lambda w, env: {a: env[m_label]})
 
 

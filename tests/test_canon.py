@@ -6,6 +6,7 @@ from smdg.enumeration import enumerate_partitioned_dags
 from smdg.graph import PartitionedDag, is_acyclic
 from smdg.canon import (
     PreconditionError,
+    _fresh,
     canonicalize,
     exog_all,
     exogenize,
@@ -357,3 +358,23 @@ def test_vacuous_vertices_are_dropped():
     d = PartitionedDag.of(visible="v", marginalized="m", selected="s", edges=[("m", "s")])
     out = canonicalize(d).output
     assert out.vertices == {"v"}
+
+
+def test_fresh_only_tests_membership():
+    """_fresh asks taken for membership and never copies it, so naming n
+    labels against a growing set stays linear."""
+
+    class MembershipOnly:
+        # not a set subclass: set() copies one of those without __iter__
+        def __init__(self, labels):
+            self.labels = frozenset(labels)
+
+        def __contains__(self, label):
+            return label in self.labels
+
+        def __iter__(self):
+            raise RuntimeError("taken was iterated")
+
+    taken = MembershipOnly({"m", "m~2"})
+    assert _fresh("m", taken) == "m~3"
+    assert _fresh("s", taken) == "s"

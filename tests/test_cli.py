@@ -399,6 +399,55 @@ def test_oracle_witness_named_pair_and_face(tmp_path, capsys):
     assert json.loads(out)["expected"]["face"] == ["a", "c"]
 
 
+@pytest.mark.parametrize("kind, case", [
+    ("self-loop", cases.selfloop_shape),
+    ("edge", cases.teaser_a),
+    ("marginal", cases.teaser_a),
+    ("selected", cases.canon_example_slp),
+])
+def test_oracle_witness_expected_file(tmp_path, capsys, kind, case):
+    """--expected writes the expected object of the combined payload to its
+    own file, and stdout then carries everything but that key."""
+    path = write(tmp_path, "g.json", graph_io.dumps(case()))
+    code, out, _ = run(capsys, "oracle", "witness", kind, path)
+    assert code == 0
+    combined = json.loads(out)
+    expected_path = tmp_path / "expected.json"
+    code, out, err = run(capsys, "oracle", "witness", kind, path, "--expected", str(expected_path))
+    assert code == 0 and err == f"wrote {expected_path}\n"
+    text = expected_path.read_text()
+    assert text == json.dumps(combined["expected"], indent=2, sort_keys=True) + "\n"
+    assert json.loads(text)["kind"] == kind
+    assert "expected" not in json.loads(out)
+    assert json.loads(out) == {k: v for k, v in combined.items() if k != "expected"}
+
+
+@pytest.mark.parametrize("command, graph, error", [
+    ("project", {
+        "vertices": [{"id": v, "role": "visible"} for v in "abc"],
+        "edges": [["a", "b"], ["c", "x1"], ["x2", "a"], ["b", "x3"], ["x4", "x5"], ["a", "a"]],
+    }, "malformed DAG object: edge ('c', 'x1') has an endpoint outside the graph"),
+    ("project", {
+        "vertices": [{"id": v, "role": "visible"} for v in "abc"],
+        "edges": [["a", "b"], ["b", "b"], ["c", "x1"], ["x2", "a"], ["x4", "x5"]],
+    }, "malformed DAG object: self-loop on 'b' is not allowed in a DAG"),
+    ("lift", {
+        "visibles": ["a", "b", "c"],
+        "edges": [["a", "b"], ["c", "x1"], ["x2", "a"], ["b", "x3"], ["x4", "x5"], ["y", "a"]],
+    }, "edge ('c', 'x1') has an endpoint outside the graph"),
+], ids=["project_unknown_endpoints", "project_self_loop_first", "lift_unknown_endpoints"])
+def test_first_bad_edge_is_named_whatever_the_hash_seed(tmp_path, command, graph, error):
+    """The error names the first bad edge in input order, under any
+    PYTHONHASHSEED."""
+    path = write(tmp_path, "g.json", json.dumps(graph))
+    for seed in ("0", "1", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "smdg.cli", command, path],
+            capture_output=True, text=True, env=python_env(PYTHONHASHSEED=seed), timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (65, "", f"error: {error}\n")
+
+
 @pytest.mark.parametrize("kind, visibles, faces", [
     ("marginal", "am", {"marginal_faces": [("a", "m")]}),
     ("selected", "as", {"selected_faces": [("a", "s")]}),

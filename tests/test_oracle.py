@@ -171,7 +171,7 @@ def test_self_loop_witness_requires_pattern():
 
 
 def test_directed_edge_witness_realizations():
-    data, plain, special = witness_directed_edge("a", "b")
+    plain, special = witness_directed_edge("a", "b")
     for model in (plain, special):
         for x in (0, 1):
             q = ProbTable.of(("a", "b"), {(x, 0): F(1, 2), (x, 1): F(1, 2)})
