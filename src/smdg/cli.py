@@ -14,10 +14,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import canon, enumeration, io as graph_io, model as model_mod, oracle, project, rewrite, sep
+from . import io as graph_io
 from .graph import GraphError, PartitionedDag, SmDG
-from .model import ModelError, SelectedOutError
-from .project import NotLiftableError
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -70,9 +68,12 @@ def _smdg_arg(path: str) -> SmDG:
 
 
 # --- subcommands -------------------------------------------------------------
+# Each command imports the modules it runs, so a process loads only those.
 
 
 def _cmd_canon(args) -> int:
+    from . import canon
+
     d = _dag_arg(args.graph)
     report = canon.canonicalize(d)
     if args.report:
@@ -85,16 +86,20 @@ def _cmd_canon(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from . import project
+
     d = _dag_arg(args.graph)
     _emit(_graph_text(project.slp(d), args.format), args.output, args.quiet)
     return EXIT_OK
 
 
 def _cmd_lift(args) -> int:
+    from . import project
+
     g = _smdg_arg(args.graph)
     try:
         d = project.lift(g)
-    except NotLiftableError as exc:
+    except project.NotLiftableError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_NEGATIVE
     _emit(_graph_text(d, args.format), args.output, args.quiet)
@@ -102,6 +107,8 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_equiv_oad(args) -> int:
+    from . import project
+
     d1, d2 = _dag_arg(args.graph1), _dag_arg(args.graph2)
     equivalent = project.observe_and_do_equivalent(d1, d2)
     if not args.quiet:
@@ -115,15 +122,17 @@ def _split_names(text: Optional[str]) -> list[str]:
     return [part for part in text.split(",") if part]
 
 
-# criterion: (graph type it reads, the name of that input, verdict function)
+# criterion: (graph type it reads, the name of that input, its function in sep)
 _CRITERIA = {
-    "d": (PartitionedDag, "a partitioned DAG",
-          lambda d, q: sep.Verdict.SEPARATED if sep.d_separated(d, q) else sep.Verdict.CONNECTED),
-    "D": (PartitionedDag, "a partitioned DAG", sep.D_separated),
-    "sm": (SmDG, "an smDG", sep.sm_separated),
+    "d": (PartitionedDag, "a partitioned DAG", "d_separated"),
+    "D": (PartitionedDag, "a partitioned DAG", "D_separated"),
+    "sm": (SmDG, "an smDG", "sm_separated"),
 }
 
+
 def _cmd_sep(args) -> int:
+    from . import sep
+
     value = graph_io.graph_from_obj(_read_json(args.graph))
     query = sep.SeparationQuery.of(
         _split_names(args.x), _split_names(args.y), _split_names(args.z)
@@ -131,7 +140,9 @@ def _cmd_sep(args) -> int:
     graph_type, input_name, criterion = _CRITERIA[args.criterion]
     if not isinstance(value, graph_type):
         raise GraphError(f"criterion {args.criterion} needs {input_name} input")
-    verdict = criterion(value, query)
+    verdict = getattr(sep, criterion)(value, query)
+    if isinstance(verdict, bool):  # d_separated answers yes or no
+        verdict = sep.Verdict.SEPARATED if verdict else sep.Verdict.CONNECTED
     print(verdict.value)
     return {
         sep.Verdict.SEPARATED: EXIT_OK,
@@ -141,25 +152,27 @@ def _cmd_sep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    m = model_mod.model_from_obj(_read_json(args.model))
-    q = model_mod.prob_table_from_obj(_read_json(args.q)) if args.q else None
+    from . import model
+
+    m = model.model_from_obj(_read_json(args.model))
+    q = model.prob_table_from_obj(_read_json(args.q)) if args.q else None
     try:
         if args.mode == "smi":
             if q is None:
-                raise ModelError("eval smi needs --q")
-            res = model_mod.smi_distribution(m, q)
+                raise model.ModelError("eval smi needs --q")
+            res = model.smi_distribution(m, q)
             if res.status != "ok":
                 print("selected-out: the intervention removes all data", file=sys.stderr)
                 return EXIT_DEGENERATE
-            payload = {"q": model_mod.prob_table_to_obj(res.q)}
+            payload = {"q": model.prob_table_to_obj(res.q)}
         else:
             # smo is ood with nothing intervened
             z = _split_names(args.z) if args.mode == "ood" else []
-            res = model_mod.observe_or_do_distribution(m, z, q)
+            res = model.observe_or_do_distribution(m, z, q)
             payload = {}
-        payload["distribution"] = model_mod.prob_table_to_obj(res.dist)
+        payload["distribution"] = model.prob_table_to_obj(res.dist)
         payload["selection_probability"] = str(res.selection_probability)
-    except SelectedOutError as exc:
+    except model.SelectedOutError as exc:
         print(f"selected-out: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.output, args.quiet)
@@ -167,6 +180,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_equiv_obs(args) -> int:
+    from . import rewrite
+
     g1, g2 = _smdg_arg(args.graph1), _smdg_arg(args.graph2)
     res = rewrite.search_equivalence(g1, g2, depth=args.depth)
     if res.proof is None:
@@ -186,21 +201,20 @@ def _jsonable(value):
     return value
 
 
-def _parse_support_points(items) -> list[oracle.SupportPoint]:
-    return [
-        oracle.SupportPoint.of(entry["assignment"], entry.get("intervened", ()))
-        for entry in items
-    ]
-
-
 def _cmd_oracle_support(args) -> int:
+    from . import oracle
+
     structure, query_obj = _read_json(args.structure), _read_json(args.query)
+
+    def points(key):
+        return [
+            oracle.SupportPoint.of(entry["assignment"], entry.get("intervened", ()))
+            for entry in query_obj.get(key, [])
+        ]
+
     try:
         fs = oracle.FactorizationStructure.of(structure["variables"], structure["factors"])
-        query = oracle.SupportQuery.of(
-            _parse_support_points(query_obj.get("required", [])),
-            _parse_support_points(query_obj.get("forbidden", [])),
-        )
+        query = oracle.SupportQuery.of(points("required"), points("forbidden"))
     except KeyError as exc:
         raise oracle.OracleError(f"malformed oracle input: missing key {exc}") from exc
     except (TypeError, AttributeError) as exc:
@@ -225,22 +239,29 @@ def _cmd_oracle_support(args) -> int:
     return EXIT_OK if res.feasible else EXIT_NEGATIVE
 
 
+def _visible(d) -> frozenset:
+    return d.visibles if isinstance(d, SmDG) else d.visible
+
+
 def _visibles_of(d, names: list[str], flag: str) -> list[str]:
     """names, refused unless each is a visible vertex of d."""
-    outside = sorted(set(names) - (d.visibles if isinstance(d, SmDG) else d.visible))
+    outside = sorted(set(names) - _visible(d))
     if outside:
         raise GraphError(f"{flag} names {outside}, which are not visible vertices of the graph")
     return names
 
 
 def _default_target(d, kind: str) -> list:
-    """The first visible edge (kind "edge") or the first marginal or selected
-    face of either graph type. A DAG's faces are the visible children
-    (parents) of its marginalized (selected) vertices in sorted order; an
-    smDG's are its sorted maximal faces."""
+    """The first visible edge between two vertices (kind "edge") or the first
+    marginal or selected face of either graph type; an smDG's self-loops are
+    not edges to witness. A DAG's faces are the visible children (parents)
+    of its marginalized (selected) vertices in sorted order; an smDG's are
+    its sorted maximal faces."""
     if kind == "edge":
-        found = d.sorted_edges() if isinstance(d, SmDG) else [
-            (a, b) for a, b in d.edges if a in d.visible and b in d.visible
+        visible = _visible(d)
+        found = [
+            (a, b) for a, b in (d.sorted_edges() if isinstance(d, SmDG) else d.edges)
+            if a != b and a in visible and b in visible
         ]
     elif isinstance(d, SmDG):
         found = (d.marginal_system if kind == "marginal" else d.selected_system).sorted_faces()
@@ -256,20 +277,20 @@ def _default_target(d, kind: str) -> list:
     raise GraphError(f"no {kind} face to witness; pass --face v1,v2")
 
 
-# Each witness kind maps (graph, args) to its models, keyed by payload name,
-# and the expected data they realize.
+# Each witness kind maps (its oracle builder, graph, args) to its models,
+# keyed by payload name, and the expected data they realize.
 
-def _self_loop_witness(d, args):
+def _self_loop_witness(build, d, args):
     if not isinstance(d, PartitionedDag):
         raise GraphError("self-loop witnesses need a partitioned DAG input")
-    return {"model": oracle.witness_self_loop(d)}, {
+    return {"model": build(d)}, {
         "natural_zero_given_selection": "0",
         "natural_zero_given_selection_do_0": "0",
         "natural_zero_given_selection_do_1": "1/4",
     }
 
 
-def _edge_witness(d, args):
+def _edge_witness(build, d, args):
     pair = _split_names(args.pair)
     if not pair:
         a, b = _default_target(d, "edge")
@@ -277,7 +298,7 @@ def _edge_witness(d, args):
         raise GraphError(f"--pair needs two distinct visibles tail,head, got {args.pair!r}")
     else:
         a, b = _visibles_of(d, pair, "--pair")
-    plain, special = oracle.witness_directed_edge(a, b)
+    plain, special = build(a, b)
     return {"plain_model": plain, "special_model": special}, {
         "tail": a,
         "head": b,
@@ -286,8 +307,8 @@ def _edge_witness(d, args):
     }
 
 
-def _face_witness(kind: str, build, selected_distribution: str):
-    def witness(d, args):
+def _face_witness(kind: str, selected_distribution: str):
+    def witness(build, d, args):
         face = _visibles_of(d, _split_names(args.face), "--face") or _default_target(d, kind)
         return {"model": build(face)}, {
             "face": sorted(set(face)),
@@ -297,24 +318,28 @@ def _face_witness(kind: str, build, selected_distribution: str):
     return witness
 
 
+# kind: (its builder's name in oracle, witness)
 _WITNESSES = {
-    "self-loop": _self_loop_witness,
-    "edge": _edge_witness,
-    "marginal": _face_witness(
-        "marginal", oracle.witness_marginal_face,
+    "self-loop": ("witness_self_loop", _self_loop_witness),
+    "edge": ("witness_directed_edge", _edge_witness),
+    "marginal": ("witness_marginal_face", _face_witness(
+        "marginal",
         "half all-zero, half all-one; marginals invariant under interventions on members",
-    ),
-    "selected": _face_witness(
-        "selected", oracle.witness_selected_face,
+    )),
+    "selected": ("witness_selected_face", _face_witness(
+        "selected",
         "uniform over even-parity assignments under independent fair interventions",
-    ),
+    )),
 }
 
 
 def _cmd_oracle_witness(args) -> int:
+    from . import model, oracle
+
     d = graph_io.graph_from_obj(_read_json(args.graph))
-    models, expected = _WITNESSES[args.kind](d, args)
-    payload = {key: model_mod.model_to_obj(m) for key, m in models.items()}
+    builder, witness = _WITNESSES[args.kind]
+    models, expected = witness(getattr(oracle, builder), d, args)
+    payload = {key: model.model_to_obj(m) for key, m in models.items()}
     expected = {"kind": args.kind, **expected}
     if args.expected:
         _emit(json.dumps(expected, indent=2, sort_keys=True) + "\n", args.expected, args.quiet)
@@ -325,6 +350,8 @@ def _cmd_oracle_witness(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from . import enumeration
+
     if args.kind == "smdgs":
         bounds = None if args.max_edges is None else enumeration.SmdgBounds(args.max_edges)
         stream = enumeration.enumerate_smdgs(
@@ -432,7 +459,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (GraphError, ModelError, oracle.OracleError) as exc:
+    except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -47,7 +47,12 @@ def _faces(value: Any, what: str) -> list[list]:
 
 def dag_from_obj(obj: Mapping[str, Any]) -> PartitionedDag:
     try:
-        roles = {item["id"]: Role.parse(item["role"]) for item in obj["vertices"]}
+        roles = {}
+        for item in obj["vertices"]:
+            v, role = item["id"], Role.parse(item["role"])
+            if v in roles:
+                raise GraphError(f"vertex {v!r} is listed more than once")
+            roles[v] = role
         return PartitionedDag.from_roles(roles, _edges(obj["edges"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphError(f"malformed DAG object: {exc}") from exc

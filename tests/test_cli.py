@@ -354,6 +354,18 @@ MALFORMED = {
     "smdg_visibles_as_string": (
         ["lift", "{model}"], lambda: {"visibles": "ab", "edges": []}, None
     ),
+    "dag_vertex_listed_twice": (
+        ["project", "{model}"],
+        lambda: {
+            "vertices": [
+                {"id": "a", "role": "visible"},
+                {"id": "a", "role": "selected"},
+                {"id": "b", "role": "visible"},
+            ],
+            "edges": [["b", "a"]],
+        },
+        None,
+    ),
 }
 
 
@@ -397,6 +409,17 @@ def test_oracle_witness_named_pair_and_face(tmp_path, capsys):
     code, out, _ = run(capsys, "oracle", "witness", "selected", path, "--face", "c,a")
     assert code == 0
     assert json.loads(out)["expected"]["face"] == ["a", "c"]
+
+
+@pytest.mark.parametrize("case", [cases.canon_example_slp, cases.chain_face_added])
+def test_oracle_witness_default_edge_skips_self_loops(tmp_path, capsys, case):
+    """Both graphs have the edges a -> a and b -> a; the self-loop sorts first
+    but is no edge between two vertices."""
+    path = write(tmp_path, "g.json", graph_io.dumps(case()))
+    code, out, err = run(capsys, "oracle", "witness", "edge", path)
+    assert code == 0 and err == "", err
+    expected = json.loads(out)["expected"]
+    assert (expected["tail"], expected["head"]) == ("b", "a")
 
 
 @pytest.mark.parametrize("kind, case", [
@@ -494,3 +517,54 @@ def test_long_chain_commands(tmp_path, argv, expected_code):
     )
     assert proc.returncode == expected_code, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# Runs `smdg.cli.main` on the arguments after the report path, then writes the
+# names of the smdg modules it loaded to that path; stdout stays the command's.
+REPORT_MODULES = """
+import sys
+from smdg.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    fh.write(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "smdg")))
+sys.exit(code)
+"""
+
+_PROJECT = {"graph", "io", "canon", "project"}
+_MODEL = {"graph", "io", "canon", "model", "sumproduct"}
+
+
+@pytest.mark.parametrize("argv, expected_code, modules", [
+    (["canon", "{dag}"], 0, {"graph", "io", "canon"}),
+    (["project", "{dag}"], 0, _PROJECT),
+    (["lift", "{smdg}"], 0, _PROJECT),
+    (["equiv-oad", "{dag}", "{dag}"], 0, _PROJECT),
+    (["sep", "{smdg}", "--criterion", "sm", "--x", "b", "--y", "c"], 1, _PROJECT | {"sep"}),
+    (["sep", "{dag}", "--criterion", "d", "--x", "b", "--y", "c"], 1, _PROJECT | {"sep"}),
+    (["eval", "smi", "{model}", "--q", "{q}"], 0, _MODEL),
+    (["equiv-obs", "{smdg}", "{smdg}", "--depth", "2"], 0, _PROJECT | {"rewrite"}),
+    (["oracle", "witness", "marginal", "{smdg}"], 0, _MODEL | {"oracle"}),
+    (["enumerate", "smdgs", "--n-visible", "1"], 0, _PROJECT | {"enumeration"}),
+], ids=["canon", "project", "lift", "equiv_oad", "sep_sm", "sep_d", "eval_smi", "equiv_obs",
+        "oracle_witness", "enumerate"])
+def test_each_command_loads_only_its_modules(tmp_path, argv, expected_code, modules):
+    from test_model import joint_selector_model
+    from smdg.model import model_dumps, prob_table_to_obj, product_intervention, uniform
+
+    model = joint_selector_model()
+    q = product_intervention(model, {v: uniform((0, 1)) for v in "abc"})
+    paths = {
+        "dag": write(tmp_path, "dag.json", graph_io.dumps(cases.latent_fork())),
+        "smdg": write(tmp_path, "smdg.json", graph_io.dumps(cases.fork_mdag())),
+        "model": write(tmp_path, "model.json", model_dumps(model)),
+        "q": write(tmp_path, "q.json", json.dumps(prob_table_to_obj(q))),
+    }
+    argv = [arg.format(**paths) for arg in argv]
+    report = tmp_path / "modules.txt"
+    proc = subprocess.run(
+        [sys.executable, "-c", REPORT_MODULES, str(report), *argv],
+        capture_output=True, text=True, env=python_env(), timeout=120,
+    )
+    assert proc.returncode == expected_code, proc.stderr
+    loaded = set(report.read_text(encoding="utf-8").split())
+    assert loaded == {"smdg", "smdg.cli"} | {f"smdg.{m}" for m in modules}

@@ -44,3 +44,17 @@ def test_malformed_object_raises():
         graph_io.graph_from_obj({"nothing": 1})
     with pytest.raises(GraphError):
         graph_io.dag_from_obj({"vertices": [{"id": "a", "role": "nope"}], "edges": []})
+
+
+@pytest.mark.parametrize("second_role", ["selected", "visible"])
+def test_vertex_listed_twice_raises(second_role):
+    obj = {
+        "vertices": [
+            {"id": "a", "role": "visible"},
+            {"id": "a", "role": second_role},
+            {"id": "b", "role": "visible"},
+        ],
+        "edges": [["b", "a"]],
+    }
+    with pytest.raises(GraphError, match="vertex 'a' is listed more than once"):
+        graph_io.dag_from_obj(obj)
