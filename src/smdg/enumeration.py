@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from . import project
-from .graph import GraphError, PartitionedDag, SmDG, VertexId, is_acyclic
+from .graph import GraphError, IndependenceSystem, PartitionedDag, SmDG, VertexId, is_acyclic
 
 VISIBLE_NAMES = ("a", "b", "c", "d", "e", "f")
 
@@ -84,23 +84,38 @@ def enumerate_smdgs(
     max_edges = len(universe) if bounds.max_edges is None else bounds.max_edges
     _check_counts(n_visible, max_edges=max_edges)
     if n_visible <= 3:
-        systems = antichains(verts)
+        families = antichains(verts)
     else:
         # representative systems with each possible support
-        systems = [
+        families = [
             tuple(frozenset({v}) for v in support)
             for k in range(0, n_visible + 1)
             for support in combinations(verts, k)
         ]
+    # Values are immutable, so the graphs share one visible set, one system
+    # per face family and one edge set per edge combination.
+    vis = frozenset(verts)
+    systems = [IndependenceSystem.of(vis, faces) for faces in families]
 
     for n_e in range(0, max_edges + 1):
         for edges in combinations(universe, n_e):
-            for l_faces in systems:
-                for s_faces in systems:
-                    g = SmDG.of(verts, edges, l_faces, s_faces)
-                    if liftable_only and not project.is_liftable(g):
-                        continue
-                    yield g
+            edge_set = frozenset(edges)
+            # liftability depends only on the edges and the two supports
+            liftable: dict[tuple[frozenset, frozenset], bool] = {}
+            for l_sys in systems:
+                for s_sys in systems:
+                    if liftable_only:
+                        key = (l_sys.support, s_sys.support)
+                        if key not in liftable:
+                            liftable[key] = project.cycle_without_special_edges(
+                                vis, edge_set, s_sys.support, l_sys.support
+                            ) is None
+                        if not liftable[key]:
+                            continue
+                    yield SmDG(
+                        visibles=vis, edges=edge_set,
+                        marginal_system=l_sys, selected_system=s_sys,
+                    )
 
 
 def enumerate_partitioned_dags(

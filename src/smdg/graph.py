@@ -293,7 +293,8 @@ class IndependenceSystem:
 
     The family always contains the empty set; the family {empty set} is
     represented by an empty maximal-face collection. Construction prunes
-    dominated faces so the stored faces form an antichain.
+    dominated faces so the stored faces form an antichain, and computes the
+    support and the sorted faces once.
     """
 
     ground: frozenset[VertexId]
@@ -312,6 +313,12 @@ class IndependenceSystem:
         maximal = {f for f in raw if f and not any(f < g for g in raw)}
         return cls(ground=ground_set, maximal_faces=frozenset(maximal))
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_support", frozenset().union(*self.maximal_faces))
+        object.__setattr__(
+            self, "_sorted_faces", tuple(sorted(tuple(sorted(f)) for f in self.maximal_faces))
+        )
+
     def contains_face(self, face: Iterable[VertexId]) -> bool:
         face = frozenset(face)
         if not face <= self.ground:
@@ -325,7 +332,7 @@ class IndependenceSystem:
     @property
     def support(self) -> frozenset[VertexId]:
         """Union of all faces."""
-        return frozenset().union(*self.maximal_faces) if self.maximal_faces else frozenset()
+        return self._support
 
     def with_face(self, face: Iterable[VertexId]) -> "IndependenceSystem":
         return IndependenceSystem.of(self.ground, list(self.maximal_faces) + [frozenset(face)])
@@ -337,7 +344,7 @@ class IndependenceSystem:
         return IndependenceSystem.of(self.ground, self.maximal_faces - {face})
 
     def sorted_faces(self) -> list[tuple[VertexId, ...]]:
-        return sorted(tuple(sorted(f)) for f in self.maximal_faces)
+        return list(self._sorted_faces)
 
 
 @dataclass(frozen=True)

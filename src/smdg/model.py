@@ -402,6 +402,8 @@ def product_intervention(
     table: dict[Assignment, Fraction] = {}
     per = []
     for v in names:
+        if v not in marginals:
+            raise ModelError(f"product intervention has no marginal for {v!r}")
         dist = marginals[v]
         per.append([(value, Fraction(p)) for value, p in dist.items() if p != 0])
     for combo in product(*per):

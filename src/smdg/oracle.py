@@ -95,15 +95,6 @@ class FactorizationStructure:
                 cells.add((self.root_name(v), (assign[v],)))
         return frozenset(cells)
 
-    def all_cells(self) -> list[Cell]:
-        out: list[Cell] = []
-        for name, values in self.variables:
-            out.extend((self.root_name(name), (v,)) for v in values)
-        for f in self.selection_factors:
-            doms = [self.domain(v) for v in f.scope]
-            out.extend((f.name, key) for key in product(*doms))
-        return out
-
 
 @dataclass(frozen=True)
 class SupportPoint:
@@ -160,23 +151,6 @@ def support_feasible(fs: FactorizationStructure, q: SupportQuery) -> Feasibility
     return FeasibilityResult(
         feasible=True, witness=frozenset(forced), certificate=None, forced=frozenset(forced)
     )
-
-
-def brute_force_support_feasible(fs: FactorizationStructure, q: SupportQuery) -> bool:
-    """Independent exhaustive check: try every zero/positive pattern over all
-    factor cells (roots included, uniform weight on the positive ones)."""
-    if not q.required:
-        raise OracleError("degenerate query: at least one required point is needed")
-    cells = fs.all_cells()
-    req_cells = [fs.cells_of(p) for p in q.required]
-    forb_cells = [fs.cells_of(p) for p in q.forbidden]
-    for bits in product((True, False), repeat=len(cells)):
-        positive = {c for c, bit in zip(cells, bits) if bit}
-        if all(rc <= positive for rc in req_cells) and all(
-            not fc <= positive for fc in forb_cells
-        ):
-            return True
-    return False
 
 
 def witness_to_model(fs: FactorizationStructure, witness: frozenset[Cell]) -> DiscreteModel:

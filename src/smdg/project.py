@@ -4,12 +4,18 @@
 rebuilds a role-annotated graph from an smDG (possibly cyclic). An smDG is
 *liftable* when that rebuilt graph is acyclic, i.e. when it is the projection
 of some actual DAG.
+
+An smDG is immutable, so ``unliftable_cycle`` and ``canonical_graph`` run once
+per instance and record their result on it, beside its adjacency; ``is_liftable``,
+``lift`` and ``sep.sm_separated`` read those records. Neither record is read to
+build the other, so rebuild acyclicity stays an independent check of the cycle
+criterion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Optional, TypeVar
 
 from . import canon
 from .graph import (
@@ -34,6 +40,17 @@ class NotLiftableError(GraphError):
 
 class NotCanonicalError(GraphError):
     pass
+
+
+_T = TypeVar("_T")
+
+
+def _recorded(g: SmDG, name: str, build: Callable[[SmDG], _T]) -> _T:
+    """build(g), run the first time it is asked for and kept on the instance."""
+    record = g.__dict__
+    if name not in record:
+        object.__setattr__(g, name, build(g))
+    return record[name]
 
 
 def face_label(kind: str, face) -> str:
@@ -94,8 +111,13 @@ def canonical_graph(g: SmDG) -> CanonicalGraph:
     vertices that would be dominated by a special-edge vertex (a singleton
     selected face at a special tail, or a singleton marginal face at a
     special head) are skipped: the redundancy-removal rewrite would delete
-    them, and keeping them would make the output non-canonical.
+    them, and keeping them would make the output non-canonical. Built once
+    per instance.
     """
+    return _recorded(g, "_canonical_graph", _build_canonical_graph)
+
+
+def _build_canonical_graph(g: SmDG) -> CanonicalGraph:
     sel_support = g.selected_system.support
     mar_support = g.marginal_system.support
     roles: dict[VertexId, Role] = {v: Role.VISIBLE for v in g.visibles}
@@ -135,11 +157,29 @@ def canonical_graph(g: SmDG) -> CanonicalGraph:
 
 def unliftable_cycle(g: SmDG) -> Optional[tuple[VertexId, ...]]:
     """A directed cycle (first == last, self-loops included) with no edge from
-    the selected support into the marginal support, or None when there is none."""
-    sel_support = g.selected_system.support
-    mar_support = g.marginal_system.support
-    kept = sorted((a, b) for a, b in g.edges if not (a in sel_support and b in mar_support))
-    return find_cycle(g.visibles, kept)
+    the selected support into the marginal support, or None when there is none.
+    Searched once per instance."""
+    return _recorded(g, "_unliftable_cycle", _search_unliftable)
+
+
+def _search_unliftable(g: SmDG) -> Optional[tuple[VertexId, ...]]:
+    return cycle_without_special_edges(
+        g.visibles, g.edges, g.selected_system.support, g.marginal_system.support
+    )
+
+
+def cycle_without_special_edges(
+    visibles: frozenset[VertexId],
+    edges: Iterable[tuple[VertexId, VertexId]],
+    selected_support: frozenset[VertexId],
+    marginal_support: frozenset[VertexId],
+) -> Optional[tuple[VertexId, ...]]:
+    """The search behind :func:`unliftable_cycle`, over the only parts of an
+    smDG that liftability depends on."""
+    kept = sorted(
+        (a, b) for a, b in edges if not (a in selected_support and b in marginal_support)
+    )
+    return find_cycle(visibles, kept)
 
 
 def is_liftable(g: SmDG) -> bool:

@@ -558,15 +558,3 @@ def shield_completion(d: PartitionedDag, ordering: Sequence[VertexId]) -> Partit
             if position[v] < position[m] and d.children_of(v) & d.children_of(m):
                 add.add((v, m))
     return d.with_edges(add=add)
-
-
-def unshielded_colliders(d: PartitionedDag, region: Iterable[VertexId]) -> list:
-    region = set(region)
-    out = []
-    for z in sorted(region):
-        parents = sorted(d.parents_of(z))
-        for i, p1 in enumerate(parents):
-            for p2 in parents[i + 1:]:
-                if (p1, p2) not in d.edges and (p2, p1) not in d.edges:
-                    out.append((p1, z, p2))
-    return out

@@ -16,6 +16,7 @@ from smdg.model import (
     flat,
     sharp,
 )
+from smdg.oracle import OracleError
 from smdg.project import canonical_graph
 from smdg.sep import D_separated, SeparationQuery, sm_separated
 
@@ -258,3 +259,36 @@ def walk_ood(model, z, q=None) -> SelectedDistribution:
     if dist is None:
         raise SelectedOutError("the selection event has probability zero")
     return SelectedDistribution(dist=dist, selection_probability=total)
+
+
+def brute_force_support_feasible(fs, q) -> bool:
+    """Independent exhaustive check of ``oracle.support_feasible``: try every
+    zero/positive pattern over all factor cells (roots included, uniform
+    weight on the positive ones)."""
+    if not q.required:
+        raise OracleError("degenerate query: at least one required point is needed")
+    cells = [(fs.root_name(name), (v,)) for name, values in fs.variables for v in values]
+    for f in fs.selection_factors:
+        doms = [fs.domain(v) for v in f.scope]
+        cells.extend((f.name, key) for key in itertools.product(*doms))
+    req_cells = [fs.cells_of(p) for p in q.required]
+    forb_cells = [fs.cells_of(p) for p in q.forbidden]
+    for bits in itertools.product((True, False), repeat=len(cells)):
+        positive = {c for c, bit in zip(cells, bits) if bit}
+        if all(rc <= positive for rc in req_cells) and all(
+            not fc <= positive for fc in forb_cells
+        ):
+            return True
+    return False
+
+
+def unshielded_colliders(d: PartitionedDag, region) -> list:
+    """Each (p1, z, p2) with z in region and p1, p2 non-adjacent parents of z."""
+    out = []
+    for z in sorted(set(region)):
+        parents = sorted(d.parents_of(z))
+        for i, p1 in enumerate(parents):
+            for p2 in parents[i + 1:]:
+                if (p1, p2) not in d.edges and (p2, p1) not in d.edges:
+                    out.append((p1, z, p2))
+    return out

@@ -1,3 +1,5 @@
+from itertools import zip_longest
+
 import pytest
 
 from smdg.canon import is_canonical
@@ -10,8 +12,9 @@ from smdg.enumeration import (
     enumerate_partitioned_dags,
     enumerate_smdgs,
 )
-from smdg.graph import GraphError
-from smdg.project import signature
+from smdg.graph import GraphError, SmDG
+from smdg.io import dumps
+from smdg.project import is_liftable, signature
 
 
 def test_antichain_count_three_elements():
@@ -51,6 +54,30 @@ def test_counts_outside_bounds_rejected(make):
     with pytest.raises(EnumerationError):
         next(make())
     assert issubclass(EnumerationError, GraphError)
+
+
+@pytest.mark.parametrize("n, bounds", [(2, None), (3, SmdgBounds(max_edges=2))],
+                         ids=["two_visibles", "three_visibles_two_edges"])
+def test_shared_parts_give_the_values_of_fresh_graphs(n, bounds):
+    graphs = list(enumerate_smdgs(n, bounds))
+    for g in graphs:
+        fresh = SmDG.of(sorted(g.visibles), sorted(g.edges),
+                        g.marginal_system.sorted_faces(), g.selected_system.sorted_faces())
+        assert g == fresh and hash(g) == hash(fresh) and dumps(g) == dumps(fresh), g
+    # one system per face family, shared by every graph that has it
+    families = len(antichains(tuple(sorted(graphs[0].visibles))))
+    assert len({id(g.marginal_system) for g in graphs}) == families
+    assert len({id(g.selected_system) for g in graphs}) == families
+
+
+@pytest.mark.parametrize("n, bounds", [
+    (0, None), (1, None), (2, None), (3, SmdgBounds(max_edges=3)), (4, SmdgBounds(max_edges=1)),
+], ids=["0", "1", "2", "3_three_edges", "4_one_edge"])
+def test_liftable_only_is_the_filtered_stream(n, bounds):
+    filtered = (g for g in enumerate_smdgs(n, bounds) if is_liftable(g))
+    kept = enumerate_smdgs(n, bounds, liftable_only=True)
+    for g, h in zip_longest(kept, filtered):
+        assert g == h
 
 
 def test_enumeration_is_deterministic():

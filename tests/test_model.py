@@ -170,6 +170,12 @@ def test_observe_or_do_all_z_is_reweighted_q():
     assert res.dist == ProbTable.of(("a", "b", "c"), expected)
 
 
+@pytest.mark.parametrize("over", [None, ("a", "b")], ids=["visibles", "over"])
+def test_product_intervention_names_a_missing_marginal(over):
+    with pytest.raises(ModelError, match="no marginal for 'b'"):
+        product_intervention(joint_selector_model(), {"a": uniform((0, 1))}, over)
+
+
 def test_full_support_flag_rejects_partial_interventions():
     dag = PartitionedDag.of(visible="v", selected="s", edges=[("v", "s")])
     m = build(dag, {}, {"v": ("det", lambda: 0), "s": ("det", lambda v: v)})

@@ -18,7 +18,6 @@ from smdg.oracle import (
     OracleError,
     SupportPoint,
     SupportQuery,
-    brute_force_support_feasible,
     exactly_one_query,
     exactly_one_structure_joint,
     exactly_one_structure_pairwise,
@@ -31,6 +30,7 @@ from smdg.oracle import (
 )
 
 import cases
+from helpers import brute_force_support_feasible
 
 F = Fraction
 

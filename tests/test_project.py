@@ -1,7 +1,11 @@
+from collections import Counter
+
 import pytest
 
+from smdg import project
 from smdg.canon import canonicalize, is_canonical
 from smdg.graph import GraphError, PartitionedDag, SmDG
+from smdg.io import dumps
 from smdg.project import (
     NotCanonicalError,
     NotLiftableError,
@@ -13,6 +17,7 @@ from smdg.project import (
     slp,
     unliftable_cycle,
 )
+from smdg.sep import SeparationQuery, sm_separated
 
 import cases
 from helpers import (
@@ -125,6 +130,67 @@ def test_unliftable_witness_follows_sorted_edges():
 def test_lift_round_trip():
     g = cases.canon_example_slp()
     assert slp(lift(g)) == g
+
+
+def _rebuilt(g: SmDG) -> SmDG:
+    return SmDG.of(g.visibles, g.edges, g.marginal_system.maximal_faces,
+                   g.selected_system.maximal_faces)
+
+
+def test_records_leave_the_value_unchanged():
+    for g in (*UNLIFTABLE, cases.canon_example_slp(), cases.teaser_b_slp()):
+        before = (repr(g), dumps(g))
+        is_liftable(g)
+        canonical_graph(g)
+        assert g == _rebuilt(g) and hash(g) == hash(_rebuilt(g))
+        assert (repr(g), dumps(g)) == before
+
+
+def test_searches_run_once_per_instance(monkeypatch):
+    calls = Counter()
+    for name in ("_build_canonical_graph", "cycle_without_special_edges"):
+        def counted(*args, _name=name, _f=getattr(project, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(project, name, counted)
+    g = cases.canon_example_slp()
+    q = SeparationQuery.of({"b"}, {"d"}, {"c"})
+    assert is_liftable(g) and canonical_graph(g) is canonical_graph(g)
+    assert lift(g) == lift(g)
+    assert sm_separated(g, q) is sm_separated(g, q)
+    assert calls == {"_build_canonical_graph": 1, "cycle_without_special_edges": 1}
+    # an equal value built anew keeps its own records
+    again = _rebuilt(g)
+    assert is_liftable(again) and canonical_graph(again) == canonical_graph(g)
+    assert calls == {"_build_canonical_graph": 2, "cycle_without_special_edges": 2}
+
+
+def test_the_two_searches_stay_independent(monkeypatch):
+    """Criterion 4 compares two searches; neither may read the other."""
+    def refuse(*args):
+        raise AssertionError("one search read the other")
+
+    graphs = [*UNLIFTABLE, cases.canon_example_slp()]
+    monkeypatch.setattr(project, "cycle_without_special_edges", refuse)
+    cycles = [canonical_graph(_rebuilt(g)).cycle for g in graphs]
+    monkeypatch.undo()
+    monkeypatch.setattr(project, "_build_canonical_graph", refuse)
+    assert [unliftable_cycle(_rebuilt(g)) is None for g in graphs] == [
+        cycle is None for cycle in cycles
+    ] == [False, False, False, True]
+
+
+def test_recorded_unliftable_cycle_still_raises():
+    q = SeparationQuery.of({"a"}, {"b"})
+    for g in UNLIFTABLE:
+        assert not is_liftable(g)
+        assert not canonical_graph(g).is_acyclic
+        for _ in range(2):
+            with pytest.raises(NotLiftableError) as err:
+                sm_separated(g, q)
+            assert err.value.cycle == unliftable_cycle(g)
+            assert_cycle_witness(err.value.cycle, g.edges, str(err.value))
+        assert g == _rebuilt(g)
 
 
 # --- interventional equivalence --------------------------------------------------------

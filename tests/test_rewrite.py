@@ -23,12 +23,11 @@ from smdg.rewrite import (
     rule_remove_special_edge,
     search_equivalence,
     shield_completion,
-    unshielded_colliders,
 )
 from smdg.sep import SeparationQuery, sm_separated
 
 import cases
-from helpers import python_env
+from helpers import python_env, unshielded_colliders
 
 
 # --- add marginal face -----------------------------------------------------

@@ -7,6 +7,9 @@ import smdg
 
 SOURCES = sorted(Path(smdg.__file__).parent.glob("*.py"))
 
+_CACHE_DECORATORS = {"lru_cache", "cache", "cached_property"}
+_DICT_MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__"}
+
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_assert_guards(path):
@@ -14,3 +17,66 @@ def test_no_assert_guards(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name} has assert statements on lines {lines}"
+
+
+def _is_dict_value(node: ast.expr) -> bool:
+    if isinstance(node, (ast.Dict, ast.DictComp)):
+        return True
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in {"dict", "defaultdict", "OrderedDict", "Counter"})
+
+
+def memo_lines(source: str) -> list[int]:
+    """Lines that use a functools cache, or that write into a module-level
+    dict from inside a function: the two ways to keep results across calls
+    keyed by their arguments. Module-level tables filled once at import are
+    not memos and are not reported."""
+    tree = ast.parse(source)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            out += [node.lineno for a in node.names if a.name in _CACHE_DECORATORS]
+        elif (isinstance(node, ast.Attribute) and node.attr in _CACHE_DECORATORS
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            out.append(node.lineno)
+    dicts = set()
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+            [stmt.target] if isinstance(stmt, ast.AnnAssign) and stmt.value else [])
+        if targets and _is_dict_value(stmt.value):
+            dicts.update(t.id for t in targets if isinstance(t, ast.Name))
+    functions = [n for n in ast.walk(tree)
+                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+    for function in functions:
+        for node in ast.walk(function):
+            if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                    and isinstance(node.value, ast.Name) and node.value.id in dicts):
+                out.append(node.lineno)
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _DICT_MUTATORS
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id in dicts):
+                out.append(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_cross_call_memo(path):
+    """Derived values live on the immutable value that owns them, not in a
+    cache keyed by argument values: a repeated input must cost what a new
+    one costs."""
+    lines = memo_lines(path.read_text(encoding="utf-8"))
+    assert not lines, f"{path.name} keeps a memo across calls on lines {lines}"
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("import functools\n@functools.lru_cache\ndef f(x):\n    return x\n", [2]),
+    ("from functools import cache\n", [1]),
+    ("_MEMO = {}\ndef f(x):\n    _MEMO[x] = x\n    return x\n", [3]),
+    ("_MEMO: dict = dict()\ndef f(x):\n    return _MEMO.setdefault(x, x)\n", [3]),
+    ("_TABLE = {'a': 1}\n_INDEX = {v: k for k, v in _TABLE.items()}\n"
+     "def f(x):\n    return _TABLE[x]\n", []),
+    ("def f(x):\n    seen = {}\n    seen[x] = x\n    return seen\n", []),
+], ids=["lru_cache", "from_import", "subscript_store", "setdefault", "read_only_table",
+        "local_dict"])
+def test_memo_detector(source, expected):
+    assert memo_lines(source) == expected
