@@ -6,9 +6,7 @@ exact discrete-model evaluator.
 
 ``import smdg`` is lazy: each exported name, and each submodule name, imports
 its module on first access (PEP 562), so a program or an ``smdg`` command
-loads only the modules it uses. ``smdg.transport`` is the function
-``transport.transport``, which shares its module's name; an earlier
-``import smdg.transport`` binds the module to that name instead.
+loads only the modules it uses.
 """
 
 from importlib import import_module as _import_module
@@ -39,7 +37,7 @@ _EXPORTS = {
         "eval_joint", "observe_or_do_distribution", "product_intervention",
         "smi_distribution", "smo_distribution",
     ),
-    "transport": ("transport", "transport_chain", "transport_obs_or_do"),
+    "transport": ("transport_chain", "transport_obs_or_do"),
     "rewrite": (
         "EquivalenceProof", "RewriteStep", "RulePreconditionError", "SearchResult",
         "build_tilde_dag", "district_block_order", "identity_mdag_checker", "mdag_of",

@@ -1,12 +1,12 @@
 """Exact finite discrete models over partitioned DAGs.
 
 All probability arithmetic is exact: kernels hold ``fractions.Fraction``
-entries and evaluation works on their integer numerators; there is no
-floating point and no tolerance anywhere in this module. Visible variables
-must have deterministic kernels (their randomness, when needed, comes from
-explicit marginalized parents; see :func:`add_private_latents`). Selected
-variables are conditioned to a designated zero value in every reported
-distribution.
+entries, each :class:`KernelTable` builds their integer form once, and both
+validation and evaluation read that form; there is no floating point and no
+tolerance anywhere in this module. Visible variables must have deterministic
+kernels (their randomness, when needed, comes from explicit marginalized
+parents; see :func:`add_private_latents`). Selected variables are
+conditioned to a designated zero value in every reported distribution.
 
 Every distribution here comes from one exact sum-product evaluator,
 :func:`smdg.sumproduct.sum_product`. An intervention is a parent read: a
@@ -49,16 +49,28 @@ class SelectedOutError(ModelError):
 @dataclass(frozen=True)
 class KernelTable:
     """Rows map an assignment of the declared parents to a probability vector
-    over the vertex's domain values (aligned with the domain ordering)."""
+    over the vertex's domain values (aligned with the domain ordering).
+    ``numerators`` holds the same rows as integers over ``den``, the lcm of
+    every entry's denominator."""
 
     parents: tuple[VertexId, ...]
     rows: tuple[tuple[Assignment, tuple[Fraction, ...]], ...]
     _index: Mapping[Assignment, tuple[Fraction, ...]] = field(
         default=None, repr=False, compare=False
     )
+    den: int = field(default=None, repr=False, compare=False)
+    numerators: tuple[tuple[Assignment, tuple[int, ...]], ...] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", dict(self.rows))
+        den = lcm(*{p.denominator for _, vec in self.rows for p in vec})
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "numerators", tuple(
+            (key, tuple(p.numerator * (den // p.denominator) for p in vec))
+            for key, vec in self.rows
+        ))
 
     @classmethod
     def of(
@@ -102,7 +114,7 @@ def table_kernel(
     rows = {}
     for key in product(*parent_domains):
         dist = fn(*key)
-        rows[key] = tuple(Fraction(dist.get(v, 0)) for v in domain)
+        rows[key] = tuple(dist.get(v, 0) for v in domain)
     return KernelTable.of(parents, rows)
 
 
@@ -171,7 +183,7 @@ class DiscreteModel:
                 raise ModelError(f"kernel of {v!r} is missing parent-assignment rows")
             parent_domains = [set(domains[p]) for p in kern.parents]
             deterministic_required = self.dag.role_of(v) is Role.VISIBLE
-            for key, vec in kern.rows:
+            for key, vec in kern.numerators:
                 if len(key) != len(parent_domains) or not all(
                     x in dom for x, dom in zip(key, parent_domains)
                 ):
@@ -180,11 +192,12 @@ class DiscreteModel:
                     )
                 if len(vec) != len(domains[v]):
                     raise ModelError(f"kernel row of {v!r} has the wrong width")
-                if sum(vec) != ONE:
+                if sum(vec) != kern.den:
                     raise ModelError(f"kernel row {key} of {v!r} does not sum to 1")
-                if any(p < 0 for p in vec):
+                if any(n < 0 for n in vec):
                     raise ModelError(f"kernel row {key} of {v!r} has a negative entry")
-                if deterministic_required and not all(p in (ZERO, ONE) for p in vec):
+                # a row summing to den with no negative entry that holds den is a point mass
+                if deterministic_required and kern.den not in vec:
                     raise ModelError(
                         f"visible vertex {v!r} must have a deterministic kernel"
                     )

@@ -99,7 +99,8 @@ class CanonicalGraph:
     def to_partitioned_dag(self) -> PartitionedDag:
         if self.cycle is not None:
             raise NotLiftableError(self.cycle)
-        return PartitionedDag.from_roles(dict(self.roles), self.edges)
+        # already sorted and checked; the constructor still searches for a cycle
+        return PartitionedDag(roles=self.roles, edges=self.edges)
 
 
 def canonical_graph(g: SmDG) -> CanonicalGraph:

@@ -1,17 +1,16 @@
 """Exact sum-product evaluation of a discrete model's kernels.
 
-Each kernel becomes a factor of integer numerators over one denominator,
-the lcm of its entries' denominators, so elimination multiplies and adds
-integers only. A factor table maps a tuple of values, one per vertex of the
-factor's scope, to a positive integer weight, and zero weights are absent.
-Every vertex outside the requested outputs is summed out by variable
-elimination (Koller & Friedman, *Probabilistic Graphical Models*, ch. 9) in
-a greedy smallest-bucket order.
+Each kernel's factor is read from the integer form its ``KernelTable``
+built once, numerators over one denominator ``den``, so elimination
+multiplies and adds integers only. A factor table maps a tuple of values,
+one per vertex of the factor's scope, to a positive integer weight, and
+zero weights are absent. Every vertex outside the requested outputs is
+summed out by variable elimination (Koller & Friedman, *Probabilistic
+Graphical Models*, ch. 9) in a greedy smallest-bucket order.
 """
 
 from __future__ import annotations
 
-from math import lcm
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
@@ -82,17 +81,15 @@ def _product(factors: Iterable[Factor], drop: Optional[VertexId] = None) -> Fact
 
 def _kernel_factor(v: VertexId, kern: KernelTable, dom: Sequence[Value],
                    at: Mapping[VertexId, int], pinned: Mapping[VertexId, Value]):
-    """The kernel of v as integer numerators over one denominator, the lcm
-    of its entries' denominators.
+    """The kernel of v as its integer numerators over ``kern.den``.
 
-    Returns ``(den, scope, bound, tables)``: the parents in ``at`` are read
+    Returns ``(scope, bound, tables)``: the parents in ``at`` are read
     from the cell, at positions ``bound``, and ``tables`` maps their values
     to the factor table over ``scope``, the other parents and v. Pinned
     parents keep only the rows at their pinned value, and a pinned v keeps
     only its pinned column and leaves the scope.
     """
-    rows, parents = kern.rows, kern.parents
-    den = lcm(*{p.denominator for _, vec in rows for p in vec})
+    rows, parents = kern.numerators, kern.parents
     free, bound, fixed = [], [], []
     for i, u in enumerate(parents):
         if u in at:
@@ -112,14 +109,13 @@ def _kernel_factor(v: VertexId, kern: KernelTable, dom: Sequence[Value],
             t = tables.setdefault(bound_key(key), {})
         k = key if whole else free_key(key)
         if zero is None:
-            for x, p in zip(dom, vec):
-                n = p.numerator
+            for x, n in zip(dom, vec):
                 if n:
-                    t[k + (x,)] = n * (den // p.denominator)
+                    t[k + (x,)] = n
         elif vec[zero]:
-            t[k] = vec[zero].numerator * (den // vec[zero].denominator)
+            t[k] = vec[zero]
     scope = tuple(parents[i] for i in free) + (() if zero is not None else (v,))
-    return den, scope, [at[parents[i]] for i in bound], tables
+    return scope, [at[parents[i]] for i in bound], tables
 
 
 def sum_product(model: DiscreteModel, read: Sequence[VertexId], outputs: Sequence[VertexId],
@@ -152,8 +148,8 @@ def sum_product(model: DiscreteModel, read: Sequence[VertexId], outputs: Sequenc
     scopes: dict[int, set[VertexId]] = {}  # the scopes of the unconsumed slots
     leaves = []  # (slot, scope, tables by read values, read picker)
     for v in sorted(needed):
-        kden, scope, bound, tables = _kernel_factor(v, kernels[v], domains[v], at, pinned)
-        den *= kden
+        scope, bound, tables = _kernel_factor(v, kernels[v], domains[v], at, pinned)
+        den *= kernels[v].den
         scopes[len(factors)] = set(scope)
         if bound:
             leaves.append((len(factors), scope, tables, _picker(bound)))

@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,8 +27,16 @@ from smdg.model import (
     table_kernel,
     uniform,
 )
+from smdg.oracle import (
+    witness_directed_edge,
+    witness_marginal_face,
+    witness_selected_face,
+    witness_self_loop,
+)
+from smdg.transport import transport
 
 import cases
+from test_transport import SHAPES, _rand_model
 
 F = Fraction
 
@@ -212,6 +222,100 @@ def test_row_keys_must_lie_in_parent_domains():
             {"a": (0, 1), "u": (0, 1)},
             {"a": KernelTable.of(["u"], rows), "u": KernelTable.of([], {(): (F(1, 2), F(1, 2))})},
         )
+
+
+U = PartitionedDag.of(marginalized="u")
+UA = PartitionedDag.of(visible="a", marginalized="u", edges=[("u", "a")])
+HALVES = KernelTable.of([], {(): (F(1, 2), F(1, 2))})
+
+
+def _prior(*vec):
+    return KernelTable.of([], {(): vec})
+
+
+# One malformed model per message of DiscreteModel.validate, in the order the
+# checks run: (dag, domains, kernels, selected zeros, message).
+MALFORMED = {
+    "cover": (U, {"u": (0, 1)}, {}, None,
+              "domains and kernels must cover exactly the graph vertices"),
+    "empty-domain": (U, {"u": ()}, {"u": _prior()}, None, "domain of 'u' is empty"),
+    "duplicate-values": (U, {"u": (0, 0)}, {"u": HALVES}, None,
+                         "domain of 'u' has duplicate values"),
+    "zero-value": (PartitionedDag.of(selected="s"), {"s": (0, 1)}, {"s": _prior(1, 0)},
+                   {"s": 2}, "selected vertex 's' lacks its zero value"),
+    "parents": (UA, {"a": (0, 1), "u": (0, 1)}, {"a": _prior(1, 0), "u": HALVES}, None,
+                "kernel of 'a' does not match its parents"),
+    "rows": (UA, {"a": (0, 1), "u": (0, 1)},
+             {"a": KernelTable.of(["u"], {(0,): (1, 0)}), "u": HALVES}, None,
+             "kernel of 'a' is missing parent-assignment rows"),
+    "keys": (UA, {"a": (0, 1), "u": (0, 1)},
+             {"a": KernelTable.of(["u"], {(0,): (1, 0), (7,): (0, 1)}), "u": HALVES}, None,
+             "kernel row (7,) of 'a' lies outside its parents' domains"),
+    "width": (U, {"u": (0, 1)}, {"u": _prior(1)}, None,
+              "kernel row of 'u' has the wrong width"),
+    "sum": (U, {"u": (0, 1)}, {"u": _prior(F(1, 2), F(1, 3))}, None,
+            "kernel row () of 'u' does not sum to 1"),
+    # sums to 1 and is not a point mass, but the negative entry is named first
+    "negative": (PartitionedDag.of(visible="a"), {"a": (0, 1)},
+                 {"a": _prior(F(3, 2), F(-1, 2))}, None,
+                 "kernel row () of 'a' has a negative entry"),
+    # den is 2, so the point-mass row reads (2, 0) and the other (1, 1)
+    "deterministic": (UA, {"a": (0, 1), "u": (0, 1)},
+                      {"a": KernelTable.of(["u"], {(0,): (1, 0), (1,): (F(1, 2), F(1, 2))}),
+                       "u": HALVES}, None,
+                      "visible vertex 'a' must have a deterministic kernel"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_validate_names_each_fault(case):
+    dag, domains, kernels, zeros, message = MALFORMED[case]
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        DiscreteModel.of(dag, domains, kernels, zeros)
+
+
+def test_rows_of_different_denominators_validate():
+    kern = KernelTable.of(["a"], {(0,): (F(1, 2), F(1, 2)), (1,): (F(1, 3), F(2, 3))})
+    assert kern.den == 6
+    assert kern.numerators == (((0,), (3, 3)), ((1,), (2, 4)))
+    dag = PartitionedDag.of(visible="a", marginalized="u", edges=[("a", "u")])
+    DiscreteModel.of(dag, {"a": (0, 1), "u": (0, 1)}, {"a": _prior(0, 1), "u": kern})
+
+
+def _models_with_kernels():
+    """Models over every worked-example DAG of tests/cases.py, the oracle
+    witnesses, and seeded transport shapes with their transports."""
+    rng = random.Random("integer-form")
+    made = [f() for f in vars(cases).values() if getattr(f, "__module__", None) == "cases"]
+    dags = [d for d in made if isinstance(d, PartitionedDag)]
+    assert len(dags) == 21
+    yield joint_selector_model()
+    for dag in dags:
+        yield _rand_model(rng, dag)
+    yield witness_self_loop(cases.selfloop_shape())
+    yield from witness_directed_edge("a", "b")
+    yield witness_marginal_face("ab")
+    yield witness_selected_face("abc")
+    for shape in sorted(SHAPES):
+        model, move = SHAPES[shape](rng)
+        yield model
+        yield transport(model, move)
+
+
+def test_integer_form_is_each_row_over_den():
+    n = 0
+    for model in _models_with_kernels():
+        for _, kern in model.kernels:
+            assert [(key, [F(n, kern.den) for n in nums]) for key, nums in kern.numerators] == [
+                (key, list(vec)) for key, vec in kern.rows
+            ]
+            again = KernelTable.of(kern.parents, dict(kern.rows))
+            assert again == kern and hash(again) == hash(kern)
+            assert repr(kern) == repr(again) == (
+                f"KernelTable(parents={kern.parents!r}, rows={kern.rows!r})"
+            )
+            n += 1
+    assert n > 100
 
 
 def test_conditional_independence_checker():

@@ -33,9 +33,8 @@ PUBLIC = frozenset("""
 
 # Resolves every exported name in a fresh process and checks that each is the
 # object its defining module holds: a submodule itself, or the class or
-# function of that name in the module its __module__ names (so `transport` is
-# the function, which shares its module's name). VertexId is an alias of str,
-# so it names no module of its own.
+# function of that name in the module its __module__ names. VertexId is an
+# alias of str, so it names no module of its own.
 RESOLVE = """
 import sys
 import smdg
@@ -62,6 +61,21 @@ print(sorted(set(namespace) - {"__builtins__"}) == sorted(smdg.__all__))
 """
 
 
+# `smdg.transport` names the submodule whatever was imported first; the
+# function is `smdg.transport.transport`.
+TRANSPORT = """
+import sys
+import smdg
+
+before = smdg.transport
+import smdg.transport
+from smdg import transport
+assert before is smdg.transport is transport is sys.modules["smdg.transport"]
+assert callable(transport.transport) and transport.transport.__module__ == "smdg.transport"
+print("module")
+"""
+
+
 def run_child(script):
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
@@ -79,6 +93,11 @@ def test_all_is_the_public_api():
 
 def test_each_export_is_its_defining_modules_object():
     assert run_child(RESOLVE) == f"{len(PUBLIC)}\n"
+
+
+def test_transport_names_the_submodule():
+    assert run_child(TRANSPORT) == "module\n"
+    assert run_child("import smdg.transport\n" + TRANSPORT) == "module\n"
 
 
 def test_star_import_binds_every_export():

@@ -1,9 +1,11 @@
 from collections import Counter
+from itertools import islice
 
 import pytest
 
 from smdg import project
 from smdg.canon import canonicalize, is_canonical
+from smdg.enumeration import enumerate_smdgs
 from smdg.graph import GraphError, PartitionedDag, SmDG
 from smdg.io import dumps
 from smdg.project import (
@@ -130,6 +132,19 @@ def test_unliftable_witness_follows_sorted_edges():
 def test_lift_round_trip():
     g = cases.canon_example_slp()
     assert slp(lift(g)) == g
+
+
+def test_lift_equals_the_checked_rebuild():
+    """lift builds its DAG from the canonical graph's sorted roles and edges
+    as they are; on every 10th liftable 3-visible smDG that equals the
+    from_roles rebuild, which converts, checks and sorts them again."""
+    n = 0
+    for g in islice(enumerate_smdgs(3, liftable_only=True), 0, None, 10):
+        cg, d = canonical_graph(g), lift(g)
+        want = PartitionedDag.from_roles(dict(cg.roles), cg.edges)
+        assert d == want and repr(d) == repr(want)
+        n += 1
+    assert n == 8260
 
 
 def _rebuilt(g: SmDG) -> SmDG:
