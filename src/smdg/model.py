@@ -9,13 +9,14 @@ parents; see :func:`add_private_latents`). Selected variables are
 conditioned to a designated zero value in every reported distribution.
 
 Every distribution here comes from one exact sum-product evaluator,
-:func:`smdg.sumproduct.sum_product`. An intervention is a parent read: a
-kernel takes an intervened parent's value from the intervention cell
-instead of from the parent. Selection is evidence: a selected vertex is
-pinned to its zero value, which gives the numerator of the conditioning.
-Every other vertex outside the reported variables is summed out, and each
-reported probability is one ``Fraction`` of two integers. The tests check
-this evaluator against a brute-force walk over every joint assignment.
+:func:`smdg.sumproduct.sum_product`, in one elimination. An intervention
+is one more factor: a kernel reads an intervened parent through that
+parent's sharp copy, and the intervention's weights are a factor over the
+sharp copies. Selection is evidence: a selected vertex is pinned to its
+zero value, which gives the numerator of the conditioning. Every other
+vertex outside the reported variables is summed out, and each reported
+probability is one ``Fraction`` of two integers. The tests check this
+evaluator against a brute-force walk over every joint assignment.
 """
 
 from __future__ import annotations
@@ -300,8 +301,8 @@ def flat(v: VertexId) -> str:
 def eval_joint(model: DiscreteModel) -> ProbTable:
     """Full product-of-kernels joint over all vertices (no conditioning)."""
     order = tuple(model.dag.topological_order())
-    evaluate, den = sum_product(model, (), order, {})
-    return ProbTable.of(order, {key: Fraction(w, den) for key, w in evaluate(()).items()})
+    table, den = sum_product(model, (), order, {}, {(): 1})
+    return ProbTable.of(order, {key: Fraction(w, den) for key, w in table.items()})
 
 
 def smo_distribution(model: DiscreteModel) -> SelectedDistribution:
@@ -312,23 +313,19 @@ def smo_distribution(model: DiscreteModel) -> SelectedDistribution:
 
 
 def _selected(model, variables, read, outputs, cells, key) -> tuple[Optional[ProbTable], Fraction]:
-    """Sum ``weight * P(outputs, selection)`` over every ``(read values,
-    weight)`` cell into ``key(read values, output values)``, with each
-    selected vertex pinned to its zero value. Returns the normalized table
-    and the selection probability, or ``(None, 0)`` when the selection event
-    has probability zero."""
+    """``q(read values) * P(outputs, selection)``, with each selected vertex
+    pinned to its zero value, for every ``(read values, q)`` cell, keyed by
+    ``key(read values + output values)``. Returns the normalized table and
+    the selection probability, or ``(None, 0)`` when the selection event has
+    probability zero."""
     pinned = {s: model.selected_zero(s) for s in model.dag.selected}
-    evaluate, den = sum_product(model, read, outputs, pinned, len(cells))
     q_den = lcm(*(w.denominator for _, w in cells))
-    acc: dict[Assignment, int] = {}
-    for values, w in cells:
-        qn = w.numerator * (q_den // w.denominator)
-        for out, x in evaluate(values).items():
-            acc[key(values, out)] = qn * x
+    weights = {values: w.numerator * (q_den // w.denominator) for values, w in cells}
+    acc, den = sum_product(model, read, outputs, pinned, weights)
     total = sum(acc.values())
     if total == 0:
         return None, ZERO
-    table = tuple(sorted((k, Fraction(x, total)) for k, x in acc.items()))
+    table = tuple(sorted((key(k), Fraction(x, total)) for k, x in acc.items()))
     return ProbTable(variables, table), Fraction(total, q_den * den)
 
 
@@ -366,8 +363,7 @@ def smi_distribution(
     visibles = tuple(sorted(model.dag.visible))
     _check_q(model, q, visibles, full_support)
     variables = tuple(sharp(v) for v in visibles) + tuple(flat(v) for v in visibles)
-    dist, total = _selected(model, variables, visibles, visibles, q.items(),
-                            lambda values, out: values + out)
+    dist, total = _selected(model, variables, visibles, visibles, q.items(), lambda k: k)
     if dist is None:
         return SmiResult(q=q, status="selected_out", dist=None, selection_probability=ZERO)
     return SmiResult(q=q, status="ok", dist=dist, selection_probability=total)
@@ -395,11 +391,9 @@ def observe_or_do_distribution(
         cells = q.items()
     visibles = tuple(sorted(model.dag.visible))
     observed = tuple(v for v in visibles if v not in z)
-    slots = [(v in z, z.index(v) if v in z else observed.index(v)) for v in visibles]
-    dist, total = _selected(
-        model, visibles, z, observed, cells,
-        lambda values, out: tuple(values[i] if is_read else out[i] for is_read, i in slots),
-    )
+    slots = [z.index(v) if v in z else len(z) + observed.index(v) for v in visibles]
+    dist, total = _selected(model, visibles, z, observed, cells,
+                            lambda k: tuple(k[i] for i in slots))
     if dist is None:
         raise SelectedOutError("the selection event has probability zero")
     return SelectedDistribution(dist=dist, selection_probability=total)
@@ -496,11 +490,6 @@ def _key_from_str(text: str) -> Assignment:
 def model_from_obj(obj: Mapping[str, Any]) -> DiscreteModel:
     try:
         dag_obj, sizes, specs = obj["dag"], obj["domains"], obj["kernels"]
-        domains = {}
-        for v, k in sizes.items():
-            if type(k) is not int:
-                raise TypeError(f"domain size of {v!r} must be an integer, got {k!r}")
-            domains[v] = tuple(range(k))
         kernels = {}
         for v, spec in specs.items():
             rows = {
@@ -511,10 +500,24 @@ def model_from_obj(obj: Mapping[str, Any]) -> DiscreteModel:
             }
             parents = graph_io._array(spec["parents"], f"the parents of {v!r}")
             kernels[v] = KernelTable.of([str(p) for p in parents], rows)
+        for v, k in sizes.items():
+            if type(k) is not int:
+                raise TypeError(f"domain size of {v!r} must be an integer, got {k!r}")
     except KeyError as exc:
         raise ModelError(f"malformed model object: missing key {exc}") from exc
     except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
         raise ModelError(f"malformed model object: {exc}") from exc
+    domains = {}
+    for v, k in sizes.items():
+        # each size must be the width of its kernel's rows before range(k) is
+        # built, so no domain is larger than the input spells out
+        if v not in kernels:
+            raise ModelError("domains and kernels must cover exactly the graph vertices")
+        if not kernels[v].rows:
+            raise ModelError(f"kernel of {v!r} is missing parent-assignment rows")
+        if any(len(vec) != k for _, vec in kernels[v].rows):
+            raise ModelError(f"kernel row of {v!r} has the wrong width")
+        domains[v] = tuple(range(k))
     return DiscreteModel.of(graph_io.dag_from_obj(dag_obj), domains, kernels)
 
 

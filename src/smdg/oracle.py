@@ -16,7 +16,6 @@ a self-loop, a directed edge, a marginal face, or a selected face.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import canon
@@ -301,28 +300,3 @@ def witness_selected_face(face: Sequence[VertexId]) -> DiscreteModel:
     )
     return DiscreteModel.of(dag, domains, kernels)
 
-
-# --- canned structures for the three-variable example ------------------------
-
-
-def exactly_one_structure_joint() -> FactorizationStructure:
-    return FactorizationStructure.of(
-        {"a": 2, "b": 2, "c": 2}, {"e": ("a", "b", "c")}
-    )
-
-
-def exactly_one_structure_pairwise() -> FactorizationStructure:
-    return FactorizationStructure.of(
-        {"a": 2, "b": 2, "c": 2},
-        {"e1": ("a", "b"), "e2": ("a", "c"), "e3": ("b", "c")},
-    )
-
-
-def exactly_one_query() -> SupportQuery:
-    points = {
-        (1, 0, 0), (0, 1, 0), (0, 0, 1),
-    }
-    all_points = set(product((0, 1), repeat=3))
-    req = [SupportPoint.of(dict(zip("abc", p))) for p in sorted(points)]
-    forb = [SupportPoint.of(dict(zip("abc", p))) for p in sorted(all_points - points)]
-    return SupportQuery.of(req, forb)

@@ -3,16 +3,19 @@
 Each kernel's factor is read from the integer form its ``KernelTable``
 built once, numerators over one denominator ``den``, so elimination
 multiplies and adds integers only. A factor table maps a tuple of values,
-one per vertex of the factor's scope, to a positive integer weight, and
-zero weights are absent. Every vertex outside the requested outputs is
-summed out by variable elimination (Koller & Friedman, *Probabilistic
+one per variable of the factor's scope, to a positive integer weight, and
+zero weights are absent. An intervention is one more factor: the kernels
+that read an intervened vertex u read its sharp variable ``(u,)``, and the
+intervention's weights are a factor over the sharp variables (Pearl,
+*Causality*, 2009, sec. 3.2). Every vertex outside the requested outputs is
+summed out in one variable elimination (Koller & Friedman, *Probabilistic
 Graphical Models*, ch. 9) in a greedy smallest-bucket order.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Container, Iterable, Mapping, Optional, Sequence
 
 from .graph import VertexId
 
@@ -71,7 +74,7 @@ _UNIT: Factor = ((), {(): 1})
 def _product(factors: Iterable[Factor], drop: Optional[VertexId] = None) -> Factor:
     """Product of the factors, smallest first, with ``drop`` summed out in
     the last multiplication."""
-    out, *rest = sorted(factors, key=lambda f: len(f[1])) or [_UNIT]
+    out, *rest = sorted(factors, key=lambda f: len(f[1]))
     if drop is not None and not rest:
         rest = [_UNIT]
     for i, f in enumerate(rest, 1):
@@ -80,33 +83,30 @@ def _product(factors: Iterable[Factor], drop: Optional[VertexId] = None) -> Fact
 
 
 def _kernel_factor(v: VertexId, kern: KernelTable, dom: Sequence[Value],
-                   at: Mapping[VertexId, int], pinned: Mapping[VertexId, Value]):
-    """The kernel of v as its integer numerators over ``kern.den``.
+                   read: Mapping[VertexId, Container[Value]],
+                   pinned: Mapping[VertexId, Value]) -> Factor:
+    """The kernel of v as one factor of integer numerators over ``kern.den``.
 
-    Returns ``(scope, bound, tables)``: the parents in ``at`` are read
-    from the cell, at positions ``bound``, and ``tables`` maps their values
-    to the factor table over ``scope``, the other parents and v. Pinned
-    parents keep only the rows at their pinned value, and a pinned v keeps
-    only its pinned column and leaves the scope.
+    A parent u in ``read`` is read through its sharp variable ``(u,)`` and
+    keeps only the rows at the values in ``read[u]``. Pinned parents keep
+    only the rows at their pinned value and leave the scope, and a pinned v
+    keeps only its pinned column and leaves the scope.
     """
     rows, parents = kern.numerators, kern.parents
-    free, bound, fixed = [], [], []
+    free, allowed = [], []
     for i, u in enumerate(parents):
-        if u in at:
-            bound.append(i)
-        elif u in pinned:
-            fixed.append((i, pinned[u]))
+        if u in pinned:
+            allowed.append((i, (pinned[u],)))
         else:
             free.append(i)
-    if fixed:
-        rows = [(key, vec) for key, vec in rows if all(key[i] == x for i, x in fixed)]
+            if u in read:
+                allowed.append((i, read[u]))
+    if allowed:
+        rows = [(key, vec) for key, vec in rows if all(key[i] in xs for i, xs in allowed)]
     zero = dom.index(pinned[v]) if v in pinned else None
-    whole, free_key, bound_key = len(free) == len(parents), _picker(free), _picker(bound)
+    whole, free_key = len(free) == len(parents), _picker(free)
     t: dict[Assignment, int] = {}
-    tables = {} if bound else {(): t}
     for key, vec in rows:
-        if bound:
-            t = tables.setdefault(bound_key(key), {})
         k = key if whole else free_key(key)
         if zero is None:
             for x, n in zip(dom, vec):
@@ -114,95 +114,62 @@ def _kernel_factor(v: VertexId, kern: KernelTable, dom: Sequence[Value],
                     t[k + (x,)] = n
         elif vec[zero]:
             t[k] = vec[zero]
-    scope = tuple(parents[i] for i in free) + (() if zero is not None else (v,))
-    return scope, [at[parents[i]] for i in bound], tables
+    scope = tuple((u,) if u in read else u for u in free_key(parents))
+    return scope + (() if zero is not None else (v,)), t
 
 
 def sum_product(model: DiscreteModel, read: Sequence[VertexId], outputs: Sequence[VertexId],
-                pinned: Mapping[VertexId, Value], n_cells: int = 1):
-    """Plan the exact sum over every vertex outside ``outputs``.
+                pinned: Mapping[VertexId, Value], cells: Mapping[Assignment, int]):
+    """The exact sum over every vertex outside ``outputs``, in one elimination.
 
-    A kernel reads parent u from the cell's value when u is in ``read`` and
-    from u's own value otherwise. A pinned vertex is fixed to its value, in
-    its own factor and in its children's rows, so its factor carries the
-    kernel weight of that value. A vertex that is not an output, not pinned
-    and not read by a needed child sums to one and is left out.
+    Each vertex u in ``read`` has a sharp variable ``(u,)``, which no vertex
+    id equals, and a kernel reads parent u through it; ``cells`` maps each
+    tuple of read values to an integer weight and is the sharp variables'
+    own factor. Every factor keeps only the sharp values that some cell
+    holds, so a point-mass intervention is read as if it were pinned. A
+    pinned vertex is fixed to its value, in its own factor and in its
+    children's rows, so its factor carries the kernel weight of that value.
+    A vertex that is not an output, not pinned and not read by a needed
+    child sums to one and is left out.
 
-    Returns ``(evaluate, den)``: ``evaluate(cell)`` maps each tuple of output
-    values to its integer weight over ``den``, for one tuple of read values.
-    Factors that read no cell value, and every elimination among them, are
-    computed once here rather than once per cell; the elimination order
-    weighs the other eliminations by the ``n_cells`` cells to come.
+    Returns ``(table, den)``: ``table`` maps each tuple of read values
+    followed by output values to its integer weight, over ``den`` times the
+    weights' own denominator.
     """
     domains, kernels = dict(model.domains), dict(model.kernels)
-    at = {v: i for i, v in enumerate(read)}
+    held = {u: {key[i] for key in cells} for i, u in enumerate(read)}
     needed, stack = set(outputs) | set(pinned), list(outputs) + list(pinned)
     while stack:
         for u in kernels[stack.pop()].parents:
-            if u not in at and u not in needed:
+            if u not in held and u not in needed:
                 needed.add(u)
                 stack.append(u)
 
-    den = 1
-    factors: list[Optional[Factor]] = []  # None until a cell fills it in
-    scopes: dict[int, set[VertexId]] = {}  # the scopes of the unconsumed slots
-    leaves = []  # (slot, scope, tables by read values, read picker)
+    sharp = tuple((u,) for u in read)
+    domains.update({(u,): held[u] for u in read})
+    den, factors = 1, [(sharp, cells)]
     for v in sorted(needed):
-        scope, bound, tables = _kernel_factor(v, kernels[v], domains[v], at, pinned)
+        factors.append(_kernel_factor(v, kernels[v], domains[v], held, pinned))
         den *= kernels[v].den
-        scopes[len(factors)] = set(scope)
-        if bound:
-            leaves.append((len(factors), scope, tables, _picker(bound)))
-            factors.append(None)
-        else:
-            factors.append((scope, tables.get((), {})))
 
     # greedy order: next eliminate the vertex whose bucket spans the fewest
-    # assignments, counted once per cell when the bucket reads a cell
+    # assignments; sharp variables are outputs, so ties compare vertex ids
     def cost(v):
-        bucket = [i for i, s in scopes.items() if v in s]
-        c = 1 if all(factors[i] is not None for i in bucket) else n_cells
-        for u in set().union(*(scopes[i] for i in bucket)):
+        c = 1
+        for u in set().union(*(f[0] for f in factors if v in f[0])):
             c *= len(domains[u])
         return c, v
 
-    steps = []  # (vertex, bucket slots, result slot) for buckets that read a cell
     remaining = needed - set(outputs) - set(pinned)
     while remaining:
         v = min(remaining, key=cost)
         remaining.discard(v)
-        bucket = [i for i, s in scopes.items() if v in s]
-        slot = len(factors)
-        scopes[slot] = set().union(*(scopes.pop(i) for i in bucket)) - {v}
-        if all(factors[i] is not None for i in bucket):
-            factors.append(_product([factors[i] for i in bucket], v))
-        else:
-            factors.append(None)
-            steps.append((v, bucket, slot))
-    final, outputs = list(scopes), tuple(outputs)
-
-    def finish(values) -> dict[Assignment, int]:
-        scope, table = _product([values[i] for i in final])
-        if scope == outputs:
-            return table
-        order = _picker([scope.index(v) for v in outputs])
-        return {order(key): w for key, w in table.items()}
-
-    if not leaves:
-        result = finish(factors)
-        return (lambda cell: result), den
-
-    def evaluate(cell) -> dict[Assignment, int]:
-        values = list(factors)
-        for slot, scope, tables, pick in leaves:
-            table = tables.get(pick(cell))
-            if not table:
-                return {}
-            values[slot] = (scope, table)
-        for v, bucket, slot in steps:
-            values[slot] = _product([values[i] for i in bucket], v)
-            if not values[slot][1]:
-                return {}
-        return finish(values)
-
-    return evaluate, den
+        bucket = [f for f in factors if v in f[0]]
+        factors = [f for f in factors if v not in f[0]]
+        factors.append(_product(bucket, v))
+    scope, table = _product(factors)
+    want = sharp + tuple(outputs)
+    if scope != want:
+        order = _picker([scope.index(v) for v in want])
+        table = {order(key): w for key, w in table.items()}
+    return table, den

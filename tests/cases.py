@@ -1,11 +1,15 @@
-"""Shared worked-example graphs used across the test suite.
+"""Shared worked-example graphs, and the three-variable support structures,
+used across the test suite.
 
 Each builder returns a fresh value; names describe the structural role the
 example plays (see the companion _after/_slp variants for the expected
 results of the operations under test).
 """
 
+from itertools import product
+
 from smdg.graph import PartitionedDag, SmDG
+from smdg.oracle import FactorizationStructure, SupportPoint, SupportQuery
 
 
 def latent_fork() -> PartitionedDag:
@@ -318,3 +322,29 @@ def unshielded_pair_after() -> SmDG:
         edges=[("a", "c"), ("b", "c"), ("c", "d")],
         marginal_faces=[("a", "b")],
     )
+
+
+# --- support structures for the three-variable example -----------------------
+
+
+def exactly_one_structure_joint() -> FactorizationStructure:
+    return FactorizationStructure.of(
+        {"a": 2, "b": 2, "c": 2}, {"e": ("a", "b", "c")}
+    )
+
+
+def exactly_one_structure_pairwise() -> FactorizationStructure:
+    return FactorizationStructure.of(
+        {"a": 2, "b": 2, "c": 2},
+        {"e1": ("a", "b"), "e2": ("a", "c"), "e3": ("b", "c")},
+    )
+
+
+def exactly_one_query() -> SupportQuery:
+    points = {
+        (1, 0, 0), (0, 1, 0), (0, 0, 1),
+    }
+    all_points = set(product((0, 1), repeat=3))
+    req = [SupportPoint.of(dict(zip("abc", p))) for p in sorted(points)]
+    forb = [SupportPoint.of(dict(zip("abc", p))) for p in sorted(all_points - points)]
+    return SupportQuery.of(req, forb)

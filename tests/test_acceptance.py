@@ -29,9 +29,6 @@ from smdg.model import (
     uniform,
 )
 from smdg.oracle import (
-    exactly_one_query,
-    exactly_one_structure_joint,
-    exactly_one_structure_pairwise,
     support_feasible,
     witness_selected_face,
     witness_self_loop,
@@ -43,6 +40,7 @@ from smdg.sep import SeparationQuery, Verdict, D_separated, sm_separated
 from smdg.transport import transport, transport_obs_or_do
 
 import cases
+from cases import exactly_one_query, exactly_one_structure_joint, exactly_one_structure_pairwise
 from helpers import same_up_to_nonvisible_labels
 from test_transport import SHAPES, _grid, witness_triangle_model
 

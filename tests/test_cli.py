@@ -306,6 +306,12 @@ def _fractional_domain_size():
     return obj
 
 
+def _huge_domain_size():
+    obj = _model_obj()
+    obj["domains"]["a"] = 10**15
+    return obj
+
+
 MALFORMED = {
     "model_without_kernels": (["eval", "smo", "{model}"], _without_kernels, None),
     "kernel_without_parents": (["eval", "smo", "{model}"], _without_parents, None),
@@ -331,6 +337,7 @@ MALFORMED = {
         {"variables": "abc", "table": {"0,1,0": "1"}},
     ),
     "fractional_domain_size": (["eval", "smo", "{model}"], _fractional_domain_size, None),
+    "huge_domain_size": (["eval", "smo", "{model}"], _huge_domain_size, None),
     "graph_json_scalar": (["lift", "{model}"], lambda: 5, None),
     "smdg_edge_one_endpoint": (
         ["lift", "{model}"], lambda: {"visibles": ["a"], "edges": [["a"]]}, None

@@ -2,7 +2,8 @@
 
 Both sides must give equal tables with byte-equal ``repr`` and equal
 selection probabilities: ``eval_joint``, smo, smi on a five-point grid plus
-an intervention whose cells have different denominators, and observe-or-do
+interventions whose cells have different denominators (on every cell, on a
+seeded sparse draw, and a point mass at a seeded cell), and observe-or-do
 with a partial intervention set.
 """
 
@@ -40,13 +41,22 @@ def _outcome(fn, *args):
         return SelectedOutError
 
 
-def _ramp(model, over):
+def _ramp(model, over, keep=None):
     """An intervention whose cells weigh 1, 2, 3, ... over their sum, so its
-    cells do not share one denominator."""
+    cells do not share one denominator. Given ``keep``, it is on a seeded
+    draw of ``keep(n)`` of the n cells."""
     domains = dict(model.domains)
     keys = list(product(*[domains[v] for v in over]))
+    if keep:
+        keys = random.Random(repr(over)).sample(keys, keep(len(keys)))
     total = len(keys) * (len(keys) + 1) // 2
     return ProbTable.of(over, {key: F(i + 1, total) for i, key in enumerate(keys)})
+
+
+# a sparse draw (from four cells on: three cells or more, and not all of
+# them) and a point mass at a seeded cell, whose values differ between
+# variables where the grid's point masses do not
+SAMPLES = (lambda n: n // 2 + 1, lambda n: 1)
 
 
 def assert_matches_walk(model, n_grid=5):
@@ -61,14 +71,14 @@ def assert_matches_walk(model, n_grid=5):
 
     visibles = sorted(model.dag.visible)
     grid = _grid(model)[:n_grid]
-    for q in grid + [_ramp(model, visibles)]:
+    for q in grid + [_ramp(model, visibles, k) for k in (None, *SAMPLES)]:
         got, want = smi_distribution(model, q), walk_smi(model, q)
         assert got.status == want.status
         assert repr(got.dist) == repr(want.dist) and got.dist == want.dist
         assert got.selection_probability == want.selection_probability
 
     z = visibles[: max(1, len(visibles) // 2)]
-    for qz in [q.marginal(z) for q in grid[2:4]] + [_ramp(model, z)]:
+    for qz in [q.marginal(z) for q in grid[2:4]] + [_ramp(model, z, k) for k in (None, *SAMPLES)]:
         got, want = (_outcome(observe_or_do_distribution, model, z, qz),
                      _outcome(walk_ood, model, z, qz))
         if want is SelectedOutError:
@@ -96,10 +106,10 @@ def _random_dag(rng):
     return PartitionedDag.of(visible=vis, marginalized=mar, selected=sel, edges=edges)
 
 
-def _random_model(rng):
+def _random_model(rng, dag=None):
     """Latents of two to four values; latent and selection rows may hold
     zeros, so some cells and some whole models are selected out."""
-    dag = _random_dag(rng)
+    dag = dag or _random_dag(rng)
     domains = {
         v: tuple(range(rng.randint(2, 4) if v in dag.marginalized else 2))
         for v in dag.vertices
@@ -126,6 +136,19 @@ def test_random_models_match_walk():
     rng = random.Random("evaluator-random")
     for _ in range(60):
         assert_matches_walk(_random_model(rng), n_grid=3)
+
+
+def test_vertex_ids_spelled_like_copies():
+    """No vertex id, however it is spelled, is taken for the sharp variable
+    through which a kernel reads an intervened parent."""
+    dag = PartitionedDag.of(
+        visible=["a", "a#", "a~", "(a,)"], marginalized=["m"], selected=["s"],
+        edges=[("m", "a"), ("m", "(a,)"), ("a", "a#"), ("a#", "a~"), ("a", "(a,)"),
+               ("a~", "s"), ("(a,)", "s")],
+    )
+    rng = random.Random("evaluator-names")
+    for _ in range(4):
+        assert_matches_walk(_random_model(rng, dag))
 
 
 def test_selection_probability_zero():

@@ -18,9 +18,6 @@ from smdg.oracle import (
     OracleError,
     SupportPoint,
     SupportQuery,
-    exactly_one_query,
-    exactly_one_structure_joint,
-    exactly_one_structure_pairwise,
     support_feasible,
     witness_directed_edge,
     witness_marginal_face,
@@ -30,6 +27,7 @@ from smdg.oracle import (
 )
 
 import cases
+from cases import exactly_one_query, exactly_one_structure_joint, exactly_one_structure_pairwise
 from helpers import brute_force_support_feasible
 
 F = Fraction
