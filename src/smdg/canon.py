@@ -21,6 +21,13 @@ listing the rewrite's targets, and the single-step rewrite. One saturating
 loop applies a rule until its finder returns nothing; ``canonicalize`` runs
 it over the table, ``replay_steps`` looks rewrites up by step name, and a DAG
 is canonical exactly when no finder fires.
+
+``canonicalize`` runs once per DAG instance: the report is recorded on the
+instance, so ``slp`` after ``canonicalize`` reuses it. ``replay`` and
+``is_canonical`` are checks and never read a record. Every rewrite edits its
+input through ``with_edges`` or ``with_vertices``, which derive the new
+graph from the parent's stored maps; a removal-only rewrite skips the cycle
+search, since deleting vertices or edges from a DAG cannot create a cycle.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
-from .graph import GraphError, PartitionedDag, Role, VertexId
+from .graph import GraphError, PartitionedDag, Role, VertexId, _recorded
 
 
 class PreconditionError(GraphError):
@@ -382,7 +389,8 @@ class CanonReport:
     steps: tuple[CanonStep, ...]
 
     def replay(self) -> PartitionedDag:
-        """Re-apply the recorded steps to the input; must reproduce the output."""
+        """Re-apply the recorded steps to the input; must reproduce the output.
+        A check: every step is applied again, whatever is recorded."""
         return replay_steps(self.input, self.steps)
 
 
@@ -396,9 +404,20 @@ def canonicalize(d: PartitionedDag, _rng: Optional[random.Random] = None) -> Can
     """Saturate the rules in table order, round after round, until a round
     leaves the graph unchanged, recording each step.
 
+    A DAG is immutable, so the report is made once per instance and kept on
+    it: a later call on the same instance (``slp`` after ``canonicalize``)
+    returns the same report. Nothing is recorded on the output.
+
     The optional rng shuffles the targets of every rule; the result must not
-    depend on it (tested, not assumed).
+    depend on it (tested, not assumed), so a call with an rng neither reads
+    nor writes the record.
     """
+    if _rng is None:
+        return _recorded(d, "_canon_report", _canonicalize)
+    return _canonicalize(d, _rng)
+
+
+def _canonicalize(d: PartitionedDag, rng: Optional[random.Random] = None) -> CanonReport:
     steps: list[CanonStep] = []
     current = d
     for _round in range(len(d.vertices) + 2):
@@ -408,7 +427,7 @@ def canonicalize(d: PartitionedDag, _rng: Optional[random.Random] = None) -> Can
             # counterexample instead of silently re-merging.
             if rule is _TO_SPECIAL and (_merge_m_pairs(current) or _merge_s_pairs(current)):
                 raise ConfluenceError("splitting re-enabled a merge; canonical order violated")
-            current = _saturate(current, rule, _rng, steps)
+            current = _saturate(current, rule, rng, steps)
         if current == before:
             break
     else:

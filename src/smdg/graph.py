@@ -9,7 +9,17 @@ Two graph flavours are used throughout:
   latent confounding and selection.
 
 All values are immutable after construction and every operation is a pure
-function, so instances can be shared and processed in parallel freely.
+function, so instances can be shared and processed in parallel freely. A
+value derived from an instance alone may be recorded on it the first time it
+is asked for (:func:`_recorded`); a record is never keyed by value.
+
+A :class:`PartitionedDag` built directly (the constructor, ``of``,
+``from_roles``) is sorted, indexed and searched for a cycle in full. An edit
+(``with_edges``, ``with_vertices``, ``induced_subgraph``) derives its graph
+from its parent's stored maps instead, patching only the vertices whose
+neighbours change, and searches for a cycle only from the heads of the edges
+it adds: deleting vertices or edges from a DAG cannot create a cycle, so any
+cycle of the edited graph runs through an added edge.
 """
 
 from __future__ import annotations
@@ -17,7 +27,8 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Optional, TypeVar
 
 VertexId = str
 
@@ -49,6 +60,18 @@ def _check_vertex_ids(ids: Iterable[VertexId]) -> None:
             raise GraphError(f"vertex ids must be non-empty strings, got {v!r}")
 
 
+_T = TypeVar("_T")
+
+
+def _recorded(obj, name: str, build: Callable[..., _T]) -> _T:
+    """build(obj), run the first time it is asked for and kept on the
+    immutable instance beside its adjacency; never keyed by value."""
+    record = obj.__dict__
+    if name not in record:
+        object.__setattr__(obj, name, build(obj))
+    return record[name]
+
+
 _Adjacency = dict[VertexId, list[VertexId]]
 
 
@@ -69,12 +92,16 @@ def _adjacency(
     return parents, children
 
 
-def _search_cycle(children: _Adjacency) -> Optional[tuple[VertexId, ...]]:
-    """Depth-first search for a directed cycle (first == last), roots in
-    sorted order and successors in edge order, so sorted edges give sorted
+def _search_cycle(
+    children: Mapping[VertexId, Iterable[VertexId]],
+    roots: Optional[Iterable[VertexId]] = None,
+) -> Optional[tuple[VertexId, ...]]:
+    """Depth-first search for a directed cycle (first == last) among the
+    vertices reachable from roots (by default all, in sorted order), with
+    successors in the order children lists them, so sorted edges give sorted
     successors. An explicit stack, so no recursion-depth limit."""
     on_path: dict[VertexId, bool] = {}  # False once a vertex is finished
-    for root in sorted(children):
+    for root in sorted(children) if roots is None else roots:
         if root in on_path:
             continue
         path = [root]
@@ -223,15 +250,18 @@ class PartitionedDag(_Digraph):
         if cycle is not None:
             raise GraphError("edges contain the cycle " + " -> ".join(cycle))
         self._store_adjacency(parents, children)
-        object.__setattr__(self, "_role", dict(self.roles))
-        object.__setattr__(self, "_by_role", {
-            role: frozenset(v for v, r in self.roles if r is role) for role in Role
-        })
+        self._store_roles(dict(self.roles))
+
+    def _store_roles(self, role: dict[VertexId, Role]) -> None:
+        object.__setattr__(self, "_role", role)
+        for name, r in (("_visible", Role.VISIBLE), ("_marginalized", Role.MARGINALIZED),
+                        ("_selected", Role.SELECTED)):
+            object.__setattr__(self, name, frozenset(v for v, x in self.roles if x is r))
 
     # --- vertex queries -------------------------------------------------
     @property
     def vertices(self) -> frozenset[VertexId]:
-        return frozenset(v for v, _ in self.roles)
+        return frozenset(self._role)
 
     def role_of(self, v: VertexId) -> Role:
         self._require(v)
@@ -239,23 +269,21 @@ class PartitionedDag(_Digraph):
 
     @property
     def visible(self) -> frozenset[VertexId]:
-        return self._by_role[Role.VISIBLE]
+        return self._visible
 
     @property
     def marginalized(self) -> frozenset[VertexId]:
-        return self._by_role[Role.MARGINALIZED]
+        return self._marginalized
 
     @property
     def selected(self) -> frozenset[VertexId]:
-        return self._by_role[Role.SELECTED]
+        return self._selected
 
     def induced_subgraph(self, keep: Iterable[VertexId]) -> "PartitionedDag":
         keep = set(keep)
         for v in keep:
             self._require(v)
-        roles = {v: r for v, r in self.roles if v in keep}
-        edges = [(a, b) for a, b in self.edges if a in keep and b in keep]
-        return PartitionedDag.from_roles(roles, edges)
+        return self.with_vertices(remove=[v for v in self._role if v not in keep])
 
     def topological_order(self) -> list[VertexId]:
         return topological_order(self.vertices, self.edges)
@@ -263,10 +291,7 @@ class PartitionedDag(_Digraph):
     # --- functional updates ----------------------------------------------
     def with_edges(self, add: Iterable[tuple[VertexId, VertexId]] = (),
                    remove: Iterable[tuple[VertexId, VertexId]] = ()) -> "PartitionedDag":
-        edges = set(self.edges)
-        edges.difference_update(remove)
-        edges.update(add)
-        return PartitionedDag.from_roles(dict(self.roles), edges)
+        return self.with_vertices(add_edges=add, remove_edges=remove)
 
     def with_vertices(
         self,
@@ -275,16 +300,80 @@ class PartitionedDag(_Digraph):
         add_edges: Iterable[tuple[VertexId, VertexId]] = (),
         remove_edges: Iterable[tuple[VertexId, VertexId]] = (),
     ) -> "PartitionedDag":
-        remove = set(remove)
-        roles = {v: r for v, r in self.roles if v not in remove}
+        """This graph with the given vertices and edges removed, then the
+        given ones added: the one edit path behind every rewrite.
+
+        The result equals ``from_roles`` on the edited roles and edges, but
+        is derived from this graph's stored maps. Only the new vertex ids and
+        the added edges are checked, and only the heads of the added edges
+        are searched for a cycle. That is enough: this graph is acyclic, and
+        deleting vertices or edges from a DAG cannot create a cycle, so a
+        cycle of the result must use an added edge (a, b) and pass through b.
+        A removal-only edit has no heads to search from, so it searches nothing.
+        """
+        remove = {v for v in remove if v in self._role}
+        role = dict(self._role)
+        for v in remove:
+            del role[v]
         for v, r in add.items():
-            if v in roles:
+            if v in role:
                 raise GraphError(f"vertex {v!r} already exists")
-            roles[v] = r
-        edges = {(a, b) for a, b in self.edges if a not in remove and b not in remove}
-        edges.difference_update(remove_edges)
-        edges.update(add_edges)
-        return PartitionedDag.from_roles(roles, edges)
+            role[v] = r
+        _check_vertex_ids(add)
+        remove_edges = set(remove_edges)
+        kept, dropped = [], []
+        for e in self.edges:
+            gone = e[0] in remove or e[1] in remove or e in remove_edges
+            (dropped if gone else kept).append(e)
+        present = set(kept)
+        added = set()
+        for a, b in add_edges:  # in input order, so the first bad edge is named
+            if a not in role or b not in role:
+                raise UnknownVertexError(f"edge ({a!r}, {b!r}) has an endpoint outside the graph")
+            if a == b:
+                raise GraphError(f"self-loop on {a!r} is not allowed in a DAG")
+            if (a, b) not in present:
+                added.add((a, b))
+        roles = tuple(sorted(role.items(), key=itemgetter(0)))
+        edges = tuple(sorted(kept + list(added)))
+        children = _patched(self._children, remove, add, dropped, added)
+        if _search_cycle(children, {b for _, b in added}) is not None:
+            # the full build names the cycle that the constructor names, and raises
+            return PartitionedDag(roles=roles, edges=edges)
+        edited = object.__new__(PartitionedDag)
+        object.__setattr__(edited, "roles", roles)
+        object.__setattr__(edited, "edges", edges)
+        object.__setattr__(edited, "_parents", _patched(
+            self._parents, remove, add, [(b, a) for a, b in dropped], [(b, a) for a, b in added]
+        ))
+        object.__setattr__(edited, "_children", children)
+        edited._store_roles(role)
+        return edited
+
+
+def _patched(
+    adjacency: Mapping[VertexId, frozenset[VertexId]],
+    remove: set[VertexId],
+    add: Iterable[VertexId],
+    dropped: Iterable[tuple[VertexId, VertexId]],
+    added: Iterable[tuple[VertexId, VertexId]],
+) -> dict[VertexId, frozenset[VertexId]]:
+    """The adjacency without the removed vertices and with empty sets for
+    the added ones, then each pair (v, w) of dropped taken out of v's set and
+    each pair of added put in; sets no pair touches are shared with the input."""
+    out = dict(adjacency)
+    for v in remove:
+        del out[v]
+    out.update(dict.fromkeys(add, frozenset()))
+    changed: dict[VertexId, set[VertexId]] = {}
+    for v, w in dropped:
+        if v in out:
+            changed.setdefault(v, set(out[v])).discard(w)
+    for v, w in added:
+        changed.setdefault(v, set(out[v])).add(w)
+    for v, ws in changed.items():
+        out[v] = frozenset(ws)
+    return out
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,11 @@ class OracleError(GraphError):
     pass
 
 
+# Most domain values a structure may declare by size, summed over its
+# variables; a listed domain is as large as the input spells it out.
+_DOMAIN_LIMIT = 2 ** 16
+
+
 @dataclass(frozen=True)
 class Factor:
     name: str
@@ -47,7 +52,9 @@ class Factor:
 @dataclass(frozen=True)
 class FactorizationStructure:
     """Variables with finite domains, an implicit root factor per variable,
-    and explicit selection factors."""
+    and explicit selection factors. A domain is given by its values or by a
+    size k (an int, not a bool), meaning 0..k-1; the sizes sum to at most
+    ``_DOMAIN_LIMIT``."""
 
     variables: tuple[tuple[str, tuple], ...]
     selection_factors: tuple[Factor, ...]
@@ -57,7 +64,17 @@ class FactorizationStructure:
         cls, variables: Mapping[str, int | Sequence], factors: Mapping[str, Sequence[str]]
     ) -> "FactorizationStructure":
         vars_fixed = []
+        declared = 0
         for name, dom in sorted(variables.items()):
+            if isinstance(dom, bool):
+                raise OracleError(f"domain size of {name!r} must be an integer, got {dom!r}")
+            if isinstance(dom, int):
+                declared += dom
+                if declared > _DOMAIN_LIMIT:
+                    raise OracleError(
+                        f"domain size {dom} of {name!r} takes the declared sizes"
+                        f" past the limit of {_DOMAIN_LIMIT}"
+                    )
             values = tuple(range(dom)) if isinstance(dom, int) else tuple(dom)
             if not values:
                 raise OracleError(f"variable {name!r} has an empty domain")

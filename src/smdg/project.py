@@ -6,7 +6,8 @@ rebuilds a role-annotated graph from an smDG (possibly cyclic). An smDG is
 of some actual DAG.
 
 An smDG is immutable, so ``unliftable_cycle`` and ``canonical_graph`` run once
-per instance and record their result on it, beside its adjacency; ``is_liftable``,
+per instance and record their result on it through ``graph._recorded``, the
+helper that also keeps a DAG's canonicalization report; ``is_liftable``,
 ``lift`` and ``sep.sm_separated`` read those records. Neither record is read to
 build the other, so rebuild acyclicity stays an independent check of the cycle
 criterion.
@@ -15,7 +16,7 @@ criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Iterable, Optional
 
 from . import canon
 from .graph import (
@@ -24,6 +25,7 @@ from .graph import (
     Role,
     SmDG,
     VertexId,
+    _recorded,
     find_cycle,
 )
 
@@ -42,17 +44,6 @@ class NotCanonicalError(GraphError):
     pass
 
 
-_T = TypeVar("_T")
-
-
-def _recorded(g: SmDG, name: str, build: Callable[[SmDG], _T]) -> _T:
-    """build(g), run the first time it is asked for and kept on the instance."""
-    record = g.__dict__
-    if name not in record:
-        object.__setattr__(g, name, build(g))
-    return record[name]
-
-
 def face_label(kind: str, face) -> str:
     # curly wrapper distinguishes face vertices from rendered-pair vertices,
     # whose labels use angle brackets
@@ -62,7 +53,9 @@ def face_label(kind: str, face) -> str:
 def slp(d: PartitionedDag) -> SmDG:
     """Project a partitioned DAG onto its visible vertices.
 
-    Non-canonical inputs are canonicalized first. The directed structure is
+    Non-canonical inputs are canonicalized first, reusing the report that
+    ``canonicalize`` recorded on the instance if there is one. The directed
+    structure is
     the induced visible subgraph plus one edge a -> b per special path
     a -> s <- m -> b, read by :func:`special_paths`, which cannot raise on a
     canonical DAG (any other shape of a latent with a selected child would

@@ -91,6 +91,20 @@ def assert_cycle_witness(cycle, edges, message: str) -> None:
     assert f"the cycle {' -> '.join(cycle)} has" in message, message
 
 
+def assert_matches_rebuild(d: PartitionedDag) -> None:
+    """d, however it was derived, equals the graph built from scratch on its
+    roles and edges, and answers every vertex query the same way."""
+    want = PartitionedDag.from_roles(dict(d.roles), d.edges)
+    assert d == want and hash(d) == hash(want) and repr(d) == repr(want)
+    assert (d.vertices, d.visible, d.marginalized, d.selected) == (
+        want.vertices, want.visible, want.marginalized, want.selected
+    )
+    for v in want.vertices:
+        assert d.parents_of(v) == want.parents_of(v), v
+        assert d.children_of(v) == want.children_of(v), v
+        assert d.role_of(v) is want.role_of(v), v
+
+
 def assert_sm_matches_D(g: SmDG, query: SeparationQuery) -> None:
     """The smDG criterion matches the determinism-aware criterion run on the
     rebuilt canonical DAG with all its selected vertices conditioned."""

@@ -1,7 +1,9 @@
+import inspect
 import random
 
 import pytest
 
+from smdg import canon
 from smdg.enumeration import enumerate_partitioned_dags
 from smdg.graph import PartitionedDag, is_acyclic
 from smdg.canon import (
@@ -13,6 +15,7 @@ from smdg.canon import (
     is_canonical,
     merge_marginalized,
     merge_selected,
+    replay_steps,
     rmv_red_m,
     rmv_red_s,
     split_m_to_s,
@@ -20,10 +23,15 @@ from smdg.canon import (
     terminalize,
     to_special,
 )
-from smdg.project import signature
+from smdg.project import signature, slp
 
 import cases
-from helpers import count_calls, decorated_chain_dag, same_up_to_nonvisible_labels
+from helpers import (
+    assert_matches_rebuild,
+    count_calls,
+    decorated_chain_dag,
+    same_up_to_nonvisible_labels,
+)
 
 
 # --- exogenize / terminalize -------------------------------------------------
@@ -279,6 +287,7 @@ def test_is_canonical_builds_no_graph(monkeypatch):
 
     monkeypatch.setattr(PartitionedDag, "from_roles", classmethod(refuse))
     monkeypatch.setattr(PartitionedDag, "__post_init__", refuse)
+    monkeypatch.setattr(PartitionedDag, "with_vertices", refuse)
     assert [is_canonical(d) for d in graphs] == [True, False, False, False, False]
 
 
@@ -378,3 +387,99 @@ def test_fresh_only_tests_membership():
     taken = MembershipOnly({"m", "m~2"})
     assert _fresh("m", taken) == "m~3"
     assert _fresh("s", taken) == "s"
+
+
+# --- one canonicalization per instance --------------------------------------
+
+def test_canonicalize_is_recorded_on_the_instance():
+    d = cases.teaser_a()
+    assert canonicalize(d) is canonicalize(d)
+    assert canonicalize(cases.teaser_a()) is not canonicalize(d)
+
+
+def test_slp_after_canonicalize_applies_no_rule(monkeypatch):
+    d = cases.teaser_a()
+    canonicalize(d)
+    want = slp(cases.teaser_a())
+
+    def refuse(*args):
+        raise AssertionError("a rule was applied")
+
+    monkeypatch.setattr(canon, "_saturate", refuse)
+    assert slp(d) == want
+    with pytest.raises(AssertionError, match="a rule was applied"):
+        slp(cases.teaser_a())
+
+
+def test_slp_of_the_output_still_checks_it(monkeypatch):
+    # nothing is recorded on the output, so slp must find it canonical itself
+    report = canonicalize(cases.teaser_a())
+    checks = []
+    monkeypatch.setattr(canon, "is_canonical", lambda d: checks.append(d) or True)
+    slp(report.output)
+    assert checks == [report.output]
+
+
+def test_canonicalize_with_rng_runs_the_rules(monkeypatch):
+    d = cases.teaser_a()
+    recorded = canonicalize(d)
+    calls = []
+    saturate = canon._saturate
+    monkeypatch.setattr(canon, "_saturate", lambda *args: calls.append(args[1]) or saturate(*args))
+    shuffled = canonicalize(d, random.Random(7))
+    assert len(calls) > 0
+    assert shuffled is not recorded and signature(shuffled.output) == signature(recorded.output)
+    assert canonicalize(d) is recorded
+
+
+def test_replay_reapplies_every_step(monkeypatch):
+    report = canonicalize(cases.merge_s_before())
+    assert len(report.steps) > 1
+    applied = []
+    for name, rewrite in list(canon._REWRITES.items()):
+        monkeypatch.setitem(canon._REWRITES, name,
+                            lambda d, *args, _n=name, _r=rewrite: applied.append(_n) or _r(d, *args))
+    first, second = report.replay(), report.replay()
+    assert first == second == report.output and first is not second
+    assert applied == [name for name, _ in report.steps] * 2
+
+
+# --- edits derived from the parent graph ------------------------------------
+
+def _case_dags() -> list[PartitionedDag]:
+    return [make() for _, make in sorted(vars(cases).items())
+            if inspect.isfunction(make)
+            and inspect.signature(make).return_annotation is PartitionedDag]
+
+
+def _one_shot_dag(rng: random.Random) -> PartitionedDag:
+    """A random non-canonical DAG in the style of the one-shot benchmark:
+    3-4 visibles, 1-3 each of marginalized and selected vertices, edges
+    forward along a random order led by a latent, and most visibles given a
+    latent parent."""
+    vis = [f"v{i}" for i in range(rng.randint(3, 4))]
+    mar = [f"m{i}" for i in range(rng.randint(1, 3))]
+    sel = [f"s{i}" for i in range(rng.randint(1, 3))]
+    rest = vis + mar[1:] + sel
+    rng.shuffle(rest)
+    order = [mar[0], *rest]
+    edges = {(a, b) for i, a in enumerate(order) for b in order[i + 1:] if rng.random() < 0.25}
+    for j, v in enumerate(order):
+        if v in vis and rng.random() < 0.75:
+            edges.add((rng.choice([m for m in order[:j] if m in mar]), v))
+    return PartitionedDag.of(vis, mar, sel, edges)
+
+
+def test_every_canon_step_matches_a_rebuild():
+    rng = random.Random(20261019)
+    graphs = _case_dags() + [_one_shot_dag(rng) for _ in range(150)]
+    kinds = set()
+    for d in graphs:
+        report = canonicalize(d)
+        current = d
+        for step in report.steps:
+            current = replay_steps(current, [step])
+            assert_matches_rebuild(current)
+        assert current == report.output
+        kinds.update(name for name, _ in report.steps)
+    assert kinds == set(canon._REWRITES)

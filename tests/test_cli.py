@@ -338,6 +338,21 @@ MALFORMED = {
     ),
     "fractional_domain_size": (["eval", "smo", "{model}"], _fractional_domain_size, None),
     "huge_domain_size": (["eval", "smo", "{model}"], _huge_domain_size, None),
+    "oracle_huge_domain_size": (
+        ["oracle", "support", "{model}", "{extra}"],
+        lambda: {"variables": {"a": 10**15}, "factors": {"e": ["a"]}},
+        {"required": [{"assignment": {"a": 0}}]},
+    ),
+    "oracle_many_domain_sizes": (
+        ["oracle", "support", "{model}", "{extra}"],
+        lambda: {"variables": {f"v{i}": 2**16 for i in range(4096)}, "factors": {"e": ["v0"]}},
+        {"required": [{"assignment": {f"v{i}": 0 for i in range(4096)}}]},
+    ),
+    "oracle_bool_domain_size": (
+        ["oracle", "support", "{model}", "{extra}"],
+        lambda: {"variables": {"a": True}, "factors": {"e": ["a"]}},
+        {"required": [{"assignment": {"a": 0}}]},
+    ),
     "graph_json_scalar": (["lift", "{model}"], lambda: 5, None),
     "smdg_edge_one_endpoint": (
         ["lift", "{model}"], lambda: {"visibles": ["a"], "edges": [["a"]]}, None

@@ -13,7 +13,13 @@ from smdg.graph import (
 )
 
 import cases
-from helpers import assert_cycle_witness, chain_names, cycle_in_message, long_chain_dag
+from helpers import (
+    assert_cycle_witness,
+    assert_matches_rebuild,
+    chain_names,
+    cycle_in_message,
+    long_chain_dag,
+)
 
 
 # --- strategies -----------------------------------------------------------
@@ -252,3 +258,56 @@ def test_topological_order_names_a_cycle():
         topological_order("abcd", edges)
     message = str(exc.value)
     assert_cycle_witness(cycle_in_message(message), edges, message)
+
+
+# --- the edit path ----------------------------------------------------------
+
+def _chain() -> PartitionedDag:
+    return PartitionedDag.of(visible="abcd", edges=[("a", "b"), ("b", "c"), ("c", "d")])
+
+
+@pytest.mark.parametrize("edit, edges", [
+    (lambda d: d.with_edges(add={("d", "b")}),
+     [("a", "b"), ("b", "c"), ("c", "d"), ("d", "b")]),
+    (lambda d: d.with_vertices(add={"e": Role.MARGINALIZED}, add_edges={("d", "e"), ("e", "b")}),
+     [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "b")]),
+], ids=["with_edges", "with_vertices"])
+def test_edit_rejects_a_closed_cycle(edit, edges):
+    with pytest.raises(GraphError, match="^edges contain the cycle ") as exc:
+        edit(_chain())
+    message = str(exc.value)
+    cycle = cycle_in_message(message)
+    assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+    assert all(pair in edges for pair in zip(cycle, cycle[1:]))
+    assert message == "edges contain the cycle " + " -> ".join(cycle)
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda d: d.with_edges(add={("b", "b")}), GraphError,
+     "self-loop on 'b' is not allowed in a DAG"),
+    (lambda d: d.with_edges(add={("a", "z")}), UnknownVertexError,
+     "edge ('a', 'z') has an endpoint outside the graph"),
+    (lambda d: d.with_vertices(remove={"c"}, add_edges={("b", "c")}), UnknownVertexError,
+     "edge ('b', 'c') has an endpoint outside the graph"),
+    (lambda d: d.with_vertices(add={"": Role.VISIBLE}), GraphError,
+     "vertex ids must be non-empty strings, got ''"),
+    (lambda d: d.with_vertices(add={"a": Role.SELECTED}), GraphError,
+     "vertex 'a' already exists"),
+], ids=["self_loop", "unknown_endpoint", "removed_endpoint", "empty_id", "existing_id"])
+def test_edit_checks_what_it_adds(edit, error, message):
+    with pytest.raises(error) as exc:
+        edit(_chain())
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.with_edges(remove={("b", "c")}),
+    lambda d: d.with_edges(add={("a", "c"), ("a", "b")}, remove={("a", "b"), ("zz", "a")}),
+    lambda d: d.with_vertices(remove={"b", "zz"}),
+    lambda d: d.with_vertices(add={"b": Role.SELECTED, "m": Role.MARGINALIZED}, remove={"b"},
+                              add_edges={("a", "b"), ("m", "d")}),
+    lambda d: d.induced_subgraph({"a", "c", "d"}),
+], ids=["remove_edge", "add_present_and_removed", "remove_vertex", "re_add_removed",
+        "induced_subgraph"])
+def test_edit_matches_rebuild(edit):
+    assert_matches_rebuild(edit(_chain()))

@@ -57,8 +57,7 @@ def test_slp_plain_dag_keeps_edges():
 
 def test_slp_equals_slp_of_canonical_output():
     for make in (cases.teaser_a, cases.teaser_b, cases.latent_chain, cases.split_fan_before):
-        d = make()
-        assert slp(d) == slp(canonicalize(d).output)
+        assert slp(make()) == slp(canonicalize(make()).output)
 
 
 # --- canonical graph --------------------------------------------------------------
