@@ -3,7 +3,7 @@
 The eight rewrites (making latents exogenous, making selection vertices
 terminal, the two merges, edge splitting, special-edge introduction, and the
 two redundancy removals) each preserve the full interventional behaviour of
-the graph. Iterating them to a fixed point yields a canonical DAG in which
+the graph. Applying them until none applies yields a canonical DAG in which
 
 * every marginalized vertex is parentless and every selected vertex childless,
 * every marginalized vertex has only visible children, or exactly one
@@ -17,10 +17,10 @@ no children, selected with no parents); these influence nothing observable
 and are never produced by the reverse construction.
 
 Each rewrite is one rule in a single ordered table: a step name, a finder
-listing the rewrite's targets, and the single-step rewrite. One saturating
-loop applies a rule until its finder returns nothing; ``canonicalize`` runs
-it over the table, ``replay_steps`` looks rewrites up by step name, and a DAG
-is canonical exactly when no finder fires.
+listing the rewrite's targets, sorted, and the single-step rewrite. One
+saturating loop applies a rule until its finder returns nothing;
+``canonicalize`` runs it once per rule in table order, then checks that no
+finder fires. ``replay_steps`` looks rewrites up by step name.
 
 ``canonicalize`` runs once per DAG instance: the report is recorded on the
 instance, so ``slp`` after ``canonicalize`` reuses it. ``replay`` and
@@ -50,7 +50,7 @@ class PreconditionError(GraphError):
 
 
 class ConfluenceError(GraphError):
-    """A pass that should have been a no-op changed the graph."""
+    """A rule still has a target after one pass over the rule table."""
 
 
 Target = tuple[VertexId, ...]
@@ -117,12 +117,10 @@ def _terminalize_targets(d: PartitionedDag) -> list[Target]:
 
 
 def _require_exog_term(op: str, d: PartitionedDag) -> None:
-    for m in d.marginalized:
-        if d.parents_of(m):
-            raise PreconditionError(op, f"marginalized vertex {m!r} still has parents")
-    for s in d.selected:
-        if d.children_of(s):
-            raise PreconditionError(op, f"selected vertex {s!r} still has children")
+    if targets := _exogenize_targets(d):
+        raise PreconditionError(op, f"marginalized vertex {targets[0][0]!r} still has parents")
+    if targets := _terminalize_targets(d):
+        raise PreconditionError(op, f"selected vertex {targets[0][0]!r} still has children")
 
 
 def merge_marginalized(d: PartitionedDag, m1: VertexId, m2: VertexId) -> PartitionedDag:
@@ -322,24 +320,34 @@ class Rule(NamedTuple):
 
 _TERMINALIZE = Rule("terminalize", _terminalize_targets, terminalize)
 _EXOGENIZE = Rule("exogenize", _exogenize_targets, exogenize)
-_TO_SPECIAL = Rule("to_special", _special_targets, to_special)
 _REDUNDANT_M = Rule("remove_vertex", _redundant_marginalized, _remove_vertex)
 _REDUNDANT_S = Rule("remove_vertex", _redundant_selected, _remove_vertex)
-_VACUOUS = Rule("remove_vertex", _vacuous, _remove_vertex)
 
-# Pipeline order: each rule's preconditions hold once the rules before it
-# are saturated.
+# The table is the schedule: canonicalize saturates each rule once, in order.
+# A rule's preconditions hold once the rules before it are saturated, and no
+# rule creates a target for a rule before it:
+# * Each rewrite adds only parentless marginalized and childless selected
+#   vertices. Past terminalize none adds an edge out of a selected vertex,
+#   and only exogenize adds edges into marginalized ones.
+# * After the merges, a selected vertex has at most one marginalized parent
+#   and a marginalized vertex at most one selected child; merge_selected and
+#   each pair that split_m_to_s and to_special add keep that true.
+# * A split pair has one visible on each side; a split can leave only its m
+#   or s vacuous, and a vacuous vertex is then isolated. to_special's a
+#   already has a selected child and its b a marginalized parent.
+# * So a dominated marginalized vertex has only visible children and a
+#   dominated selected vertex only visible parents. Removing either leaves
+#   the other latents' edges as they were, and can only remove special edges.
 _RULES: tuple[Rule, ...] = (
     _TERMINALIZE,
     _EXOGENIZE,
     Rule("merge_marginalized", _merge_m_pairs, merge_marginalized),
     Rule("merge_selected", _merge_s_pairs, merge_selected),
     Rule("split_m_to_s", _split_targets, split_m_to_s),
-    _VACUOUS,
-    _TO_SPECIAL,
+    Rule("remove_vertex", _vacuous, _remove_vertex),
+    Rule("to_special", _special_targets, to_special),
     _REDUNDANT_M,
     _REDUNDANT_S,
-    _VACUOUS,
 )
 
 _REWRITES = {rule.step: rule.rewrite for rule in _RULES}
@@ -401,8 +409,8 @@ def replay_steps(d: PartitionedDag, steps: Iterable[CanonStep]) -> PartitionedDa
 
 
 def canonicalize(d: PartitionedDag, _rng: Optional[random.Random] = None) -> CanonReport:
-    """Saturate the rules in table order, round after round, until a round
-    leaves the graph unchanged, recording each step.
+    """Saturate each rule once, in table order, recording each step: one
+    pass, then one check that no rule has a target left.
 
     A DAG is immutable, so the report is made once per instance and kept on
     it: a later call on the same instance (``slp`` after ``canonicalize``)
@@ -420,18 +428,8 @@ def canonicalize(d: PartitionedDag, _rng: Optional[random.Random] = None) -> Can
 def _canonicalize(d: PartitionedDag, rng: Optional[random.Random] = None) -> CanonReport:
     steps: list[CanonStep] = []
     current = d
-    for _round in range(len(d.vertices) + 2):
-        before = current
-        for rule in _RULES:
-            # Splitting must not re-enable the merges; surface a
-            # counterexample instead of silently re-merging.
-            if rule is _TO_SPECIAL and (_merge_m_pairs(current) or _merge_s_pairs(current)):
-                raise ConfluenceError("splitting re-enabled a merge; canonical order violated")
-            current = _saturate(current, rule, rng, steps)
-        if current == before:
-            break
-    else:
-        raise ConfluenceError("canonicalization did not reach a fixed point")
+    for rule in _RULES:
+        current = _saturate(current, rule, rng, steps)
     if not is_canonical(current):
         raise ConfluenceError("a rewrite still applies to the pipeline output")
     return CanonReport(input=d, output=current, steps=tuple(steps))

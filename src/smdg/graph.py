@@ -173,6 +173,12 @@ class _Digraph:
         if v not in self._parents:
             raise UnknownVertexError(f"vertex {v!r} is not in the graph")
 
+    def require_vertices(self, vs: Iterable[VertexId]) -> None:
+        """Raise on the sorted-first of vs that is not a vertex, whatever its order."""
+        unknown = [v for v in vs if v not in self._parents]
+        if unknown:
+            self._require(min(unknown))
+
     def parents_of(self, v: VertexId) -> frozenset[VertexId]:
         self._require(v)
         return self._parents[v]
@@ -184,8 +190,7 @@ class _Digraph:
     def ancestors_of(self, ws: Iterable[VertexId]) -> frozenset[VertexId]:
         """Reflexive-transitive closure of parenthood over a vertex set."""
         todo = list(ws)
-        for w in todo:
-            self._require(w)
+        self.require_vertices(todo)
         seen: set[VertexId] = set()
         while todo:
             v = todo.pop()
@@ -281,8 +286,7 @@ class PartitionedDag(_Digraph):
 
     def induced_subgraph(self, keep: Iterable[VertexId]) -> "PartitionedDag":
         keep = set(keep)
-        for v in keep:
-            self._require(v)
+        self.require_vertices(keep)
         return self.with_vertices(remove=[v for v in self._role if v not in keep])
 
     def topological_order(self) -> list[VertexId]:
@@ -480,8 +484,7 @@ class SmDG(_Digraph):
 
     def induced_subgraph(self, keep: Iterable[VertexId]) -> "SmDG":
         keep = set(keep)
-        for v in keep:
-            self._require(v)
+        self.require_vertices(keep)
         return SmDG.of(
             keep,
             ((a, b) for a, b in self.edges if a in keep and b in keep),

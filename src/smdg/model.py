@@ -171,9 +171,8 @@ class DiscreteModel:
                 raise ModelError(f"domain of {v!r} is empty")
             if len(set(dom)) != len(dom):
                 raise ModelError(f"domain of {v!r} has duplicate values")
-        for s in self.dag.selected:
-            if self.selected_zero(s) not in domains[s]:
-                raise ModelError(f"selected vertex {s!r} lacks its zero value")
+        if lacking := [s for s in self.dag.selected if self.selected_zero(s) not in domains[s]]:
+            raise ModelError(f"selected vertex {min(lacking)!r} lacks its zero value")
         for v, kern in kernels.items():
             if set(kern.parents) != set(self.dag.parents_of(v)):
                 raise ModelError(f"kernel of {v!r} does not match its parents")

@@ -98,10 +98,11 @@ class FactorizationStructure:
 
     def cells_of(self, point: "SupportPoint") -> frozenset[Cell]:
         assign = dict(point.assignment)
-        if set(assign) != {name for name, _ in self.variables}:
+        domains = dict(self.variables)
+        if assign.keys() != domains.keys():
             raise OracleError("support points must assign every variable")
         for v, value in assign.items():
-            if value not in self.domain(v):
+            if value not in domains[v]:
                 raise OracleError(f"value {value!r} outside the domain of {v!r}")
         cells = {
             (f.name, tuple(assign[v] for v in f.scope)) for f in self.selection_factors

@@ -57,8 +57,7 @@ def functional_closure(g: PartitionedDag | SmDG, z: Iterable[VertexId]) -> froze
     an smDG, only vertices outside every marginal face, i.e. with no latent
     noise source). Terminates on cyclic structures too."""
     closure = set(z)
-    for v in closure:
-        g.parents_of(v)  # raises on unknown vertices
+    g.require_vertices(closure)
     if isinstance(g, SmDG):
         candidates = g.visibles - g.marginal_system.support
     else:
@@ -148,8 +147,7 @@ def _verdict(
     endpoints in it give ``DETERMINED``, and colliders among the ancestors of
     activators are active. The trail search is handed the activators
     themselves; the comment below says why their ancestors come for free."""
-    for v in query.vertices():
-        g.parents_of(v)
+    g.require_vertices(query.vertices())
     if (query.x | query.y) & blocking:
         return Verdict.DETERMINED
     # Write A for activators and C for blocking; C is z or its functional

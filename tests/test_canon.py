@@ -5,8 +5,9 @@ import pytest
 
 from smdg import canon
 from smdg.enumeration import enumerate_partitioned_dags
-from smdg.graph import PartitionedDag, is_acyclic
+from smdg.graph import PartitionedDag, Role, is_acyclic
 from smdg.canon import (
+    ConfluenceError,
     PreconditionError,
     _fresh,
     canonicalize,
@@ -442,6 +443,44 @@ def test_replay_reapplies_every_step(monkeypatch):
     first, second = report.replay(), report.replay()
     assert first == second == report.output and first is not second
     assert applied == [name for name, _ in report.steps] * 2
+
+
+# --- one pass over the rule table -------------------------------------------
+
+def test_one_pass_reaches_the_fixed_point_under_any_order():
+    """One pass over the table leaves no target: on every DAG with two
+    visibles, one latent and one selection (latents with parents and
+    selections with children included) and on one-shot style DAGs, with the
+    targets taken in table order or shuffled."""
+    rng = random.Random(20261019)
+    graphs = [*enumerate_partitioned_dags(2, 1, 1, exogenous_terminal_only=False),
+              *(_one_shot_dag(rng) for _ in range(150))]
+    assert len(graphs) == 543 + 150
+    for i, d in enumerate(graphs):
+        report = canonicalize(d)
+        shuffled = canonicalize(d, random.Random(i))
+        for out in (report.output, shuffled.output):
+            assert is_canonical(out), d
+        assert report.replay() == report.output
+        assert shuffled.replay() == shuffled.output
+        assert signature(shuffled.output) == signature(report.output)
+
+
+def test_a_rule_that_re_enables_an_earlier_one_is_caught(monkeypatch):
+    """If the last rule's rewrite also made a target for an earlier rule (a
+    marginalized vertex with a parent, for exogenize), the one pass would
+    not reach the fixed point, and the final check says so."""
+    *rules, last = canon._RULES
+
+    def also_add_a_fed_latent(d, *args):
+        d = last.rewrite(d, *args)
+        return d.with_vertices(add={"late": Role.MARGINALIZED},
+                               add_edges={(min(d.visible), "late")})
+
+    monkeypatch.setattr(canon, "_RULES", (*rules, last._replace(rewrite=also_add_a_fed_latent)))
+    assert canonicalize(cases.teaser_a()).steps == GOLDEN_STEPS["teaser_a"]
+    with pytest.raises(ConfluenceError, match="still applies"):
+        canonicalize(cases.redundant_before())
 
 
 # --- edits derived from the parent graph ------------------------------------

@@ -467,30 +467,61 @@ def test_oracle_witness_expected_file(tmp_path, capsys, kind, case):
     assert json.loads(out) == {k: v for k, v in combined.items() if k != "expected"}
 
 
-@pytest.mark.parametrize("command, graph, error", [
-    ("project", {
+# Three unknown vertices in a set: which one a query checks first depends on
+# the hash seed, so the message must name the sorted-first.
+SEP_UNKNOWN_Z = (
+    ["sep", "{model}", "--criterion", "D", "--x", "a", "--y", "b", "--z", "q1,q2,q3"],
+    lambda: {"vertices": [{"id": v, "role": "visible"} for v in "ab"], "edges": [["a", "b"]]},
+)
+
+
+@pytest.mark.parametrize("argv, graph, error", [
+    (["project", "{model}"], {
         "vertices": [{"id": v, "role": "visible"} for v in "abc"],
         "edges": [["a", "b"], ["c", "x1"], ["x2", "a"], ["b", "x3"], ["x4", "x5"], ["a", "a"]],
     }, "malformed DAG object: edge ('c', 'x1') has an endpoint outside the graph"),
-    ("project", {
+    (["project", "{model}"], {
         "vertices": [{"id": v, "role": "visible"} for v in "abc"],
         "edges": [["a", "b"], ["b", "b"], ["c", "x1"], ["x2", "a"], ["x4", "x5"]],
     }, "malformed DAG object: self-loop on 'b' is not allowed in a DAG"),
-    ("lift", {
+    (["lift", "{model}"], {
         "visibles": ["a", "b", "c"],
         "edges": [["a", "b"], ["c", "x1"], ["x2", "a"], ["b", "x3"], ["x4", "x5"], ["y", "a"]],
     }, "edge ('c', 'x1') has an endpoint outside the graph"),
-], ids=["project_unknown_endpoints", "project_self_loop_first", "lift_unknown_endpoints"])
-def test_first_bad_edge_is_named_whatever_the_hash_seed(tmp_path, command, graph, error):
-    """The error names the first bad edge in input order, under any
-    PYTHONHASHSEED."""
+    (SEP_UNKNOWN_Z[0], SEP_UNKNOWN_Z[1](), "vertex 'q1' is not in the graph"),
+], ids=["project_unknown_endpoints", "project_self_loop_first", "lift_unknown_endpoints",
+        "sep_unknown_z"])
+def test_first_bad_edge_is_named_whatever_the_hash_seed(tmp_path, argv, graph, error):
+    """The error names the first bad input (in input order, or sorted order
+    for a set), under any PYTHONHASHSEED."""
     path = write(tmp_path, "g.json", json.dumps(graph))
     for seed in ("0", "1", "3"):
         proc = subprocess.run(
-            [sys.executable, "-m", "smdg.cli", command, path],
+            [sys.executable, "-m", "smdg.cli", *[arg.format(model=path) for arg in argv]],
             capture_output=True, text=True, env=python_env(PYTHONHASHSEED=seed), timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (65, "", f"error: {error}\n")
+
+
+def test_error_paths_are_the_same_under_any_hash_seed(tmp_path):
+    """Every malformed input, and the sep query naming three unknown
+    vertices, gives the same exit code and output bytes under two hash
+    seeds."""
+    inputs = {**MALFORMED, "sep_unknown_z": (*SEP_UNKNOWN_Z, None)}
+    for name, (argv, make, extra) in sorted(inputs.items()):
+        paths = {
+            "model": write(tmp_path, f"{name}.json", json.dumps(make())),
+            "extra": write(tmp_path, f"{name}.extra.json", json.dumps(extra)),
+        }
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "smdg.cli", *[arg.format(**paths) for arg in argv]],
+                capture_output=True, env=python_env(PYTHONHASHSEED=seed), timeout=60,
+            )
+            for seed in ("0", "1")
+        ]
+        results = [(proc.returncode, proc.stdout, proc.stderr) for proc in runs]
+        assert results[0] == results[1], (name, results)
 
 
 @pytest.mark.parametrize("kind, visibles, faces", [

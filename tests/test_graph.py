@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +22,7 @@ from helpers import (
     chain_names,
     cycle_in_message,
     long_chain_dag,
+    python_env,
 )
 
 
@@ -311,3 +315,61 @@ def test_edit_checks_what_it_adds(edit, error, message):
         "induced_subgraph"])
 def test_edit_matches_rebuild(edit):
     assert_matches_rebuild(edit(_chain()))
+
+
+# --- messages that name one of several offenders ---------------------------
+
+SORTED_FIRST_OFFENDER = '''
+from smdg.canon import merge_marginalized, merge_selected
+from smdg.graph import PartitionedDag, SmDG
+from smdg.model import DiscreteModel, table_kernel, uniform
+
+unknown = {"q3", "q1", "q2"}
+d = PartitionedDag.of(visible="ab", edges=[("a", "b")])
+g = SmDG.of("ab", [("a", "b")])
+dom = (0, 1)
+sel = PartitionedDag.of(visible="a", selected=["s1", "s2", "s3"],
+                        edges=[("a", "s1"), ("a", "s2"), ("a", "s3")])
+kernels = {v: table_kernel(sorted(sel.parents_of(v)), [dom] * len(sel.parents_of(v)), dom,
+                           lambda *_: uniform(dom))
+           for v in sel.vertices}
+fed = PartitionedDag.of(visible="a", marginalized=["m1", "m2", "m3"], selected="s",
+                        edges=[("a", "m1"), ("a", "m2"), ("a", "m3"),
+                               ("m1", "s"), ("m2", "s"), ("m3", "s")])
+feeding = PartitionedDag.of(visible="b", marginalized="m", selected=["s1", "s2", "s3"],
+                            edges=[("m", "s1"), ("m", "s2"), ("m", "s3"),
+                                   ("s1", "b"), ("s2", "b"), ("s3", "b")])
+calls = [
+    lambda: d.induced_subgraph(["a", *unknown]),
+    lambda: g.induced_subgraph(unknown | {"a"}),
+    lambda: d.ancestors_of(unknown),
+    lambda: DiscreteModel.of(sel, {v: dom for v in sel.vertices}, kernels,
+                             {s: 7 for s in sel.selected}),
+    lambda: merge_marginalized(fed, "m3", "m2"),
+    lambda: merge_selected(feeding, "s3", "s2"),
+]
+for call in calls:
+    try:
+        call()
+    except Exception as e:
+        print(type(e).__name__, e)
+'''
+
+
+def test_messages_name_the_sorted_first_offender_whatever_the_hash_seed():
+    """A check over a set names its sorted-first offender, so the message
+    does not depend on PYTHONHASHSEED."""
+    want = "".join(f"{line}\n" for line in [
+        "UnknownVertexError vertex 'q1' is not in the graph",
+        "UnknownVertexError vertex 'q1' is not in the graph",
+        "UnknownVertexError vertex 'q1' is not in the graph",
+        "ModelError selected vertex 's1' lacks its zero value",
+        "PreconditionError merge_marginalized: marginalized vertex 'm1' still has parents",
+        "PreconditionError merge_selected: selected vertex 's1' still has children",
+    ])
+    for seed in ("0", "1", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-c", SORTED_FIRST_OFFENDER], capture_output=True, text=True,
+            env=python_env(PYTHONHASHSEED=seed), timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, ""), seed

@@ -28,7 +28,7 @@ from smdg.oracle import (
 
 import cases
 from cases import exactly_one_query, exactly_one_structure_joint, exactly_one_structure_pairwise
-from helpers import brute_force_support_feasible
+from helpers import brute_force_support_feasible, count_calls
 
 F = Fraction
 
@@ -247,3 +247,15 @@ def test_selected_face_witness_parity_tables():
             tuple(sharp(v) for v in members), {k: F(1, len(even)) for k in even}
         )
         assert sharp_marginal == expected
+
+
+def test_a_support_point_reads_the_domains_once(monkeypatch):
+    """cells_of looks each value up in one domain map, not through
+    domain(v), which rebuilds the map per call: one point over n variables
+    costs O(n), not O(n^2)."""
+    n = 2000
+    fs = FactorizationStructure.of({f"v{i}": 2 for i in range(n)}, {"e": ["v0", "v1"]})
+    point = SupportPoint.of({f"v{i}": i % 2 for i in range(n)})
+    calls = count_calls(monkeypatch, FactorizationStructure, "domain")
+    assert support_feasible(fs, SupportQuery.of([point], [])).feasible
+    assert calls["domain"] <= 1, calls
