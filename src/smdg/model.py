@@ -1,12 +1,14 @@
 """Exact finite discrete models over partitioned DAGs.
 
-All probability arithmetic is exact: kernels hold ``fractions.Fraction``
-entries, each :class:`KernelTable` builds their integer form once, and both
-validation and evaluation read that form; there is no floating point and no
-tolerance anywhere in this module. Visible variables must have deterministic
-kernels (their randomness, when needed, comes from explicit marginalized
-parents; see :func:`add_private_latents`). Selected variables are
-conditioned to a designated zero value in every reported distribution.
+All probability arithmetic is exact: each :class:`KernelTable` holds its
+rows once, as integer numerators over one denominator, and both validation
+and evaluation read that form. ``fractions.Fraction`` values are made only
+by :meth:`KernelTable.row`, the JSON writer and the reported distributions;
+there is no floating point and no tolerance anywhere in this module.
+Visible variables must have deterministic kernels (their randomness, when
+needed, comes from explicit marginalized parents; see
+:func:`add_private_latents`). Selected variables are conditioned to a
+designated zero value in every reported distribution.
 
 Every distribution here comes from one exact sum-product evaluator,
 :func:`smdg.sumproduct.sum_product`, in one elimination. An intervention
@@ -50,28 +52,19 @@ class SelectedOutError(ModelError):
 @dataclass(frozen=True)
 class KernelTable:
     """Rows map an assignment of the declared parents to a probability vector
-    over the vertex's domain values (aligned with the domain ordering).
-    ``numerators`` holds the same rows as integers over ``den``, the lcm of
-    every entry's denominator."""
+    over the vertex's domain values (aligned with the domain ordering), held
+    as integer numerators over ``den``, the lcm of every entry's denominator.
+    :meth:`row` reads one row back as ``Fraction``s."""
 
     parents: tuple[VertexId, ...]
-    rows: tuple[tuple[Assignment, tuple[Fraction, ...]], ...]
-    _index: Mapping[Assignment, tuple[Fraction, ...]] = field(
-        default=None, repr=False, compare=False
-    )
-    den: int = field(default=None, repr=False, compare=False)
-    numerators: tuple[tuple[Assignment, tuple[int, ...]], ...] = field(
+    den: int
+    rows: tuple[tuple[Assignment, tuple[int, ...]], ...]
+    _index: Mapping[Assignment, tuple[int, ...]] = field(
         default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_index", dict(self.rows))
-        den = lcm(*{p.denominator for _, vec in self.rows for p in vec})
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "numerators", tuple(
-            (key, tuple(p.numerator * (den // p.denominator) for p in vec))
-            for key, vec in self.rows
-        ))
 
     @classmethod
     def of(
@@ -79,16 +72,18 @@ class KernelTable:
         parents: Sequence[VertexId],
         rows: Mapping[Assignment, Sequence[Fraction | int]],
     ) -> "KernelTable":
-        fixed = tuple(
-            sorted(
-                (tuple(k), tuple(Fraction(p) for p in vec))
-                for k, vec in rows.items()
-            )
-        )
-        return cls(parents=tuple(parents), rows=fixed)
+        items = [(tuple(k), tuple(vec)) for k, vec in rows.items()]
+        entries = [p for _, vec in items for p in vec]
+        if bad := [p for p in entries if not isinstance(p, (int, Fraction))]:
+            raise ModelError(f"kernel entry {bad[0]!r} is not an int or a Fraction")
+        den = lcm(*{p.denominator for p in entries})
+        fixed = tuple(sorted(
+            (k, tuple(p.numerator * (den // p.denominator) for p in vec)) for k, vec in items
+        ))
+        return cls(parents=tuple(parents), den=den, rows=fixed)
 
     def row(self, key: Assignment) -> tuple[Fraction, ...]:
-        return self._index[tuple(key)]
+        return tuple(Fraction(n, self.den) for n in self._index[tuple(key)])
 
 
 def deterministic_kernel(
@@ -101,7 +96,7 @@ def deterministic_kernel(
     rows = {}
     for key in product(*parent_domains):
         value = fn(*key)
-        rows[key] = tuple(ONE if v == value else ZERO for v in domain)
+        rows[key] = tuple(1 if v == value else 0 for v in domain)
     return KernelTable.of(parents, rows)
 
 
@@ -162,8 +157,7 @@ class DiscreteModel:
         return dict(self.selected_zeros)[v]
 
     def validate(self) -> None:
-        domains = dict(self.domains)
-        kernels = dict(self.kernels)
+        domains, kernels, zeros = dict(self.domains), dict(self.kernels), dict(self.selected_zeros)
         if set(domains) != self.dag.vertices or set(kernels) != self.dag.vertices:
             raise ModelError("domains and kernels must cover exactly the graph vertices")
         for v, dom in domains.items():
@@ -171,19 +165,16 @@ class DiscreteModel:
                 raise ModelError(f"domain of {v!r} is empty")
             if len(set(dom)) != len(dom):
                 raise ModelError(f"domain of {v!r} has duplicate values")
-        if lacking := [s for s in self.dag.selected if self.selected_zero(s) not in domains[s]]:
+        if lacking := [s for s in self.dag.selected if zeros[s] not in domains[s]]:
             raise ModelError(f"selected vertex {min(lacking)!r} lacks its zero value")
         for v, kern in kernels.items():
             if set(kern.parents) != set(self.dag.parents_of(v)):
                 raise ModelError(f"kernel of {v!r} does not match its parents")
-            expected_rows = 1
-            for p in kern.parents:
-                expected_rows *= len(domains[p])
-            if len(kern.rows) != expected_rows:
+            if len(kern.rows) != prod(len(domains[p]) for p in kern.parents):
                 raise ModelError(f"kernel of {v!r} is missing parent-assignment rows")
             parent_domains = [set(domains[p]) for p in kern.parents]
             deterministic_required = self.dag.role_of(v) is Role.VISIBLE
-            for key, vec in kern.numerators:
+            for key, vec in kern.rows:
                 if len(key) != len(parent_domains) or not all(
                     x in dom for x, dom in zip(key, parent_domains)
                 ):
@@ -317,7 +308,8 @@ def _selected(model, variables, read, outputs, cells, key) -> tuple[Optional[Pro
     ``key(read values + output values)``. Returns the normalized table and
     the selection probability, or ``(None, 0)`` when the selection event has
     probability zero."""
-    pinned = {s: model.selected_zero(s) for s in model.dag.selected}
+    zeros = dict(model.selected_zeros)
+    pinned = {s: zeros[s] for s in model.dag.selected}
     q_den = lcm(*(w.denominator for _, w in cells))
     weights = {values: w.numerator * (q_den // w.denominator) for values, w in cells}
     acc, den = sum_product(model, read, outputs, pinned, weights)
@@ -475,7 +467,7 @@ def model_to_obj(model: DiscreteModel) -> dict[str, Any]:
     kernels = {}
     for v, kern in model.kernels:
         table = {
-            ",".join(str(x) for x in key): [str(p) for p in vec]
+            ",".join(str(x) for x in key): [str(Fraction(n, kern.den)) for n in vec]
             for key, vec in kern.rows
         }
         kernels[v] = {"parents": list(kern.parents), "table": table}

@@ -1,10 +1,10 @@
 """Exact sum-product evaluation of a discrete model's kernels.
 
-Each kernel's factor is read from the integer form its ``KernelTable``
-built once, numerators over one denominator ``den``, so elimination
-multiplies and adds integers only. A factor table maps a tuple of values,
-one per variable of the factor's scope, to a positive integer weight, and
-zero weights are absent. An intervention is one more factor: the kernels
+Each kernel's factor is read from the one form a ``KernelTable`` stores,
+integer numerators over one denominator ``den``, so elimination multiplies
+and adds integers only. A factor table maps a tuple of values, one per
+variable of the factor's scope, to a positive integer weight, and zero
+weights are absent. An intervention is one more factor: the kernels
 that read an intervened vertex u read its sharp variable ``(u,)``, and the
 intervention's weights are a factor over the sharp variables (Pearl,
 *Causality*, 2009, sec. 3.2). Every vertex outside the requested outputs is
@@ -92,7 +92,7 @@ def _kernel_factor(v: VertexId, kern: KernelTable, dom: Sequence[Value],
     only the rows at their pinned value and leave the scope, and a pinned v
     keeps only its pinned column and leaves the scope.
     """
-    rows, parents = kern.numerators, kern.parents
+    rows, parents = kern.rows, kern.parents
     free, allowed = [], []
     for i, u in enumerate(parents):
         if u in pinned:

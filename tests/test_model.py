@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -275,9 +276,11 @@ def test_validate_names_each_fault(case):
 
 
 def test_rows_of_different_denominators_validate():
-    kern = KernelTable.of(["a"], {(0,): (F(1, 2), F(1, 2)), (1,): (F(1, 3), F(2, 3))})
+    rows = {(0,): (F(1, 2), F(1, 2)), (1,): (F(1, 3), F(2, 3))}
+    kern = KernelTable.of(["a"], rows)
     assert kern.den == 6
-    assert kern.numerators == (((0,), (3, 3)), ((1,), (2, 4)))
+    assert kern.rows == (((0,), (3, 3)), ((1,), (2, 4)))
+    assert {key: kern.row(key) for key in rows} == rows
     dag = PartitionedDag.of(visible="a", marginalized="u", edges=[("a", "u")])
     DiscreteModel.of(dag, {"a": (0, 1), "u": (0, 1)}, {"a": _prior(0, 1), "u": kern})
 
@@ -302,20 +305,38 @@ def _models_with_kernels():
         yield transport(model, move)
 
 
-def test_integer_form_is_each_row_over_den():
-    n = 0
-    for model in _models_with_kernels():
-        for _, kern in model.kernels:
-            assert [(key, [F(n, kern.den) for n in nums]) for key, nums in kern.numerators] == [
-                (key, list(vec)) for key, vec in kern.rows
-            ]
-            again = KernelTable.of(kern.parents, dict(kern.rows))
-            assert again == kern and hash(again) == hash(kern)
-            assert repr(kern) == repr(again) == (
-                f"KernelTable(parents={kern.parents!r}, rows={kern.rows!r})"
-            )
-            n += 1
-    assert n > 100
+def test_integer_form_is_each_row_over_den(monkeypatch):
+    """Every kernel the model builders make reads back its input rows, over
+    the lcm of their denominators, and rebuilds to an equal kernel."""
+    built = []
+    of = KernelTable.of.__func__
+
+    def recording_of(cls, parents, rows):
+        kern = of(cls, parents, rows)
+        built.append(({tuple(k): tuple(vec) for k, vec in rows.items()}, kern))
+        return kern
+
+    monkeypatch.setattr(KernelTable, "of", classmethod(recording_of))
+    for _ in _models_with_kernels():
+        pass
+    monkeypatch.undo()
+    for rows, kern in built:
+        assert kern.den == lcm(*(F(p).denominator for vec in rows.values() for p in vec))
+        assert [key for key, _ in kern.rows] == sorted(rows)
+        assert {key: kern.row(key) for key in rows} == rows
+        again = KernelTable.of(kern.parents, {key: kern.row(key) for key in rows})
+        assert again == kern and hash(again) == hash(kern)
+        assert repr(kern) == repr(again) == (
+            f"KernelTable(parents={kern.parents!r}, den={kern.den!r}, rows={kern.rows!r})"
+        )
+    assert len(built) > 100
+
+
+@pytest.mark.parametrize("entry", [0.1, "1/2"], ids=["float", "string"])
+def test_kernel_entries_must_be_ints_or_fractions(entry):
+    message = f"kernel entry {entry!r} is not an int or a Fraction"
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        KernelTable.of([], {(): (F(1, 2), entry)})
 
 
 def test_conditional_independence_checker():

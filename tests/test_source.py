@@ -80,3 +80,28 @@ def test_no_cross_call_memo(path):
         "local_dict"])
 def test_memo_detector(source, expected):
     assert memo_lines(source) == expected
+
+
+def _tree(name: str) -> ast.Module:
+    return ast.parse((Path(smdg.__file__).parent / name).read_text(encoding="utf-8"))
+
+
+def test_evaluator_imports_no_fractions():
+    """The sum-product evaluator multiplies and adds integers only."""
+    lines = [node.lineno for node in ast.walk(_tree("sumproduct.py"))
+             if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+             or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)]
+    assert not lines, f"sumproduct.py imports fractions on lines {lines}"
+
+
+def test_kernel_fields_hold_no_fractions():
+    """A kernel stores one form, integer numerators over one denominator;
+    ``Fraction``s are made only when a row is read."""
+    (kernel,) = [node for node in _tree("model.py").body
+                 if isinstance(node, ast.ClassDef) and node.name == "KernelTable"]
+    fields = {node.target.id: node.annotation for node in kernel.body
+              if isinstance(node, ast.AnnAssign)}
+    assert {"parents", "den", "rows"} <= set(fields)
+    holding = sorted(name for name, annotation in fields.items()
+                     if "Fraction" in ast.unparse(annotation))
+    assert not holding, f"KernelTable fields annotated with Fraction: {holding}"
