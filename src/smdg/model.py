@@ -11,14 +11,20 @@ needed, comes from explicit marginalized parents; see
 designated zero value in every reported distribution.
 
 Every distribution here comes from one exact sum-product evaluator,
-:func:`smdg.sumproduct.sum_product`, in one elimination. An intervention
-is one more factor: a kernel reads an intervened parent through that
-parent's sharp copy, and the intervention's weights are a factor over the
-sharp copies. Selection is evidence: a selected vertex is pinned to its
-zero value, which gives the numerator of the conditioning. Every other
-vertex outside the reported variables is summed out, and each reported
-probability is one ``Fraction`` of two integers. The tests check this
-evaluator against a brute-force walk over every joint assignment.
+:func:`smdg.sumproduct.sum_product`. An intervention is one more factor: a
+kernel reads an intervened parent through that parent's sharp copy, and
+the intervention's weights are a factor over the sharp copies. Selection
+is evidence: a selected vertex is pinned to its zero value, which gives
+the numerator of the conditioning. Every other vertex outside the reported
+variables is summed out, and each reported probability is one ``Fraction``
+of two integers. The tests check this evaluator against a brute-force walk
+over every joint assignment.
+
+The plain joint and each observe-or-do distribution take one elimination
+per call. The selected interventional distribution is linear in its
+intervention q, so each model runs one elimination for it, with every
+sharp cell weighted 1, the first time any q is asked; the result is kept
+on the model instance, and every smi call contracts it with q's weights.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .graph import GraphError, PartitionedDag, Role, VertexId
+from .graph import GraphError, PartitionedDag, Role, VertexId, _recorded
 from . import canon, io as graph_io
 from .sumproduct import sum_product
 
@@ -81,6 +87,24 @@ class KernelTable:
             (k, tuple(p.numerator * (den // p.denominator) for p in vec)) for k, vec in items
         ))
         return cls(parents=tuple(parents), den=den, rows=fixed)
+
+    @classmethod
+    def over(
+        cls,
+        parents: Sequence[VertexId],
+        den: int,
+        rows: Mapping[Assignment, Sequence[int]],
+    ) -> "KernelTable":
+        """Rows of integer numerators over ``den``, reduced to the same form
+        :meth:`of` gives: over the lcm of every entry's reduced denominator,
+        which is ``den`` divided by its gcd with every numerator."""
+        g = gcd(den, *(n for vec in rows.values() for n in vec))
+        fixed = tuple(sorted((tuple(k), tuple(n // g for n in vec)) for k, vec in rows.items()))
+        return cls(parents=tuple(parents), den=den // g, rows=fixed)
+
+    def numerators(self, key: Assignment) -> tuple[int, ...]:
+        """One row as integer numerators over ``den``."""
+        return self._index[tuple(key)]
 
     def row(self, key: Assignment) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.den) for n in self._index[tuple(key)])
@@ -302,43 +326,59 @@ def smo_distribution(model: DiscreteModel) -> SelectedDistribution:
     return observe_or_do_distribution(model, ())
 
 
-def _selected(model, variables, read, outputs, cells, key) -> tuple[Optional[ProbTable], Fraction]:
-    """``q(read values) * P(outputs, selection)``, with each selected vertex
-    pinned to its zero value, for every ``(read values, q)`` cell, keyed by
-    ``key(read values + output values)``. Returns the normalized table and
-    the selection probability, or ``(None, 0)`` when the selection event has
-    probability zero."""
+def _pinned(model: DiscreteModel) -> dict[VertexId, Value]:
+    """Each selected vertex at its zero value."""
     zeros = dict(model.selected_zeros)
-    pinned = {s: zeros[s] for s in model.dag.selected}
-    q_den = lcm(*(w.denominator for _, w in cells))
-    weights = {values: w.numerator * (q_den // w.denominator) for values, w in cells}
-    acc, den = sum_product(model, read, outputs, pinned, weights)
-    total = sum(acc.values())
+    return {s: zeros[s] for s in model.dag.selected}
+
+
+def _normalized(variables, acc, scale) -> tuple[Optional[ProbTable], Fraction]:
+    """The table of ``(key, weight)`` pairs over their total, and the total
+    over ``scale``; ``(None, 0)`` when the total is zero."""
+    total = sum(x for _, x in acc)
     if total == 0:
         return None, ZERO
-    table = tuple(sorted((key(k), Fraction(x, total)) for k, x in acc.items()))
-    return ProbTable(variables, table), Fraction(total, q_den * den)
+    table = tuple(sorted((k, Fraction(x, total)) for k, x in acc))
+    return ProbTable(variables, table), Fraction(total, scale)
 
 
 def _check_q(model: DiscreteModel, q: ProbTable, over: Sequence[VertexId],
-             full_support: bool) -> None:
+             full_support: bool) -> tuple[dict[Assignment, int], int]:
+    """Check q against the variables ``over`` and return its cells as
+    integer weights over their common denominator ``q_den``."""
     if tuple(q.variables) != tuple(over):
         raise ModelError(f"intervention must range over {tuple(over)}, got {q.variables}")
-    if q.total() != ONE:
+    q_den = lcm(*(w.denominator for _, w in q.table))
+    weights = {key: w.numerator * (q_den // w.denominator) for key, w in q.table}
+    if sum(weights.values()) != q_den:
         raise ModelError("intervention distribution must sum to 1")
     domains = dict(model.domains)
-    for key, _ in q.items():
-        if len(key) != len(q.variables):
+    over_domains = [domains[v] for v in over]
+    for key in weights:
+        if len(key) != len(over):
             raise ModelError(f"intervention key {key} does not match {q.variables}")
-        for v, value in zip(q.variables, key):
-            if value not in domains[v]:
+        for v, value, dom in zip(over, key, over_domains):
+            if value not in dom:
                 raise ModelError(f"intervention assigns {value!r} outside the domain of {v!r}")
-    if full_support:
-        size = 1
-        for v in q.variables:
-            size *= len(domains[v])
-        if len(q.table) != size:
-            raise ModelError("intervention must have full support")
+    if full_support and len(weights) != prod(len(dom) for dom in over_domains):
+        raise ModelError("intervention must have full support")
+    return weights, q_den
+
+
+def _smi_kernel(model: DiscreteModel):
+    """``R(c, flat)``: the selected joint weight of the flat visibles when
+    the sharp visibles are set to cell c, from one elimination that gives
+    every cell weight 1. Returns ``({c: ((c + flat, weight), ...)}, den)``,
+    each weight over ``den``; a cell whose selection never succeeds is
+    absent."""
+    visibles = tuple(sorted(model.dag.visible))
+    domains = dict(model.domains)
+    cells = dict.fromkeys(product(*(domains[v] for v in visibles)), 1)
+    table, den = sum_product(model, visibles, visibles, _pinned(model), cells)
+    n, by_cell = len(visibles), {}
+    for key, w in table.items():
+        by_cell.setdefault(key[:n], []).append((key, w))
+    return {c: tuple(rows) for c, rows in by_cell.items()}, den
 
 
 def smi_distribution(
@@ -350,11 +390,20 @@ def smi_distribution(
     Flat and non-visible variables read the sharp copies of their visible
     parents. A zero-probability selection yields status "selected_out" (the
     pair is omitted from the interventional family rather than an error).
+
+    The result is linear in q: each entry is ``q(c) * R(c, flat)``, over the
+    total of all of them, where ``R`` (:func:`_smi_kernel`) does not depend
+    on q. ``R`` is built by one elimination the first time the model is
+    asked, kept on the model instance, and every call contracts it with q's
+    integer weights, touching only q's cells. The first call therefore costs
+    one elimination over every cell, even for a point mass.
     """
     visibles = tuple(sorted(model.dag.visible))
-    _check_q(model, q, visibles, full_support)
+    weights, q_den = _check_q(model, q, visibles, full_support)
+    by_cell, den = _recorded(model, "_smi_kernel", _smi_kernel)
+    acc = [(key, w * x) for c, w in weights.items() for key, x in by_cell.get(c, ())]
     variables = tuple(sharp(v) for v in visibles) + tuple(flat(v) for v in visibles)
-    dist, total = _selected(model, variables, visibles, visibles, q.items(), lambda k: k)
+    dist, total = _normalized(variables, acc, q_den * den)
     if dist is None:
         return SmiResult(q=q, status="selected_out", dist=None, selection_probability=ZERO)
     return SmiResult(q=q, status="ok", dist=dist, selection_probability=total)
@@ -369,22 +418,24 @@ def observe_or_do_distribution(
     is either intervened or observed, never both.
 
     The intervened values are read by z's children; z's own kernel then
-    sums to one and drops out.
+    sums to one and drops out. Each call runs its own elimination, over q's
+    cells only: nothing is recorded, since a (model, z) pair is asked about
+    once by the command line and the tests.
     """
     z = tuple(sorted(set(z)))
     if not set(z) <= model.dag.visible:
         raise ModelError("only visible variables can be intervened")
-    cells = (((), ONE),)
+    weights, q_den = {(): 1}, 1
     if z:
         if q is None:
             raise ModelError("an intervention distribution is required when z is non-empty")
-        _check_q(model, q, z, full_support)
-        cells = q.items()
+        weights, q_den = _check_q(model, q, z, full_support)
     visibles = tuple(sorted(model.dag.visible))
     observed = tuple(v for v in visibles if v not in z)
     slots = [z.index(v) if v in z else len(z) + observed.index(v) for v in visibles]
-    dist, total = _selected(model, visibles, z, observed, cells,
-                            lambda k: tuple(k[i] for i in slots))
+    table, den = sum_product(model, z, observed, _pinned(model), weights)
+    acc = [(tuple(k[i] for i in slots), x) for k, x in table.items()]
+    dist, total = _normalized(visibles, acc, q_den * den)
     if dist is None:
         raise SelectedOutError("the selection event has probability zero")
     return SelectedDistribution(dist=dist, selection_probability=total)

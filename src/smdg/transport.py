@@ -69,13 +69,19 @@ def _read(kern: KernelTable, env: Mapping[VertexId, Value]) -> tuple[Fraction, .
     return kern.row(tuple(env[p] for p in kern.parents))
 
 
-def _make_kernel(dag2: PartitionedDag, domains, w: VertexId, row_fn) -> KernelTable:
+def _read_numerators(kern: KernelTable, env: Mapping[VertexId, Value]) -> tuple[int, ...]:
+    return kern.numerators(tuple(env[p] for p in kern.parents))
+
+
+def _make_kernel(dag2: PartitionedDag, domains, w: VertexId, row_fn, den=None) -> KernelTable:
     """Kernel of w over its parents in dag2, one row_fn(parent values) per
-    parent assignment."""
+    parent assignment: ``Fraction``s, or integer numerators over ``den``
+    when it is given."""
     parents = sorted(dag2.parents_of(w))
-    return KernelTable.of(parents, {
+    rows = {
         key: row_fn(dict(zip(parents, key))) for key in product(*[domains[p] for p in parents])
-    })
+    }
+    return KernelTable.of(parents, rows) if den is None else KernelTable.over(parents, den, rows)
 
 
 def _reread(model: DiscreteModel, dag2: PartitionedDag, domains, kernels,
@@ -190,11 +196,11 @@ def _merge_selected(model, dag2, domains, kernels, zeros, s1: VertexId,
     zeros[label] = zero
 
     def row_fn(env):
-        r1 = dict(zip(dom1, _read(old1, env)))
-        r2 = dict(zip(dom2, _read(old2, env)))
+        r1 = dict(zip(dom1, _read_numerators(old1, env)))
+        r2 = dict(zip(dom2, _read_numerators(old2, env)))
         return [r1[y1] * r2[y2] for y1, y2 in pair_dom]
 
-    kernels[label] = _make_kernel(dag2, domains, label, row_fn)
+    kernels[label] = _make_kernel(dag2, domains, label, row_fn, old1.den * old2.den)
 
 
 def _split(model, dag2, domains, kernels, zeros, m: VertexId, s: VertexId) -> None:

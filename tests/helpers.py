@@ -14,7 +14,11 @@ from smdg.model import (
     SelectedOutError,
     SmiResult,
     flat,
+    product_intervention,
     sharp,
+    smi_distribution,
+    smo_distribution,
+    uniform,
 )
 from smdg.oracle import OracleError
 from smdg.project import canonical_graph
@@ -224,6 +228,30 @@ def walk(model, reads, evidence):
                 yield from rec(i + 1, p * vec[j])
 
     yield from rec(0, Fraction(1))
+
+
+def assert_smo_is_smi_diagonal(model) -> None:
+    """smo is the renormalized ``sharp == flat`` diagonal of smi under the
+    uniform intervention on every visible: setting each visible to the value
+    it takes anyway changes nothing, so the diagonal is ``q(c) * P(V = c,
+    selection)`` with q constant. The diagonal's mass is zero exactly when
+    smo is selected out, and otherwise smo's selection probability is smi's
+    times that mass times the number of cells."""
+    visibles = sorted(model.dag.visible)
+    domains = dict(model.domains)
+    q = product_intervention(model, {v: uniform(domains[v]) for v in visibles})
+    res = smi_distribution(model, q)
+    n = len(visibles)
+    diagonal = {k[:n]: p for k, p in (res.dist.items() if res.dist else ()) if k[:n] == k[n:]}
+    mass = sum(diagonal.values(), Fraction(0))
+    try:
+        smo = smo_distribution(model)
+    except SelectedOutError:
+        assert mass == 0
+        return
+    assert mass > 0
+    assert smo.dist == ProbTable.of(visibles, {k: p / mass for k, p in diagonal.items()})
+    assert smo.selection_probability == res.selection_probability * mass * len(q.table)
 
 
 def walk_joint(model) -> ProbTable:

@@ -41,8 +41,8 @@ from smdg.transport import transport, transport_obs_or_do
 
 import cases
 from cases import exactly_one_query, exactly_one_structure_joint, exactly_one_structure_pairwise
-from helpers import same_up_to_nonvisible_labels
-from test_transport import SHAPES, _grid, witness_triangle_model
+from helpers import assert_smo_is_smi_diagonal, same_up_to_nonvisible_labels
+from test_transport import SHAPES, _grid, random_interventions, witness_triangle_model
 
 F = Fraction
 
@@ -227,22 +227,32 @@ def test_criterion_06_separation_soundness_in_models():
 
 
 def test_criterion_07_transport_equality():
+    """smi is linear in q: it normalizes ``sum_c q(c) * R(c, .)``. The
+    grid's uniform point has full support, so equal results there already
+    force the two models' ``R`` to be equal up to one positive scale, and
+    with it equal results for every q. The two seeded random interventions
+    per model, one on every cell and one on part of them, check the
+    contraction with q that each call runs."""
     started = time.monotonic()
     for shape_name in sorted(SHAPES):
         rng = random.Random(f"acceptance-{shape_name}")
+        q_rng = random.Random(f"acceptance-q-{shape_name}")
         for _ in range(50):
             model, move = SHAPES[shape_name](rng)
             moved = transport(model, move)
             assert smo_distribution(moved).dist == smo_distribution(model).dist
-            for q in _grid(model):
+            for q in _grid(model) + random_interventions(model, q_rng):
                 r1, r2 = smi_distribution(model, q), smi_distribution(moved, q)
                 assert r1.status == r2.status
                 if r1.status == "ok":
                     assert r1.dist == r2.dist
+            assert_smo_is_smi_diagonal(model)
+            assert_smo_is_smi_diagonal(moved)
     elapsed = time.monotonic() - started
     assert elapsed < 300.0
-    report(7, "eight rewrites x 50 models: selected observational and "
-              "five-point interventional tables exactly invariant", started)
+    report(7, "eight rewrites x 50 models: selected observational, five-point "
+              "and two random interventional tables exactly invariant; smo is "
+              "the renormalized diagonal of uniform smi on both sides", started)
 
 
 def test_criterion_08_witness_numbers():

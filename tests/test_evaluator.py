@@ -4,7 +4,8 @@ Both sides must give equal tables with byte-equal ``repr`` and equal
 selection probabilities: ``eval_joint``, smo, smi on a five-point grid plus
 interventions whose cells have different denominators (on every cell, on a
 seeded sparse draw, and a point mass at a seeded cell), and observe-or-do
-with a partial intervention set.
+with a partial intervention set. Each model also checks smo against the
+diagonal of smi under the uniform intervention.
 """
 
 import random
@@ -28,7 +29,7 @@ from smdg.model import (
 )
 from smdg.transport import transport
 
-from helpers import walk_joint, walk_ood, walk_smi
+from helpers import assert_smo_is_smi_diagonal, walk_joint, walk_ood, walk_smi
 from test_transport import SHAPES, _grid
 
 F = Fraction
@@ -62,6 +63,7 @@ SAMPLES = (lambda n: n // 2 + 1, lambda n: 1)
 def assert_matches_walk(model, n_grid=5):
     joint, oracle = eval_joint(model), walk_joint(model)
     assert joint == oracle and repr(joint) == repr(oracle)
+    assert_smo_is_smi_diagonal(model)
 
     smo, oracle = _outcome(smo_distribution, model), _outcome(walk_ood, model, ())
     if oracle is SelectedOutError:

@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+import smdg.model
 from smdg.graph import PartitionedDag
 from smdg.model import (
     DiscreteModel,
@@ -330,6 +331,47 @@ def test_integer_form_is_each_row_over_den(monkeypatch):
             f"KernelTable(parents={kern.parents!r}, den={kern.den!r}, rows={kern.rows!r})"
         )
     assert len(built) > 100
+
+
+def test_over_reduces_to_the_form_of_gives():
+    """Integer numerators over any multiple of the lcm give the kernel that
+    the same rows as Fractions give, den and rows alike."""
+    rng = random.Random("kernel-over")
+    for _ in range(200):
+        width, den = rng.randint(1, 4), rng.choice([1, 2, 6, 12, 36, 60])
+        rows = {}
+        for key in range(rng.randint(1, 3)):
+            cuts = sorted(rng.randint(0, den) for _ in range(width - 1))
+            rows[(key,)] = tuple(b - a for a, b in zip([0, *cuts], [*cuts, den]))
+        scale = rng.randint(1, 5)
+        kern = KernelTable.over(["p"], den * scale, {k: [n * scale for n in vec]
+                                                     for k, vec in rows.items()})
+        want = KernelTable.of(["p"], {k: [F(n, den) for n in vec] for k, vec in rows.items()})
+        assert repr(kern) == repr(want) and kern == want
+
+
+def test_smi_records_one_kernel_per_model_instance(monkeypatch):
+    """smi builds its kernel with one sum_product call per model instance and
+    contracts it for every q; an equal model built anew pays its own call."""
+    calls = []
+    real = smdg.model.sum_product
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(smdg.model, "sum_product", counting)
+    model = joint_selector_model()
+    grid = [product_intervention(model, {v: uniform((0, 1)) for v in "abc"}),
+            *(ProbTable.of(("a", "b", "c"), {cell: F(1)})
+              for cell in ((0, 0, 0), (1, 0, 0), (1, 1, 1))),
+            ProbTable.of(("a", "b", "c"), {(0, 0, 1): F(1, 3), (0, 1, 0): F(2, 3)})]
+    first = [smi_distribution(model, q) for q in grid]
+    assert len(calls) == 1
+    twin = joint_selector_model()
+    assert twin == model and twin is not model
+    assert [smi_distribution(twin, q) for q in grid] == first
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("entry", [0.1, "1/2"], ids=["float", "string"])
