@@ -78,6 +78,17 @@ def enumerate_smdgs(
     bounds: Optional[SmdgBounds] = None,
     liftable_only: bool = False,
 ) -> Iterator[SmDG]:
+    """Every smDG over the first n_visible names within the bounds, edge
+    sets in order of size, then each (marginal, selected) face family pair.
+
+    The graphs share one visible set, one ``IndependenceSystem`` per face
+    family and one edge set per edge combination, so the face-vertex records
+    that ``project.canonical_graph`` keeps on a system are built once per
+    system. ``project.cycle_without_special_edges`` runs once per (edge set,
+    marginal support, selected support) key; its result is recorded on each
+    yielded graph in the slot ``project.unliftable_cycle`` reads, and
+    ``liftable_only`` drops the graphs where it found a cycle.
+    """
     bounds = bounds or SmdgBounds.default_for(n_visible)
     verts = VISIBLE_NAMES[:n_visible]
     universe = _edge_universe(verts)
@@ -101,21 +112,21 @@ def enumerate_smdgs(
         for edges in combinations(universe, n_e):
             edge_set = frozenset(edges)
             # liftability depends only on the edges and the two supports
-            liftable: dict[tuple[frozenset, frozenset], bool] = {}
+            cycles: dict[tuple[frozenset, frozenset], Optional[tuple[VertexId, ...]]] = {}
             for l_sys in systems:
                 for s_sys in systems:
-                    if liftable_only:
-                        key = (l_sys.support, s_sys.support)
-                        if key not in liftable:
-                            liftable[key] = project.cycle_without_special_edges(
-                                vis, edge_set, s_sys.support, l_sys.support
-                            ) is None
-                        if not liftable[key]:
-                            continue
-                    yield SmDG(
-                        visibles=vis, edges=edge_set,
-                        marginal_system=l_sys, selected_system=s_sys,
-                    )
+                    key = (l_sys.support, s_sys.support)
+                    if key not in cycles:
+                        cycles[key] = project.cycle_without_special_edges(
+                            vis, edge_set, s_sys.support, l_sys.support
+                        )
+                    cycle = cycles[key]
+                    if liftable_only and cycle is not None:
+                        continue
+                    g = SmDG(visibles=vis, edges=edge_set, marginal_system=l_sys,
+                             selected_system=s_sys)
+                    object.__setattr__(g, project._UNLIFTABLE_CYCLE, cycle)
+                    yield g
 
 
 def enumerate_partitioned_dags(

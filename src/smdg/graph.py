@@ -160,7 +160,8 @@ def topological_order(
 
 class _Digraph:
     """Vertex queries shared by the two graph types, over the parent and
-    child maps that each type's ``__post_init__`` stores once."""
+    child maps that each type stores once: a DAG in ``__post_init__``, an
+    smDG on its first vertex query (:class:`_AdjacencyOnFirstQuery`)."""
 
     _parents: Mapping[VertexId, frozenset[VertexId]]
     _children: Mapping[VertexId, frozenset[VertexId]]
@@ -199,6 +200,21 @@ class _Digraph:
             seen.add(v)
             todo.extend(self._parents[v])
         return frozenset(seen)
+
+
+class _AdjacencyOnFirstQuery:
+    """Stands for ``_parents`` or ``_children`` until the first read of
+    either, which builds and stores both on the instance; the stored maps
+    then shadow this descriptor, so later reads are plain attribute reads."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj._store_adjacency(*_adjacency(obj.visibles, obj.edges))
+        return obj.__dict__[self.name]
 
 
 @dataclass(frozen=True)
@@ -446,7 +462,9 @@ class SmDG(_Digraph):
 
     The directed structure may contain cycles and self-loops. The marginal
     system records which sets of visibles can share a latent common cause,
-    the selected system which sets can share a selection child.
+    the selected system which sets can share a selection child. The parent
+    and child maps are built on the first vertex query: most graphs of a
+    sweep are only asked whether they lift.
     """
 
     visibles: frozenset[VertexId]
@@ -480,7 +498,12 @@ class SmDG(_Digraph):
             raise GraphError("marginal system ground set must equal the visible vertices")
         if self.selected_system.ground != self.visibles:
             raise GraphError("selected system ground set must equal the visible vertices")
-        self._store_adjacency(*_adjacency(self.visibles, self.edges))
+        for a, b in self.edges:
+            if a not in self.visibles or b not in self.visibles:
+                raise UnknownVertexError(f"edge ({a!r}, {b!r}) has an endpoint outside the graph")
+
+    _parents = _AdjacencyOnFirstQuery()
+    _children = _AdjacencyOnFirstQuery()
 
     def induced_subgraph(self, keep: Iterable[VertexId]) -> "SmDG":
         keep = set(keep)

@@ -13,7 +13,8 @@ Serialization is deterministic: identical values produce identical bytes.
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from json.encoder import encode_basestring_ascii as _string
+from typing import Any, Iterable, Mapping
 
 from .graph import GraphError, PartitionedDag, Role, SmDG
 
@@ -90,9 +91,38 @@ def graph_from_obj(obj: Mapping[str, Any]) -> PartitionedDag | SmDG:
     raise GraphError("object is neither a partitioned DAG nor an smDG")
 
 
+def _block(brackets: str, parts: list[str], depth: int) -> str:
+    """A JSON array or object of encoded parts at this nesting depth, laid
+    out as ``json.dumps(indent=2)`` lays it out."""
+    if not parts:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(parts) + "\n" + "  " * depth + brackets[1]
+
+
+def _rows(rows: Iterable[Iterable[str]], depth: int) -> str:
+    """An array of string arrays; every row of both schemas (an edge or a
+    maximal face) is non-empty."""
+    pad = ",\n" + "  " * (depth + 2)
+    close = "\n" + "  " * (depth + 1) + "]"
+    return _block("[]", ["[" + pad[1:] + pad.join(map(_string, row)) + close for row in rows],
+                  depth)
+
+
 def dumps(value: PartitionedDag | SmDG) -> str:
-    obj = dag_to_obj(value) if isinstance(value, PartitionedDag) else smdg_to_obj(value)
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` of ``dag_to_obj``
+    or ``smdg_to_obj``, byte for byte. Each schema is written directly: with
+    an indent, ``json`` runs its pure-Python encoder."""
+    if isinstance(value, PartitionedDag):
+        vertices = [f'{{\n      "id": {_string(v)},\n      "role": "{r.value}"\n    }}'
+                    for v, r in value.roles]
+        fields = [("edges", _rows(value.edges, 1)), ("vertices", _block("[]", vertices, 1))]
+    else:
+        fields = [("edges", _rows(value.sorted_edges(), 1)),
+                  ("marginal_faces", _rows(value.marginal_system.sorted_faces(), 1)),
+                  ("selected_faces", _rows(value.selected_system.sorted_faces(), 1)),
+                  ("visibles", _block("[]", [_string(v) for v in sorted(value.visibles)], 1))]
+    return _block("{}", [f'"{key}": {text}' for key, text in fields], 0) + "\n"
 
 
 def loads(text: str) -> PartitionedDag | SmDG:

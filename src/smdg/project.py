@@ -8,9 +8,19 @@ of some actual DAG.
 An smDG is immutable, so ``unliftable_cycle`` and ``canonical_graph`` run once
 per instance and record their result on it through ``graph._recorded``, the
 helper that also keeps a DAG's canonicalization report; ``is_liftable``,
-``lift`` and ``sep.sm_separated`` read those records. Neither record is read to
-build the other, so rebuild acyclicity stays an independent check of the cycle
-criterion.
+``lift`` and ``sep.sm_separated`` read those records. Two records are seeded
+elsewhere or kept on a shared part:
+
+* ``enumeration.enumerate_smdgs`` fills the ``unliftable_cycle`` slot of each
+  graph it yields, from one search per (edge set, marginal support, selected
+  support);
+* ``canonical_graph`` reads each face's vertex (label, role and edges) from a
+  record on the ``IndependenceSystem`` instance, one per kind, built once per
+  system; per graph it adds only the special pairs, the two singleton skips,
+  one edge sort and the rebuilt graph's own cycle search.
+
+Neither the cycle record nor the canonical graph is read to build the other,
+so rebuild acyclicity stays an independent check of the cycle criterion.
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ from typing import Iterable, Optional
 from . import canon
 from .graph import (
     GraphError,
+    IndependenceSystem,
     PartitionedDag,
     Role,
     SmDG,
@@ -114,8 +125,8 @@ def canonical_graph(g: SmDG) -> CanonicalGraph:
 def _build_canonical_graph(g: SmDG) -> CanonicalGraph:
     sel_support = g.selected_system.support
     mar_support = g.marginal_system.support
-    roles: dict[VertexId, Role] = {v: Role.VISIBLE for v in g.visibles}
-    edges: set[tuple[VertexId, VertexId]] = set()
+    roles: dict[VertexId, Role] = dict.fromkeys(g.visibles, Role.VISIBLE)
+    edges: list[tuple[VertexId, VertexId]] = []
     special_tails: set[VertexId] = set()
     special_heads: set[VertexId] = set()
     taken = set(g.visibles)
@@ -124,36 +135,66 @@ def _build_canonical_graph(g: SmDG) -> CanonicalGraph:
             s_label, m_label = canon.fresh_pair(a, b, taken)
             roles[s_label] = Role.SELECTED
             roles[m_label] = Role.MARGINALIZED
-            edges.update({(a, s_label), (m_label, s_label), (m_label, b)})
+            edges += ((a, s_label), (m_label, s_label), (m_label, b))
             special_tails.add(a)
             special_heads.add(b)
         else:
-            edges.add((a, b))
-    for face in g.marginal_system.sorted_faces():
-        if len(face) == 1 and face[0] in special_heads:
-            continue
-        label = canon._fresh(face_label("m", face), taken)
-        taken.add(label)
-        roles[label] = Role.MARGINALIZED
-        edges.update({(label, v) for v in face})
-    for face in g.selected_system.sorted_faces():
-        if len(face) == 1 and face[0] in special_tails:
-            continue
-        label = canon._fresh(face_label("s", face), taken)
-        taken.add(label)
-        roles[label] = Role.SELECTED
-        edges.update({(v, label) for v in face})
+            edges.append((a, b))
+    for system, kind, skip in ((g.marginal_system, "m", special_heads),
+                               (g.selected_system, "s", special_tails)):
+        for member, label, role, face_edges in _face_vertices(system, kind):
+            if member not in skip:
+                roles[label] = role
+                edges += face_edges
     edge_list = tuple(sorted(edges))
     return CanonicalGraph(
         roles=tuple(sorted(roles.items())), edges=edge_list, cycle=find_cycle(roles, edge_list)
     )
 
 
+_FaceVertex = tuple[Optional[VertexId], VertexId, Role, tuple[tuple[VertexId, VertexId], ...]]
+
+_FACE_ROLES = {"m": Role.MARGINALIZED, "s": Role.SELECTED}
+
+
+def _face_vertices(system: IndependenceSystem, kind: str) -> tuple[_FaceVertex, ...]:
+    """The face vertices of the system, built once per system instance (one
+    record per kind), which the graphs of a sweep share."""
+    return _recorded(system, "_face_vertices_" + kind, lambda s: _label_faces(s, kind))
+
+
+def _label_faces(system: IndependenceSystem, kind: str) -> tuple[_FaceVertex, ...]:
+    """Each maximal face, in sorted order, as (its member if a singleton,
+    label, role, edges), each label made fresh against the visibles and the
+    labels before it.
+
+    A graph may skip a singleton face, and that changes no other label.
+    ``_fresh`` only meets labels of the same base: a base label ends in ``}``
+    and a suffixed one in ``~k``, and special-pair labels start ``m⟨`` or
+    ``s⟨``, not ``m{`` or ``s{``. A face with the base of a singleton {x}
+    joins ids with ``·``, the first of them a proper prefix of x, so it sorts
+    before {x} and is labelled before it.
+    """
+    role = _FACE_ROLES[kind]
+    taken = set(system.ground)
+    out = []
+    for face in system.sorted_faces():
+        label = canon._fresh(face_label(kind, face), taken)
+        taken.add(label)
+        pairs = tuple((label, v) if kind == "m" else (v, label) for v in face)
+        out.append((face[0] if len(face) == 1 else None, label, role, pairs))
+    return tuple(out)
+
+
+# the slot unliftable_cycle records in, which enumerate_smdgs also fills
+_UNLIFTABLE_CYCLE = "_unliftable_cycle"
+
+
 def unliftable_cycle(g: SmDG) -> Optional[tuple[VertexId, ...]]:
     """A directed cycle (first == last, self-loops included) with no edge from
     the selected support into the marginal support, or None when there is none.
     Searched once per instance."""
-    return _recorded(g, "_unliftable_cycle", _search_unliftable)
+    return _recorded(g, _UNLIFTABLE_CYCLE, _search_unliftable)
 
 
 def _search_unliftable(g: SmDG) -> Optional[tuple[VertexId, ...]]:

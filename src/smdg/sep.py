@@ -64,11 +64,14 @@ def functional_closure(g: PartitionedDag | SmDG, z: Iterable[VertexId]) -> froze
         candidates = g.visible
     # A candidate can only join once its last parent has: seed with those
     # whose parents lie in z, then re-check the children of each joiner.
-    todo = [v for v in candidates - closure if g.parents_of(v) <= closure]
+    # Every vertex read below is z's or the graph's own, so the stored maps
+    # are read directly.
+    parents, children = g._parents, g._children
+    todo = [v for v in candidates - closure if parents[v] <= closure]
     closure.update(todo)
     while todo:
-        for w in g.children_of(todo.pop()):
-            if w in candidates and w not in closure and g.parents_of(w) <= closure:
+        for w in children[todo.pop()]:
+            if w in candidates and w not in closure and parents[w] <= closure:
                 closure.add(w)
                 todo.append(w)
     return frozenset(closure)
@@ -80,11 +83,12 @@ def _steps(g: PartitionedDag | SmDG, v: VertexId) -> Iterator[tuple[VertexId, bo
     then for an smDG a bidirected step to each co-member of a maximal marginal
     face and an undirected step to each co-member of a maximal selected face.
     Trails never traverse a self-loop; its separation content is captured by
-    face membership."""
-    for w in g.parents_of(v):
+    face membership. v is a checked query vertex or a neighbour read from
+    the graph, so the maps are read without a check."""
+    for w in g._parents[v]:
         if w != v:
             yield w, True, False
-    for w in g.children_of(v):
+    for w in g._children[v]:
         if w != v:
             yield w, False, True
     if isinstance(g, SmDG):

@@ -14,7 +14,7 @@ from smdg.enumeration import (
 )
 from smdg.graph import GraphError, SmDG
 from smdg.io import dumps
-from smdg.project import is_liftable, signature
+from smdg.project import is_liftable, signature, unliftable_cycle
 
 
 def test_antichain_count_three_elements():
@@ -78,6 +78,21 @@ def test_liftable_only_is_the_filtered_stream(n, bounds):
     kept = enumerate_smdgs(n, bounds, liftable_only=True)
     for g, h in zip_longest(kept, filtered):
         assert g == h
+
+
+@pytest.mark.parametrize("n, bounds", [
+    (0, None), (1, None), (2, None), (3, SmdgBounds(max_edges=3)),
+], ids=["0", "1", "2", "3_three_edges"])
+def test_each_graph_carries_its_own_unliftable_cycle(n, bounds):
+    """The enumeration searches once per (edges, marginal support, selected
+    support) and records the result on every graph of that key; each record
+    must be the search a graph built anew runs for itself."""
+    for g in enumerate_smdgs(n, bounds):
+        recorded = vars(g)["_unliftable_cycle"]
+        fresh = SmDG.of(g.visibles, g.edges, g.marginal_system.maximal_faces,
+                        g.selected_system.maximal_faces)
+        assert "_unliftable_cycle" not in vars(fresh)
+        assert recorded == unliftable_cycle(fresh) == unliftable_cycle(g), g
 
 
 def test_enumeration_is_deterministic():

@@ -1,8 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
 from smdg import io as graph_io
-from smdg.graph import GraphError, PartitionedDag, Role
+from smdg.enumeration import enumerate_partitioned_dags, enumerate_smdgs
+from smdg.graph import GraphError, PartitionedDag, Role, SmDG
 
 import cases
 
@@ -58,3 +61,26 @@ def test_vertex_listed_twice_raises(second_role):
     }
     with pytest.raises(GraphError, match="vertex 'a' is listed more than once"):
         graph_io.dag_from_obj(obj)
+
+
+def _json_dumps(value) -> str:
+    obj = (graph_io.dag_to_obj(value) if isinstance(value, PartitionedDag)
+           else graph_io.smdg_to_obj(value))
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("graphs", [
+    lambda: enumerate_smdgs(3),
+    lambda: enumerate_partitioned_dags(2, 1, 1, exogenous_terminal_only=False),
+    lambda: [
+        SmDG.of(["é", "s⟨a·b⟩", "\U0001F600", 'q"\\', "\t"], [("é", "é"), ("\t", "é")],
+                [["é", "s⟨a·b⟩"]], [["\U0001F600"], ['q"\\', "é"]]),
+        SmDG.of([]),
+        PartitionedDag.of(["é", "\U0001F600"], ["m⟨a⟩"], ['s"\\'],
+                          [("m⟨a⟩", "é"), ("é", 's"\\'), ("\U0001F600", 's"\\')]),
+        PartitionedDag.of(),
+    ],
+], ids=["smdgs_3", "dags_2_1_1_all_shapes", "non_ascii"])
+def test_dumps_writes_the_bytes_of_the_json_encoder(graphs):
+    for g in graphs():
+        assert graph_io.dumps(g) == _json_dumps(g), g

@@ -1,3 +1,6 @@
+import hashlib
+import json
+import random
 from collections import Counter
 from itertools import islice
 
@@ -5,8 +8,8 @@ import pytest
 
 from smdg import project
 from smdg.canon import canonicalize, is_canonical
-from smdg.enumeration import enumerate_smdgs
-from smdg.graph import GraphError, PartitionedDag, SmDG
+from smdg.enumeration import SmdgBounds, enumerate_smdgs
+from smdg.graph import GraphError, PartitionedDag, Role, SmDG
 from smdg.io import dumps
 from smdg.project import (
     NotCanonicalError,
@@ -192,6 +195,96 @@ def test_the_two_searches_stay_independent(monkeypatch):
     assert [unliftable_cycle(_rebuilt(g)) is None for g in graphs] == [
         cycle is None for cycle in cycles
     ] == [False, False, False, True]
+
+
+# Face vertices and their edges, pinned from the build that labelled each
+# graph's faces itself, on ids chosen to make labels meet: ids holding "·"
+# give two faces one base label, ids spelled like labels force "~k"
+# suffixes, and singleton faces sit at special tails and heads.
+_PINNED_FACES = [
+    (SmDG.of(["a", "b", "a·b"], [], [["a", "b"], ["a·b"]], [["a", "b"], ["a·b"]]),
+     (("m{a·b}", "MARGINALIZED"), ("m{a·b}~2", "MARGINALIZED"),
+      ("s{a·b}", "SELECTED"), ("s{a·b}~2", "SELECTED")),
+     (("a", "s{a·b}"), ("a·b", "s{a·b}~2"), ("b", "s{a·b}"), ("m{a·b}", "a"),
+      ("m{a·b}", "b"), ("m{a·b}~2", "a·b")),
+     None),
+    (SmDG.of(["a", "b", "a·b"], [("a·b", "a·b")], [["a", "b"], ["a·b"]], [["a", "b"], ["a·b"]]),
+     (("m{a·b}", "MARGINALIZED"), ("m⟨a·b·a·b⟩", "MARGINALIZED"),
+      ("s{a·b}", "SELECTED"), ("s⟨a·b·a·b⟩", "SELECTED")),
+     (("a", "s{a·b}"), ("a·b", "s⟨a·b·a·b⟩"), ("b", "s{a·b}"), ("m{a·b}", "a"),
+      ("m{a·b}", "b"), ("m⟨a·b·a·b⟩", "a·b"), ("m⟨a·b·a·b⟩", "s⟨a·b·a·b⟩")),
+     None),
+    (SmDG.of(["a", "b", "m{a}", "s{b}", "s⟨a·b⟩"], [("a", "b")], [["a"], ["b", "m{a}"]],
+             [["a"], ["b"]]),
+     (("m{a}~2", "MARGINALIZED"), ("m{b·m{a}}", "MARGINALIZED"), ("m⟨a·b⟩", "MARGINALIZED"),
+      ("s{b}~2", "SELECTED"), ("s⟨a·b⟩~2", "SELECTED")),
+     (("a", "s⟨a·b⟩~2"), ("b", "s{b}~2"), ("m{a}~2", "a"), ("m{b·m{a}}", "b"),
+      ("m{b·m{a}}", "m{a}"), ("m⟨a·b⟩", "b"), ("m⟨a·b⟩", "s⟨a·b⟩~2")),
+     None),
+    (SmDG.of(["a", "b", "a·b"], [("a", "b"), ("b", "a·b"), ("a·b", "a")],
+             [["a", "b"], ["a·b"]]),
+     (("m{a·b}", "MARGINALIZED"), ("m{a·b}~2", "MARGINALIZED")),
+     (("a", "b"), ("a·b", "a"), ("b", "a·b"), ("m{a·b}", "a"), ("m{a·b}", "b"),
+      ("m{a·b}~2", "a·b")),
+     ("a", "b", "a·b", "a")),
+]
+
+
+@pytest.mark.parametrize("g, faces, edges, cycle", _PINNED_FACES,
+                         ids=["same_base", "same_base_skipped", "ids_like_labels", "cyclic"])
+def test_face_labels_on_colliding_ids(g, faces, edges, cycle):
+    cg = canonical_graph(g)
+    assert tuple((v, r.name) for v, r in cg.roles if v not in g.visibles) == faces
+    assert cg.edges == edges and cg.cycle == cycle
+    assert all(r is Role.VISIBLE for v, r in cg.roles if v in g.visibles)
+
+
+_LABEL_IDS = ("a", "b", "c", "a·b", "b·c", "a·b·c", "m{a}", "s{b}", "m{a·b}", "s⟨a·b⟩",
+              "m⟨a·b⟩~2")
+
+
+def _colliding_smdgs(seed: str, n: int):
+    rng = random.Random(seed)
+    for _ in range(n):
+        vis = rng.sample(_LABEL_IDS, rng.randint(3, 7))
+        edges = [(rng.choice(vis), rng.choice(vis)) for _ in range(rng.randint(0, 5))]
+        faces = [[rng.sample(vis, rng.choice((1, 1, 2, 3))) for _ in range(rng.randint(0, 4))]
+                 for _ in range(2)]
+        yield SmDG.of(vis, edges, *faces)
+
+
+def _canonical_digest(graphs) -> tuple[int, str]:
+    digest, n = hashlib.sha256(), 0
+    for g in graphs:
+        cg = canonical_graph(g)
+        text = json.dumps([[[v, r.value] for v, r in cg.roles], cg.edges, cg.cycle,
+                           unliftable_cycle(g)])
+        digest.update(text.encode() + b"\n")
+        n += 1
+    return n, digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("graphs, expected", [
+    (lambda: _colliding_smdgs("canon-labels", 2000), (2000, "03ec3baf75237198")),
+    (lambda: enumerate_smdgs(3, SmdgBounds(max_edges=3)), (46930, "607b451152158e9f")),
+], ids=["colliding_ids", "sweep_space"])
+def test_canonical_graphs_keep_their_bytes(graphs, expected):
+    """Digests of every canonical graph and unliftable cycle, pinned from
+    the build that labelled each graph's faces itself."""
+    assert _canonical_digest(graphs()) == expected
+
+
+def test_a_liftability_question_builds_no_adjacency():
+    graphs = [*islice(enumerate_smdgs(3, SmdgBounds(max_edges=3)), 0, None, 97),
+              *(g for g, *_ in _PINNED_FACES), *UNLIFTABLE]
+    for g in graphs:
+        is_liftable(g), canonical_graph(g)
+        assert "_parents" not in vars(g) and "_children" not in vars(g), g
+        fresh = _rebuilt(g)
+        for v in sorted(g.visibles):
+            assert g.parents_of(v) == fresh.parents_of(v)
+            assert g.children_of(v) == fresh.children_of(v)
+        assert "_parents" in vars(g) and "_children" in vars(g)
 
 
 def test_recorded_unliftable_cycle_still_raises():
