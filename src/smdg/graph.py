@@ -19,7 +19,10 @@ A :class:`PartitionedDag` built directly (the constructor, ``of``,
 from its parent's stored maps instead, patching only the vertices whose
 neighbours change, and searches for a cycle only from the heads of the edges
 it adds: deleting vertices or edges from a DAG cannot create a cycle, so any
-cycle of the edited graph runs through an added edge.
+cycle of the edited graph runs through an added edge. The DAG that
+``project.lift`` returns is built from roles and edges that are already
+sorted, checked and searched, so it neither searches again nor indexes
+before its first vertex query.
 """
 
 from __future__ import annotations
@@ -158,13 +161,32 @@ def topological_order(
     return order
 
 
+class _AdjacencyOnFirstQuery:
+    """Stands for ``_parents`` or ``_children`` until the first read of
+    either, which builds and stores both on the instance; the stored maps
+    then shadow this descriptor, so later reads are plain attribute reads."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj._store_adjacency(*_adjacency(obj._vertex_ids(), obj.edges))
+        return obj.__dict__[self.name]
+
+
 class _Digraph:
     """Vertex queries shared by the two graph types, over the parent and
-    child maps that each type stores once: a DAG in ``__post_init__``, an
-    smDG on its first vertex query (:class:`_AdjacencyOnFirstQuery`)."""
+    child maps that each type stores once: a DAG built by its constructor
+    in ``__post_init__``, any other graph on its first vertex query
+    (:class:`_AdjacencyOnFirstQuery`)."""
 
-    _parents: Mapping[VertexId, frozenset[VertexId]]
-    _children: Mapping[VertexId, frozenset[VertexId]]
+    _parents: Mapping[VertexId, frozenset[VertexId]] = _AdjacencyOnFirstQuery()
+    _children: Mapping[VertexId, frozenset[VertexId]] = _AdjacencyOnFirstQuery()
+
+    def _vertex_ids(self) -> Iterable[VertexId]:
+        raise NotImplementedError
 
     def _store_adjacency(self, parents: _Adjacency, children: _Adjacency) -> None:
         object.__setattr__(self, "_parents", {v: frozenset(p) for v, p in parents.items()})
@@ -200,21 +222,6 @@ class _Digraph:
             seen.add(v)
             todo.extend(self._parents[v])
         return frozenset(seen)
-
-
-class _AdjacencyOnFirstQuery:
-    """Stands for ``_parents`` or ``_children`` until the first read of
-    either, which builds and stores both on the instance; the stored maps
-    then shadow this descriptor, so later reads are plain attribute reads."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        obj._store_adjacency(*_adjacency(obj.visibles, obj.edges))
-        return obj.__dict__[self.name]
 
 
 @dataclass(frozen=True)
@@ -272,6 +279,22 @@ class PartitionedDag(_Digraph):
             raise GraphError("edges contain the cycle " + " -> ".join(cycle))
         self._store_adjacency(parents, children)
         self._store_roles(dict(self.roles))
+
+    @classmethod
+    def _acyclic(cls, roles: tuple[tuple[VertexId, Role], ...],
+                 edges: tuple[tuple[VertexId, VertexId], ...],
+                 role: dict[VertexId, Role]) -> "PartitionedDag":
+        """The DAG on roles and edges that are already sorted, checked and
+        known to be acyclic, built without the constructor's search; its
+        parent and child maps are built on the first vertex query."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "roles", roles)
+        object.__setattr__(d, "edges", edges)
+        d._store_roles(role)
+        return d
+
+    def _vertex_ids(self) -> Iterable[VertexId]:
+        return (v for v, _ in self.roles)
 
     def _store_roles(self, role: dict[VertexId, Role]) -> None:
         object.__setattr__(self, "_role", role)
@@ -360,14 +383,11 @@ class PartitionedDag(_Digraph):
         if _search_cycle(children, {b for _, b in added}) is not None:
             # the full build names the cycle that the constructor names, and raises
             return PartitionedDag(roles=roles, edges=edges)
-        edited = object.__new__(PartitionedDag)
-        object.__setattr__(edited, "roles", roles)
-        object.__setattr__(edited, "edges", edges)
+        edited = PartitionedDag._acyclic(roles, edges, role)
         object.__setattr__(edited, "_parents", _patched(
             self._parents, remove, add, [(b, a) for a, b in dropped], [(b, a) for a, b in added]
         ))
         object.__setattr__(edited, "_children", children)
-        edited._store_roles(role)
         return edited
 
 
@@ -502,8 +522,8 @@ class SmDG(_Digraph):
             if a not in self.visibles or b not in self.visibles:
                 raise UnknownVertexError(f"edge ({a!r}, {b!r}) has an endpoint outside the graph")
 
-    _parents = _AdjacencyOnFirstQuery()
-    _children = _AdjacencyOnFirstQuery()
+    def _vertex_ids(self) -> Iterable[VertexId]:
+        return self.visibles
 
     def induced_subgraph(self, keep: Iterable[VertexId]) -> "SmDG":
         keep = set(keep)

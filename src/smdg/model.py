@@ -38,7 +38,7 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .graph import GraphError, PartitionedDag, Role, VertexId, _recorded
 from . import canon, io as graph_io
-from .sumproduct import sum_product
+from .sumproduct import picker, sum_product
 
 Value = Any  # hashable; ints for serializable models, tuples for transported ones
 Assignment = tuple[Value, ...]
@@ -315,8 +315,9 @@ def flat(v: VertexId) -> str:
 def eval_joint(model: DiscreteModel) -> ProbTable:
     """Full product-of-kernels joint over all vertices (no conditioning)."""
     order = tuple(model.dag.topological_order())
-    table, den = sum_product(model, (), order, {}, {(): 1})
-    return ProbTable.of(order, {key: Fraction(w, den) for key, w in table.items()})
+    scope, table, den = sum_product(model, (), order, {}, {(): 1})
+    key = picker(scope, order)
+    return ProbTable.of(order, {key(k): Fraction(w, den) for k, w in table.items()})
 
 
 def smo_distribution(model: DiscreteModel) -> SelectedDistribution:
@@ -374,10 +375,13 @@ def _smi_kernel(model: DiscreteModel):
     visibles = tuple(sorted(model.dag.visible))
     domains = dict(model.domains)
     cells = dict.fromkeys(product(*(domains[v] for v in visibles)), 1)
-    table, den = sum_product(model, visibles, visibles, _pinned(model), cells)
+    scope, table, den = sum_product(model, visibles, visibles, _pinned(model), cells)
+    # one pass re-keys each entry to sharp then flat values and groups it by cell
+    key = picker(scope, tuple((v,) for v in visibles) + visibles)
     n, by_cell = len(visibles), {}
-    for key, w in table.items():
-        by_cell.setdefault(key[:n], []).append((key, w))
+    for k, w in table.items():
+        k = key(k)
+        by_cell.setdefault(k[:n], []).append((k, w))
     return {c: tuple(rows) for c, rows in by_cell.items()}, den
 
 
@@ -432,9 +436,9 @@ def observe_or_do_distribution(
         weights, q_den = _check_q(model, q, z, full_support)
     visibles = tuple(sorted(model.dag.visible))
     observed = tuple(v for v in visibles if v not in z)
-    slots = [z.index(v) if v in z else len(z) + observed.index(v) for v in visibles]
-    table, den = sum_product(model, z, observed, _pinned(model), weights)
-    acc = [(tuple(k[i] for i in slots), x) for k, x in table.items()]
+    scope, table, den = sum_product(model, z, observed, _pinned(model), weights)
+    key = picker(scope, [(v,) if v in z else v for v in visibles])
+    acc = [(key(k), x) for k, x in table.items()]
     dist, total = _normalized(visibles, acc, q_den * den)
     if dist is None:
         raise SelectedOutError("the selection event has probability zero")

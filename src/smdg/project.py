@@ -101,10 +101,13 @@ class CanonicalGraph:
         return self.cycle is None
 
     def to_partitioned_dag(self) -> PartitionedDag:
+        """The DAG on these roles and edges, which are sorted and checked,
+        and which ``cycle`` has already searched: it is built without the
+        constructor's second search, and builds its parent and child maps on
+        its first vertex query."""
         if self.cycle is not None:
             raise NotLiftableError(self.cycle)
-        # already sorted and checked; the constructor still searches for a cycle
-        return PartitionedDag(roles=self.roles, edges=self.edges)
+        return PartitionedDag._acyclic(self.roles, self.edges, dict(self.roles))
 
 
 def canonical_graph(g: SmDG) -> CanonicalGraph:

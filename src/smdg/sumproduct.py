@@ -132,9 +132,11 @@ def sum_product(model: DiscreteModel, read: Sequence[VertexId], outputs: Sequenc
     A vertex that is not an output, not pinned and not read by a needed
     child sums to one and is left out.
 
-    Returns ``(table, den)``: ``table`` maps each tuple of read values
-    followed by output values to its integer weight, over ``den`` times the
-    weights' own denominator.
+    Returns ``(scope, table, den)``: ``table`` maps each tuple of values of
+    ``scope``, which holds the sharp variables and the outputs in the order
+    the elimination left them, to its integer weight, over ``den`` times the
+    weights' own denominator. A caller re-keys it with :func:`picker` in the
+    same pass that reads it.
     """
     domains, kernels = dict(model.domains), dict(model.kernels)
     held = {u: {key[i] for key in cells} for i, u in enumerate(read)}
@@ -168,8 +170,9 @@ def sum_product(model: DiscreteModel, read: Sequence[VertexId], outputs: Sequenc
         factors = [f for f in factors if v not in f[0]]
         factors.append(_product(bucket, v))
     scope, table = _product(factors)
-    want = sharp + tuple(outputs)
-    if scope != want:
-        order = _picker([scope.index(v) for v in want])
-        table = {order(key): w for key, w in table.items()}
-    return table, den
+    return scope, table, den
+
+
+def picker(scope: Sequence, want: Sequence):
+    """key over scope -> the tuple of its values of the variables in want."""
+    return _picker([scope.index(v) for v in want])

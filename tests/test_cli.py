@@ -109,6 +109,20 @@ def test_sep_exit_codes(tmp_path, capsys):
     assert code == 0 and out.strip() == "separated"
 
 
+@pytest.mark.parametrize("criterion, named", [("d", "q1"), ("D", "q2"), ("sm", "q2")])
+def test_sep_names_the_unknown_vertex(tmp_path, capsys, criterion, named):
+    """With unknown ids in both x and z, d names the sorted-first of all of
+    them and D and sm the sorted-first of z's."""
+    from smdg.graph import PartitionedDag
+
+    graph = (SmDG.of("abc", edges=[("a", "b")]) if criterion == "sm"
+             else PartitionedDag.of(visible="abc", edges=[("a", "b")]))
+    path = write(tmp_path, "g.json", graph_io.dumps(graph))
+    code, out, err = run(capsys, "sep", "--criterion", criterion, path,
+                         "--x", "q7,q1,a", "--y", "b", "--z", "q8,q2,q5")
+    assert (code, out, err) == (65, "", f"error: vertex {named!r} is not in the graph\n")
+
+
 def test_eval_smo(tmp_path, capsys):
     from test_model import joint_selector_model
 

@@ -6,7 +6,7 @@ from itertools import islice
 
 import pytest
 
-from smdg import project
+from smdg import graph, project
 from smdg.canon import canonicalize, is_canonical
 from smdg.enumeration import SmdgBounds, enumerate_smdgs
 from smdg.graph import GraphError, PartitionedDag, Role, SmDG
@@ -22,12 +22,13 @@ from smdg.project import (
     slp,
     unliftable_cycle,
 )
-from smdg.sep import SeparationQuery, sm_separated
+from smdg.sep import D_separated, SeparationQuery, sm_separated
 
 import cases
 from helpers import (
     UNLIFTABLE,
     assert_cycle_witness,
+    assert_matches_rebuild,
     long_chain_dag,
     long_chain_smdg,
     same_up_to_nonvisible_labels,
@@ -147,6 +148,29 @@ def test_lift_equals_the_checked_rebuild():
         assert d == want and repr(d) == repr(want)
         n += 1
     assert n == 8260
+
+
+def test_lift_searches_once_and_indexes_on_first_query(monkeypatch):
+    """lift adds no cycle search to the one canonical_graph ran; separation
+    on the smDG and on its lift builds neither graph's parent and child
+    maps; and the lift's maps, once asked for, equal the rebuild's."""
+    searches = []
+    search = graph._search_cycle
+    monkeypatch.setattr(graph, "_search_cycle", lambda *a: searches.append(a) or search(*a))
+    q = SeparationQuery.of({"a"}, {"b", "c"})
+    n = 0
+    for g in islice(enumerate_smdgs(3, liftable_only=True), 0, None, 97):
+        canonical_graph(g)
+        before = len(searches)
+        d = lift(g)
+        assert len(searches) == before
+        sm_separated(g, q)
+        D_separated(d, SeparationQuery(q.x, q.y, q.z | d.selected))
+        for h in (g, d):
+            assert "_parents" not in vars(h) and "_children" not in vars(h), h
+        assert_matches_rebuild(d)
+        n += 1
+    assert n == 852
 
 
 def _rebuilt(g: SmDG) -> SmDG:
