@@ -2,9 +2,14 @@
 
 All probability arithmetic is exact: each :class:`KernelTable` holds its
 rows once, as integer numerators over one denominator, and both validation
-and evaluation read that form. ``fractions.Fraction`` values are made only
-by :meth:`KernelTable.row`, the JSON writer and the reported distributions;
-there is no floating point and no tolerance anywhere in this module.
+and evaluation read that form. A reported distribution (:class:`ProbTable`)
+is held the same way, as integer weights over one denominator, from the
+evaluator to the caller; equality, hash and marginals read the integers.
+``fractions.Fraction`` values are made only where a caller reads one: by
+:meth:`KernelTable.row`, the JSON writer, a :class:`ProbTable`'s ``table``
+(made on its first read), ``prob`` and ``total``, and each selection
+probability. There is no floating point and no tolerance anywhere in this
+module.
 Visible variables must have deterministic kernels (their randomness, when
 needed, comes from explicit marginalized parents; see
 :func:`add_private_latents`). Selected variables are conditioned to a
@@ -16,9 +21,9 @@ kernel reads an intervened parent through that parent's sharp copy, and
 the intervention's weights are a factor over the sharp copies. Selection
 is evidence: a selected vertex is pinned to its zero value, which gives
 the numerator of the conditioning. Every other vertex outside the reported
-variables is summed out, and each reported probability is one ``Fraction``
-of two integers. The tests check this evaluator against a brute-force walk
-over every joint assignment.
+variables is summed out, and each reported probability is one integer
+weight over the table's denominator. The tests check this evaluator
+against a brute-force walk over every joint assignment.
 
 The plain joint and each observe-or-do distribution take one elimination
 per call. The selected interventional distribution is linear in its
@@ -191,13 +196,24 @@ class DiscreteModel:
                 raise ModelError(f"domain of {v!r} has duplicate values")
         if lacking := [s for s in self.dag.selected if zeros[s] not in domains[s]]:
             raise ModelError(f"selected vertex {min(lacking)!r} lacks its zero value")
+        visible = self.dag.visible
         for v, kern in kernels.items():
-            if set(kern.parents) != set(self.dag.parents_of(v)):
+            if set(kern.parents) != self.dag.parents_of(v):
                 raise ModelError(f"kernel of {v!r} does not match its parents")
             if len(kern.rows) != prod(len(domains[p]) for p in kern.parents):
                 raise ModelError(f"kernel of {v!r} is missing parent-assignment rows")
+            # the whole kernel at once; only a fault walks the rows, to name the first
+            keys, vecs = zip(*kern.rows)
+            if (
+                set(map(len, keys)) == {len(kern.parents)}
+                and all(set(col) <= set(domains[p]) for col, p in zip(zip(*keys), kern.parents))
+                and set(map(len, vecs)) == {len(domains[v])}
+                and set(map(sum, vecs)) == {kern.den}
+                and min(map(min, vecs)) >= 0
+                and (v not in visible or all(kern.den in vec for vec in vecs))
+            ):
+                continue
             parent_domains = [set(domains[p]) for p in kern.parents]
-            deterministic_required = self.dag.role_of(v) is Role.VISIBLE
             for key, vec in kern.rows:
                 if len(key) != len(parent_domains) or not all(
                     x in dom for x, dom in zip(key, parent_domains)
@@ -212,49 +228,76 @@ class DiscreteModel:
                 if any(n < 0 for n in vec):
                     raise ModelError(f"kernel row {key} of {v!r} has a negative entry")
                 # a row summing to den with no negative entry that holds den is a point mass
-                if deterministic_required and kern.den not in vec:
+                if v in visible and kern.den not in vec:
                     raise ModelError(
                         f"visible vertex {v!r} must have a deterministic kernel"
                     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class ProbTable:
-    """Exact distribution over an ordered tuple of variables.
+    """Exact distribution over an ordered tuple of variables, held as sorted
+    ``(key, weight)`` pairs of integer weights over one denominator ``den``.
 
-    Zero entries are dropped, so equality is support-plus-values equality.
+    Zero entries are dropped and the form is reduced (``den`` and the
+    weights have no common factor), so two tables are equal exactly when
+    their supports and values are, and equality and hash read the integers.
+    ``table``, the same entries as ``Fraction``s, is made on its first read.
     """
 
     variables: tuple[str, ...]
-    table: tuple[tuple[Assignment, Fraction], ...]
-    _index: Mapping[Assignment, Fraction] = field(default=None, repr=False, compare=False)
+    den: int
+    weights: tuple[tuple[Assignment, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", dict(self.table))
+        # lowest terms; the running gcd is 1 after a few weights, almost always
+        g = self.den
+        for _, w in self.weights:
+            if g == 1:
+                return
+            g = gcd(g, w)
+        if g != 1:
+            object.__setattr__(self, "den", self.den // g)
+            object.__setattr__(self, "weights", tuple((k, w // g) for k, w in self.weights))
 
     @classmethod
     def of(cls, variables: Sequence[str], table: Mapping[Assignment, Fraction]) -> "ProbTable":
-        cleaned = tuple(
-            sorted((tuple(k), Fraction(p)) for k, p in table.items() if p != 0)
-        )
-        return cls(variables=tuple(variables), table=cleaned)
+        entries = [(tuple(k), Fraction(p)) for k, p in table.items()]
+        den = lcm(*(p.denominator for _, p in entries))
+        weights = sorted((k, p.numerator * (den // p.denominator)) for k, p in entries if p)
+        return cls(tuple(variables), den, tuple(weights))
+
+    @property
+    def table(self) -> tuple[tuple[Assignment, Fraction], ...]:
+        return _recorded(self, "_table", _fractions)
+
+    def __repr__(self) -> str:
+        return f"ProbTable(variables={self.variables!r}, table={self.table!r})"
 
     def total(self) -> Fraction:
-        return sum((p for _, p in self.table), ZERO)
+        return Fraction(sum(w for _, w in self.weights), self.den)
 
     def prob(self, key: Assignment) -> Fraction:
-        return self._index.get(tuple(key), ZERO)
+        return _recorded(self, "_index", lambda t: dict(t.table)).get(tuple(key), ZERO)
+
+    def _sums(self, keep: Sequence[str]) -> dict[Assignment, int]:
+        """The nonzero weights of the marginal over ``keep``, over ``den``."""
+        idx = [self.variables.index(v) for v in keep]
+        out: dict[Assignment, int] = {}
+        for key, w in self.weights:
+            sub = tuple(key[i] for i in idx)
+            out[sub] = out.get(sub, 0) + w
+        return {k: w for k, w in out.items() if w}
 
     def marginal(self, keep: Sequence[str]) -> "ProbTable":
-        idx = [self.variables.index(v) for v in keep]
-        out: dict[Assignment, Fraction] = {}
-        for key, p in self.table:
-            sub = tuple(key[i] for i in idx)
-            out[sub] = out.get(sub, ZERO) + p
-        return ProbTable.of(keep, out)
+        return ProbTable(tuple(keep), self.den, tuple(sorted(self._sums(keep).items())))
 
     def items(self):
         return self.table
+
+
+def _fractions(t: ProbTable) -> tuple[tuple[Assignment, Fraction], ...]:
+    return tuple((k, Fraction(w, t.den)) for k, w in t.weights)
 
 
 def conditionally_independent(
@@ -263,20 +306,15 @@ def conditionally_independent(
     """Exact test of X independent of Y given Z in a joint table:
     P(x,y,z) * P(z) == P(x,z) * P(y,z) for every assignment."""
     x, y, z = list(x), list(y), list(z)
-    pxyz = dist.marginal(x + y + z)
-    pz = dist.marginal(z)
-    pxz = dist.marginal(x + z)
-    pyz = dist.marginal(y + z)
-    x_vals = {k[: len(x)] for k, _ in pxz.items()} | {k[: len(x)] for k, _ in pxyz.items()}
-    y_vals = {k[len(x):len(x) + len(y)] for k, _ in pxyz.items()} | {
-        k[: len(y)] for k, _ in pyz.items()
-    }
-    z_vals = {k for k, _ in pz.items()}
-    for zv in z_vals:
+    # every marginal is over dist.den, so both sides are over den squared
+    pxyz, pz, pxz, pyz = (dist._sums(vs) for vs in (x + y + z, z, x + z, y + z))
+    x_vals = {k[: len(x)] for k in pxz} | {k[: len(x)] for k in pxyz}
+    y_vals = {k[len(x):len(x) + len(y)] for k in pxyz} | {k[: len(y)] for k in pyz}
+    for zv, wz in pz.items():
         for xv in x_vals:
             for yv in y_vals:
-                lhs = pxyz.prob(xv + yv + zv) * pz.prob(zv)
-                rhs = pxz.prob(xv + zv) * pyz.prob(yv + zv)
+                lhs = pxyz.get(xv + yv + zv, 0) * wz
+                rhs = pxz.get(xv + zv, 0) * pyz.get(yv + zv, 0)
                 if lhs != rhs:
                     return False
     return True
@@ -339,31 +377,45 @@ def _normalized(variables, acc, scale) -> tuple[Optional[ProbTable], Fraction]:
     total = sum(x for _, x in acc)
     if total == 0:
         return None, ZERO
-    table = tuple(sorted((k, Fraction(x, total)) for k, x in acc))
-    return ProbTable(variables, table), Fraction(total, scale)
+    return ProbTable(variables, total, tuple(sorted(acc))), Fraction(total, scale)
+
+
+def _cells(q: ProbTable) -> tuple[dict[Assignment, int], set[int], list[set[Value]]]:
+    """q's cells as a dict of integer weights over ``q.den``, the lengths of
+    its keys, and the set of values at each key position."""
+    weights = dict(q.weights)
+    return weights, {len(key) for key in weights}, [set(col) for col in zip(*weights)]
 
 
 def _check_q(model: DiscreteModel, q: ProbTable, over: Sequence[VertexId],
              full_support: bool) -> tuple[dict[Assignment, int], int]:
     """Check q against the variables ``over`` and return its cells as
-    integer weights over their common denominator ``q_den``."""
+    integer weights over their common denominator ``q.den``.
+
+    The cells are recorded on q. Key lengths and the values at each
+    position are checked as sets; only a failure walks the cells, to name
+    the first offender."""
     if tuple(q.variables) != tuple(over):
         raise ModelError(f"intervention must range over {tuple(over)}, got {q.variables}")
-    q_den = lcm(*(w.denominator for _, w in q.table))
-    weights = {key: w.numerator * (q_den // w.denominator) for key, w in q.table}
-    if sum(weights.values()) != q_den:
+    weights, lengths, columns = _recorded(q, "_cells", _cells)
+    if sum(weights.values()) != q.den:
         raise ModelError("intervention distribution must sum to 1")
     domains = dict(model.domains)
     over_domains = [domains[v] for v in over]
-    for key in weights:
-        if len(key) != len(over):
-            raise ModelError(f"intervention key {key} does not match {q.variables}")
-        for v, value, dom in zip(over, key, over_domains):
-            if value not in dom:
-                raise ModelError(f"intervention assigns {value!r} outside the domain of {v!r}")
+    if lengths - {len(over)} or not all(
+        col <= set(dom) for col, dom in zip(columns, over_domains)
+    ):
+        for key in weights:
+            if len(key) != len(over):
+                raise ModelError(f"intervention key {key} does not match {q.variables}")
+            for v, value, dom in zip(over, key, over_domains):
+                if value not in dom:
+                    raise ModelError(
+                        f"intervention assigns {value!r} outside the domain of {v!r}"
+                    )
     if full_support and len(weights) != prod(len(dom) for dom in over_domains):
         raise ModelError("intervention must have full support")
-    return weights, q_den
+    return weights, q.den
 
 
 def _smi_kernel(model: DiscreteModel):
@@ -498,8 +550,9 @@ def copy_check(domains, kernels, zeros, a: VertexId, m_label: VertexId,
     """Add a uniform latent m_label over a's domain and an indicator selection
     s_label whose zero value means the latent copied a: the kernels of the
     selected/marginalized pair that stands in for an edge a -> b."""
+    n = len(domains[a])
     domains[m_label] = domains[a]
-    kernels[m_label] = table_kernel([], [], domains[a], lambda: uniform(domains[a]))
+    kernels[m_label] = KernelTable.over([], n, {(): (1,) * n})
     domains[s_label] = (0, 1)
     zeros[s_label] = 0
     par = sorted((a, m_label))

@@ -11,6 +11,14 @@ Cartesian products for merges, and fresh copy-check bits for indicators.
 ``transport`` computes the rewritten graph through canon's own rule table,
 copies the source model's domain, kernel and zero maps once, lets the
 construction edit those maps, and builds the transported model once.
+
+Every construction computes on integer rows: it reads each old row as
+integer numerators over its kernel's ``den`` (:func:`_read`), multiplies
+and adds those integers over the product of the denominators involved, and
+builds each new kernel with :meth:`KernelTable.over`, which reduces it to
+the form :meth:`KernelTable.of` gives. No construction makes a
+``Fraction``. ``transport_obs_or_do`` divides by a selected marginal, and
+computes in ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -34,7 +42,6 @@ from .model import (
     deterministic_kernel,
     smo_distribution,
     table_kernel,
-    uniform,
 )
 
 CanonMove = canon.CanonStep
@@ -65,23 +72,19 @@ def transport_chain(model: DiscreteModel, moves: Sequence[CanonMove]) -> Discret
     return model
 
 
-def _read(kern: KernelTable, env: Mapping[VertexId, Value]) -> tuple[Fraction, ...]:
-    return kern.row(tuple(env[p] for p in kern.parents))
-
-
-def _read_numerators(kern: KernelTable, env: Mapping[VertexId, Value]) -> tuple[int, ...]:
+def _read(kern: KernelTable, env: Mapping[VertexId, Value]) -> tuple[int, ...]:
+    """kern's row at the parent values in env, as integer numerators over kern.den."""
     return kern.numerators(tuple(env[p] for p in kern.parents))
 
 
-def _make_kernel(dag2: PartitionedDag, domains, w: VertexId, row_fn, den=None) -> KernelTable:
+def _make_kernel(dag2: PartitionedDag, domains, w: VertexId, den: int, row_fn) -> KernelTable:
     """Kernel of w over its parents in dag2, one row_fn(parent values) per
-    parent assignment: ``Fraction``s, or integer numerators over ``den``
-    when it is given."""
+    parent assignment, each row integer numerators over ``den``."""
     parents = sorted(dag2.parents_of(w))
     rows = {
         key: row_fn(dict(zip(parents, key))) for key in product(*[domains[p] for p in parents])
     }
-    return KernelTable.of(parents, rows) if den is None else KernelTable.over(parents, den, rows)
+    return KernelTable.over(parents, den, rows)
 
 
 def _reread(model: DiscreteModel, dag2: PartitionedDag, domains, kernels,
@@ -89,18 +92,20 @@ def _reread(model: DiscreteModel, dag2: PartitionedDag, domains, kernels,
     """Each child keeps its old kernel, read with the parent values that
     substitute(child, new parent values) returns put in place."""
     for w in sorted(children):
+        old = model.kernel(w)
 
-        def row_fn(env, old=model.kernel(w), w=w):
+        def row_fn(env, old=old, w=w):
             return _read(old, {**env, **substitute(w, env)})
 
-        kernels[w] = _make_kernel(dag2, domains, w, row_fn)
+        kernels[w] = _make_kernel(dag2, domains, w, old.den, row_fn)
 
 
 def _slot_library(move: str, base_dom: Sequence[Value], slot_domains: Sequence[Sequence[Value]],
                   dist_of):
     """Domain, parentless kernel and slot index of a latent that holds one
     value per slot, an assignment to ``slot_domains``, the value in a slot
-    drawn independently from dist_of(slot).
+    drawn independently from dist_of(slot), which returns ``(den, {value:
+    integer numerator over den})``.
 
     The library has |base_dom| ** slots values; above ``LIBRARY_LIMIT`` it
     raises ModelError before building anything.
@@ -115,15 +120,11 @@ def _slot_library(move: str, base_dom: Sequence[Value], slot_domains: Sequence[S
     keys = list(product(*slot_domains))
     dists = [dist_of(key) for key in keys]
     library_dom = tuple(product(base_dom, repeat=len(keys)))
-    probs = []
-    for lib in library_dom:
-        p = ONE
-        for dist, x in zip(dists, lib):
-            p *= dist.get(x, ZERO)
-            if p == 0:
-                break
-        probs.append(p)
-    return library_dom, KernelTable.of([], {(): probs}), {key: i for i, key in enumerate(keys)}
+    probs = [1]
+    for _, dist in dists:  # in the order of library_dom, the last slot varying fastest
+        probs = [p * dist[x] for p in probs for x in base_dom]
+    kernel = KernelTable.over([], prod(den for den, _ in dists), {(): probs})
+    return library_dom, kernel, {key: i for i, key in enumerate(keys)}
 
 
 def _pair_latent(model: DiscreteModel, dag2: PartitionedDag, domains, kernels,
@@ -131,11 +132,13 @@ def _pair_latent(model: DiscreteModel, dag2: PartitionedDag, domains, kernels,
     """Latents m1 and m2 become one latent ``label`` carrying the pair of
     their values; every child reads the components it used to read."""
     dom1, dom2 = domains.pop(m1), domains.pop(m2)
-    p1 = dict(zip(dom1, _read(kernels.pop(m1), {})))
-    p2 = dict(zip(dom2, _read(kernels.pop(m2), {})))
+    k1, k2 = kernels.pop(m1), kernels.pop(m2)
+    p1, p2 = dict(zip(dom1, _read(k1, {}))), dict(zip(dom2, _read(k2, {})))
     pair_dom = tuple(product(dom1, dom2))
     domains[label] = pair_dom
-    kernels[label] = KernelTable.of([], {(): [p1[x1] * p2[x2] for x1, x2 in pair_dom]})
+    kernels[label] = KernelTable.over(
+        [], k1.den * k2.den, {(): [p1[x1] * p2[x2] for x1, x2 in pair_dom]}
+    )
     d = model.dag
     _reread(model, dag2, domains, kernels, d.children_of(m1) | d.children_of(m2),
             lambda w, env: dict(zip((m1, m2), env[label])))
@@ -169,7 +172,7 @@ def _exogenize(model, dag2, domains, kernels, zeros, m: VertexId) -> None:
         "exogenize",
         base_dom,
         [domains[p] for p in old_parents],
-        lambda key: dict(zip(base_dom, _read(old_m, dict(zip(old_parents, key))))),
+        lambda key: (old_m.den, dict(zip(base_dom, _read(old_m, dict(zip(old_parents, key)))))),
     )
     _reread(model, dag2, domains, kernels, model.dag.children_of(m),
             lambda w, env: {m: env[m][slot[tuple(env[p] for p in old_parents)]]})
@@ -196,11 +199,11 @@ def _merge_selected(model, dag2, domains, kernels, zeros, s1: VertexId,
     zeros[label] = zero
 
     def row_fn(env):
-        r1 = dict(zip(dom1, _read_numerators(old1, env)))
-        r2 = dict(zip(dom2, _read_numerators(old2, env)))
+        r1 = dict(zip(dom1, _read(old1, env)))
+        r2 = dict(zip(dom2, _read(old2, env)))
         return [r1[y1] * r2[y2] for y1, y2 in pair_dom]
 
-    kernels[label] = _make_kernel(dag2, domains, label, row_fn, old1.den * old2.den)
+    kernels[label] = _make_kernel(dag2, domains, label, old1.den * old2.den, row_fn)
 
 
 def _split(model, dag2, domains, kernels, zeros, m: VertexId, s: VertexId) -> None:
@@ -216,20 +219,21 @@ def _split(model, dag2, domains, kernels, zeros, m: VertexId, s: VertexId) -> No
     v_s = sorted(d.parents_of(s) & d.visible)
     v_m = sorted(d.children_of(m) & d.visible)
     labels = canon.split_pair_label_map(d, m, s)
-    base_dom = domains[m]
-    m_prior = dict(zip(base_dom, _read(kernels[m], {})))
+    base_dom, m_old = domains[m], kernels[m]
+    m_prior = dict(zip(base_dom, _read(m_old, {})))
     s_old, s_dom = kernels[s], domains[s]
     s_zero_idx = s_dom.index(zeros[s])
 
-    # the selection keeps its domain but marginalizes the lost latent parent
+    # the selection keeps its domain but marginalizes the lost latent parent;
+    # every weight below is over m_old.den * s_old.den
     def s_row(env):
-        acc = [ZERO] * len(s_dom)
+        acc = [0] * len(s_dom)
         for x_m in base_dom:
-            for i, p in enumerate(_read(s_old, {**env, m: x_m})):
-                acc[i] += m_prior[x_m] * p
+            for i, n in enumerate(_read(s_old, {**env, m: x_m})):
+                acc[i] += m_prior[x_m] * n
         return acc
 
-    kernels[s] = _make_kernel(dag2, domains, s, s_row)
+    kernels[s] = _make_kernel(dag2, domains, s, m_old.den * s_old.den, s_row)
     for (a, b), (s_label, m_label) in labels.items():
         copy_check(domains, kernels, zeros, a, m_label, s_label)
     if not v_m:
@@ -241,10 +245,10 @@ def _split(model, dag2, domains, kernels, zeros, m: VertexId, s: VertexId) -> No
         weights = {
             x_m: m_prior[x_m] * _read(s_old, {**env, m: x_m})[s_zero_idx] for x_m in base_dom
         }
-        total = sum(weights.values(), ZERO)
-        if total == 0:
-            return uniform(base_dom)  # slot never consulted under selection
-        return {x: w / total for x, w in weights.items()}
+        total = sum(weights.values())
+        if total == 0:  # slot never consulted under selection
+            return len(base_dom), dict.fromkeys(base_dom, 1)
+        return total, weights
 
     domains[m], kernels[m], slot = _slot_library(
         "split_m_to_s", base_dom, [domains[a] for a in v_s], conditional
@@ -276,8 +280,7 @@ def _remove_vertex(model, dag2, domains, kernels, zeros, victim: VertexId) -> No
         raise ModelError(f"cannot transport the removal of visible vertex {victim!r}")
     if not family(victim):
         if victim in d.selected:
-            row = _read(kernels[victim], {})
-            if row[domains[victim].index(zeros[victim])] == 0:
+            if _read(kernels[victim], {})[domains[victim].index(zeros[victim])] == 0:
                 raise SelectedOutError(
                     f"removing {victim!r} would change a model whose selection never succeeds"
                 )
@@ -292,12 +295,13 @@ def _remove_vertex(model, dag2, domains, kernels, zeros, victim: VertexId) -> No
     z1 = domains.pop(victim).index(zeros.pop(victim))
     z2 = domains[keeper].index(zeros[keeper])
     domains[keeper], zeros[keeper] = (0, 1), 0
+    den = old1.den * old2.den
 
     def row_fn(env):
-        p = _read(old1, env)[z1] * _read(old2, env)[z2]
-        return [p, ONE - p]
+        n = _read(old1, env)[z1] * _read(old2, env)[z2]
+        return [n, den - n]
 
-    kernels[keeper] = _make_kernel(dag2, domains, keeper, row_fn)
+    kernels[keeper] = _make_kernel(dag2, domains, keeper, den, row_fn)
 
 
 _CONSTRUCTIONS = {
@@ -332,13 +336,14 @@ def transport_obs_or_do(model: DiscreteModel) -> DiscreteModel:
         raise ModelError("expected the edge set {m->v, v->s, m->s}")
 
     dom_v, dom_m = model.domain(v), model.domain(m)
-    m_prior = dict(zip(dom_m, _read(model.kernel(m), {})))
-    s_old = model.kernel(s)
+    m_kern, s_old = model.kernel(m), model.kernel(s)
+    m_prior = {x_m: Fraction(n, m_kern.den) for x_m, n in zip(dom_m, _read(m_kern, {}))}
     z = model.domain(s).index(model.selected_zero(s))
 
     # selection kernel with the latent marginalized out
     sel_given_v = {
-        x_v: sum((m_prior[x_m] * _read(s_old, {m: x_m, v: x_v})[z] for x_m in dom_m), ZERO)
+        x_v: sum((m_prior[x_m] * Fraction(_read(s_old, {m: x_m, v: x_v})[z], s_old.den)
+                  for x_m in dom_m), ZERO)
         for x_v in dom_v
     }
     # target marginal for the visible: its selected distribution, divided by

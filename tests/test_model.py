@@ -1,5 +1,7 @@
+import hashlib
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 
@@ -38,7 +40,7 @@ from smdg.oracle import (
 from smdg.transport import transport
 
 import cases
-from test_transport import SHAPES, _rand_model
+from test_transport import SHAPES, _grid, _rand_model
 
 F = Fraction
 
@@ -372,6 +374,149 @@ def test_smi_records_one_kernel_per_model_instance(monkeypatch):
     assert twin == model and twin is not model
     assert [smi_distribution(twin, q) for q in grid] == first
     assert len(calls) == 2
+
+
+# Two faulty rows per kernel of the visible a over its latent u, whose domain
+# is (0, 1, 2) unless given. The first faulty row in row order, (1,), has the
+# named fault; the later one has the same fault, or one that a check run fault
+# by fault over the whole kernel would meet first. (domain of u, rows, message)
+_OUTSIDE = "kernel row (1,) of 'a' lies outside its parents' domains"
+_WIDTH = "kernel row of 'a' has the wrong width"
+_SUM = "kernel row (1,) of 'a' does not sum to 1"
+_NEGATIVE = "kernel row (1,) of 'a' has a negative entry"
+_DETERMINISTIC = "visible vertex 'a' must have a deterministic kernel"
+TWO_FAULTY_ROWS = {
+    "outside-outside": ((0, 2, 3), {(0,): (1, 0), (1,): (0, 1), (4,): (1, 0)}, _OUTSIDE),
+    "width-width": ((0, 1, 2), {(0,): (1, 0), (1,): (1,), (2,): (1, 0, 0)}, _WIDTH),
+    "width-outside": ((0, 1, 2), {(0,): (1, 0), (1,): (1,), (5,): (1, 0)}, _WIDTH),
+    "sum-sum": ((0, 1, 2), {(0,): (1, 0), (1,): (F(1, 2), F(1, 3)), (2,): (1, 1)}, _SUM),
+    "sum-width": ((0, 1, 2), {(0,): (1, 0), (1,): (F(1, 2), F(1, 3)), (2,): (1,)}, _SUM),
+    "negative-negative": ((0, 1, 2), {(0,): (1, 0), (1,): (F(3, 2), F(-1, 2)),
+                                      (2,): (2, -1)}, _NEGATIVE),
+    "negative-sum": ((0, 1, 2), {(0,): (1, 0), (1,): (F(3, 2), F(-1, 2)),
+                                 (2,): (F(1, 2), F(1, 3))}, _NEGATIVE),
+    "deterministic-deterministic": ((0, 1, 2), {(0,): (1, 0), (1,): (F(1, 2), F(1, 2)),
+                                                (2,): (F(1, 4), F(3, 4))}, _DETERMINISTIC),
+    "deterministic-negative": ((0, 1, 2), {(0,): (1, 0), (1,): (F(1, 2), F(1, 2)),
+                                           (2,): (F(3, 2), F(-1, 2))}, _DETERMINISTIC),
+}
+
+
+@pytest.mark.parametrize("case", list(TWO_FAULTY_ROWS))
+def test_validate_names_the_first_faulty_row(case):
+    u_domain, rows, message = TWO_FAULTY_ROWS[case]
+    u_prior = KernelTable.of([], {(): (1,) + (0,) * (len(u_domain) - 1)})
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        DiscreteModel.of(UA, {"a": (0, 1), "u": u_domain},
+                         {"a": KernelTable.of(["u"], rows), "u": u_prior})
+
+
+def _pair_model(size):
+    """Visibles a and b, each a copy of its own uniform latent over range(size)."""
+    dag = add_private_latents(PartitionedDag.of(visible="ab"))
+    latents = {private_latent(v): ("prior", uniform(range(size))) for v in "ab"}
+    return build(dag, dict.fromkeys(dag.vertices, size),
+                 {**latents, "a": ("det", lambda u: u), "b": ("det", lambda u: u)})
+
+
+@pytest.mark.parametrize("cells, message", [
+    ({(0, 0): 1, (0, 2): 1, (1, 3): 1}, "intervention assigns 2 outside the domain of 'b'"),
+    ({(0, 0): 1, (1, 0): 1, (1, 1, 0): 1, (2,): 1},
+     "intervention key (1, 1, 0) does not match ('a', 'b')"),
+    ({(0, 0): 1, (0, 1, 0): 1, (0, 2): 1}, "intervention key (0, 1, 0) does not match ('a', 'b')"),
+    ({(0, 0): 1, (0, 2): 1, (0, 3, 0): 1}, "intervention assigns 2 outside the domain of 'b'"),
+], ids=["value-value", "length-length", "length-value", "value-length"])
+def test_q_check_names_the_first_faulty_cell(cells, message):
+    q = ProbTable.of(("a", "b"), {key: F(w, sum(cells.values())) for key, w in cells.items()})
+    for _ in range(2):  # the second call reads the record the first one left on q
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            smi_distribution(_pair_model(2), q)
+
+
+def test_q_record_holds_only_facts_about_q():
+    """One q asked of models with different domains: each model checks the
+    recorded cells against its own domains."""
+    q = ProbTable.of(("a", "b"), {(0, 0): F(1, 2), (2, 1): F(1, 2)})
+    small, large = _pair_model(2), _pair_model(3)
+    want = smi_distribution(large, ProbTable.of(q.variables, dict(q.table)))
+    assert smi_distribution(large, q) == want
+    message = "intervention assigns 2 outside the domain of 'a'"
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        smi_distribution(small, q)
+    assert smi_distribution(large, q) == want
+    with pytest.raises(ModelError, match="full support"):
+        smi_distribution(large, q, full_support=True)
+
+
+def test_prob_table_equality_and_hash_are_those_of_the_fraction_tables():
+    rng = random.Random("prob-table-equality")
+    tables = []
+    for _ in range(150):
+        keys = rng.sample([(0,), (1,), (2,)], rng.randint(0, 3))
+        tables.append({k: F(rng.randint(0, 3), rng.choice([1, 2, 3, 4, 6])) for k in keys})
+    built = [ProbTable.of(("x",), t) for t in tables]
+    for t1, p1 in zip(tables, built):
+        for t2, p2 in zip(tables, built):
+            same = {k: p for k, p in t1.items() if p} == {k: p for k, p in t2.items() if p}
+            assert (p1 == p2) is same and (p1.table == p2.table) is same
+            if same:
+                assert hash(p1) == hash(p2)
+    # the same distribution given at two scales is one reduced form
+    twice = ProbTable(("x",), 6, (((0,), 2), ((1,), 4)))
+    once = ProbTable(("x",), 3, (((0,), 1), ((1,), 2)))
+    assert twice == once and hash(twice) == hash(once)
+    assert (twice.den, twice.weights) == (3, (((0,), 1), ((1,), 2)))
+    assert twice == ProbTable.of(("x",), {(0,): F(1, 3), (1,): F(2, 3), (2,): 0})
+    assert twice.table == (((0,), F(1, 3)), ((1,), F(2, 3)))
+    assert twice != ProbTable.of(("y",), {(0,): F(1, 3), (1,): F(2, 3)})
+    # whatever Fraction(p) accepts, a zero of any type dropped
+    assert ProbTable.of(("x",), {(0,): "1/4", (1,): 0.5, (2,): Decimal("0.25"), (3,): "0"}) == \
+        ProbTable.of(("x",), {(0,): F(1, 4), (1,): F(1, 2), (2,): F(1, 4)})
+
+
+def _reported(model):
+    """smo, or its error, and smi at each point of the five-point grid."""
+    try:
+        yield smo_distribution(model)
+    except SelectedOutError as exc:
+        yield str(exc)
+    for q in _grid(model):
+        yield smi_distribution(model, q)
+
+
+def reported_tables_digest() -> str:
+    """sha256 of the repr of every smo and smi result over the models of
+    ``_models_with_kernels``, and of each result's table."""
+    digest = hashlib.sha256()
+    for model in _models_with_kernels():
+        for res in _reported(model):
+            digest.update(repr(res).encode())
+            if not isinstance(res, str) and res.dist is not None:
+                digest.update(repr(res.dist.table).encode())
+    return digest.hexdigest()
+
+
+# Taken from the model layer that stored each reported entry as a Fraction.
+REPORTED_TABLES_SHA256 = "ba3c152babb589ae5cd027dbb2340b6b0645b0bcdfbfc895fa2263622344908a"
+
+
+def test_reported_tables_print_the_pinned_bytes():
+    assert reported_tables_digest() == REPORTED_TABLES_SHA256
+
+
+def test_prob_table_makes_its_fractions_on_first_read():
+    """Equality, hash and marginals read the integer weights; a table's
+    Fractions are made on its first read, once."""
+    model = _pair_model(2)
+    q = _grid(model)[3]
+    r1, r2 = smi_distribution(model, q), smi_distribution(model, q)
+    smo = smo_distribution(model)
+    flats = r1.dist.marginal([flat("a"), flat("b")])
+    assert r1 == r2 and hash(r1.dist) == hash(r2.dist) and smo.dist.weights == flats.weights
+    assert not any("_table" in vars(t) for t in (r1.dist, r2.dist, smo.dist, flats))
+    table = r1.dist.table
+    assert r1.dist.table is table and vars(r1.dist)["_table"] is table
+    assert "_table" not in vars(r2.dist)
 
 
 @pytest.mark.parametrize("entry", [0.1, "1/2"], ids=["float", "string"])

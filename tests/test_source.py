@@ -94,14 +94,29 @@ def test_evaluator_imports_no_fractions():
     assert not lines, f"sumproduct.py imports fractions on lines {lines}"
 
 
+def _fields(class_name: str) -> dict[str, ast.expr]:
+    """The annotated fields of a class of ``model.py``."""
+    (node,) = [node for node in _tree("model.py").body
+               if isinstance(node, ast.ClassDef) and node.name == class_name]
+    return {field.target.id: field.annotation for field in node.body
+            if isinstance(field, ast.AnnAssign)}
+
+
 def test_kernel_fields_hold_no_fractions():
     """A kernel stores one form, integer numerators over one denominator;
     ``Fraction``s are made only when a row is read."""
-    (kernel,) = [node for node in _tree("model.py").body
-                 if isinstance(node, ast.ClassDef) and node.name == "KernelTable"]
-    fields = {node.target.id: node.annotation for node in kernel.body
-              if isinstance(node, ast.AnnAssign)}
+    fields = _fields("KernelTable")
     assert {"parents", "den", "rows"} <= set(fields)
     holding = sorted(name for name, annotation in fields.items()
                      if "Fraction" in ast.unparse(annotation))
     assert not holding, f"KernelTable fields annotated with Fraction: {holding}"
+
+
+def test_prob_table_fields_hold_no_fractions():
+    """A distribution stores integer weights over one denominator; its
+    ``Fraction``s are made only when its table is read."""
+    fields = _fields("ProbTable")
+    assert {"variables", "den", "weights"} <= set(fields)
+    holding = sorted(name for name, annotation in fields.items()
+                     if "Fraction" in ast.unparse(annotation))
+    assert not holding, f"ProbTable fields annotated with Fraction: {holding}"

@@ -1,7 +1,9 @@
+import hashlib
 import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -16,6 +18,7 @@ from smdg.model import (
     SelectedOutError,
     deterministic_kernel,
     flat,
+    model_dumps,
     observe_or_do_distribution,
     product_intervention,
     smi_distribution,
@@ -315,6 +318,77 @@ def test_library_limit_stops_before_building():
         f"exogenize: a library of 2^64 values exceeds the limit of {LIBRARY_LIMIT}"
     )
     assert peak < 1 << 20
+
+
+def _shape_transports():
+    """Eight seeded models of every shape, each carried across its move."""
+    for shape in sorted(SHAPES):
+        rng = random.Random(f"integer-rows-{shape}")
+        for _ in range(8):
+            model, move = SHAPES[shape](rng)
+            yield transport(model, move)
+
+
+def _too_large(model, step) -> bool:
+    """Whether the model holds more than 4,000 kernel cells, or the step
+    would build a library of more than 256 values."""
+    if sum(len(kern.rows) * len(model.domain(v)) for v, kern in model.kernels) > 4000:
+        return True
+    name, args = step
+    d = model.dag
+    if name == "exogenize":
+        slots = prod(len(model.domain(p)) for p in d.parents_of(args[0]))
+    elif name == "split_m_to_s":
+        slots = prod(len(model.domain(a)) for a in d.parents_of(args[1]) & d.visible)
+    else:
+        return False
+    return len(model.domain(args[0])) ** slots > 256
+
+
+def _chain_transports():
+    """The canonicalization chains of 180 seeded random non-canonical DAGs,
+    each model carried step by step until a step would be too large."""
+    from smdg.canon import canonicalize
+    from test_canon import _one_shot_dag
+
+    rng = random.Random("integer-chains")
+    for _ in range(180):
+        model = _rand_model(rng, _one_shot_dag(rng))
+        for step in canonicalize(model.dag).steps:
+            if _too_large(model, step):
+                break
+            model = transport(model, step)
+            yield model
+
+
+def transported_digest(models) -> tuple[int, str]:
+    """How many models, and the sha256 of each one's JSON (or the reason it
+    has none) and repr."""
+    digest, count = hashlib.sha256(), 0
+    for model in models:
+        try:
+            text = model_dumps(model)
+        except ModelError as exc:
+            text = str(exc)
+        digest.update(text.encode())
+        digest.update(repr(model).encode())
+        count += 1
+    return count, digest.hexdigest()
+
+
+@pytest.mark.parametrize("make, pinned", [
+    (_shape_transports, (64, "cbe048ce9d9a89eb47addd5b0142af2adeca6b82f5c4c9c1b00609259eccdbcd")),
+    (_chain_transports, (791, "8ad6d6a6c6f3fd3d69846c20d6001a3b19049b3bfdacdb2852cf24f6bf7e9bd7")),
+], ids=["shapes", "chains"])
+def test_constructions_compute_on_integer_rows(monkeypatch, make, pinned):
+    """No construction reads a row as Fractions, and every transported model
+    has the bytes pinned from the constructions that did."""
+
+    def refuse(self, key):
+        raise AssertionError("a transport construction read KernelTable.row")
+
+    monkeypatch.setattr(KernelTable, "row", refuse)
+    assert transported_digest(make()) == pinned
 
 
 def test_constructions_cover_every_canon_step():
