@@ -30,6 +30,15 @@ per call. The selected interventional distribution is linear in its
 intervention q, so each model runs one elimination for it, with every
 sharp cell weighted 1, the first time any q is asked; the result is kept
 on the model instance, and every smi call contracts it with q's weights.
+
+A model records its domain, kernel and selected-zero maps once
+(:attr:`DiscreteModel.maps`), and every accessor, check and evaluation
+reads them. :meth:`DiscreteModel.of` validates every kernel. A model built
+from another model's edited maps (``DiscreteModel._derived``, which
+:func:`smdg.transport.transport` uses) checks coverage, domains, zeros and
+every kernel's parents, but re-checks rows only for kernels that are not
+the source's own instance for a vertex of the same role over the same
+domain and parent domains.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm, prod
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
@@ -65,7 +74,9 @@ class KernelTable:
     """Rows map an assignment of the declared parents to a probability vector
     over the vertex's domain values (aligned with the domain ordering), held
     as integer numerators over ``den``, the lcm of every entry's denominator.
-    :meth:`row` reads one row back as ``Fraction``s."""
+    :meth:`row` reads one row back as ``Fraction``s. The evaluator records
+    the kernel's whole factor on the instance the first time it reads it
+    (:func:`smdg.sumproduct._whole_table`)."""
 
     parents: tuple[VertexId, ...]
     den: int
@@ -103,8 +114,11 @@ class KernelTable:
         """Rows of integer numerators over ``den``, reduced to the same form
         :meth:`of` gives: over the lcm of every entry's reduced denominator,
         which is ``den`` divided by its gcd with every numerator."""
-        g = gcd(den, *(n for vec in rows.values() for n in vec))
-        fixed = tuple(sorted((tuple(k), tuple(n // g for n in vec)) for k, vec in rows.items()))
+        g = gcd(den, *chain.from_iterable(rows.values()))
+        fixed = tuple(sorted(
+            (tuple(k), tuple(vec) if g == 1 else tuple(n // g for n in vec))
+            for k, vec in rows.items()
+        ))
         return cls(parents=tuple(parents), den=den // g, rows=fixed)
 
     def numerators(self, key: Assignment) -> tuple[int, ...]:
@@ -163,30 +177,70 @@ class DiscreteModel:
         kernels: Mapping[VertexId, KernelTable],
         selected_zeros: Optional[Mapping[VertexId, Value]] = None,
     ) -> "DiscreteModel":
+        model = cls._unchecked(dag, domains, kernels, selected_zeros)
+        model.validate()
+        return model
+
+    @classmethod
+    def _unchecked(cls, dag, domains, kernels, selected_zeros) -> "DiscreteModel":
         zeros = dict(selected_zeros or {})
         for s in dag.selected:
             zeros.setdefault(s, 0)
-        model = cls(
+        return cls(
             dag=dag,
             domains=tuple(sorted((v, tuple(vals)) for v, vals in domains.items())),
             kernels=tuple(sorted(kernels.items())),
             selected_zeros=tuple(sorted(zeros.items())),
         )
-        model.validate()
+
+    @classmethod
+    def _derived(cls, source: "DiscreteModel", dag: PartitionedDag, domains, kernels,
+                 selected_zeros) -> "DiscreteModel":
+        """The model on these maps, checked as :meth:`of` checks it except
+        for the rows that ``source``, a validated model, vouches for
+        (:meth:`_vouches_for`)."""
+        model = cls._unchecked(dag, domains, kernels, selected_zeros)
+        model._validate(source)
         return model
 
     # --- accessors -------------------------------------------------------
+    @property
+    def maps(self) -> tuple[dict[VertexId, tuple[Value, ...]], dict[VertexId, KernelTable],
+                            dict[VertexId, Value]]:
+        """The domain, kernel and selected-zero maps, made once per instance
+        and shared by every reader; never write to them."""
+        return _recorded(self, "_maps", _maps)
+
     def domain(self, v: VertexId) -> tuple[Value, ...]:
-        return dict(self.domains)[v]
+        return self.maps[0][v]
 
     def kernel(self, v: VertexId) -> KernelTable:
-        return dict(self.kernels)[v]
+        return self.maps[1][v]
 
     def selected_zero(self, v: VertexId) -> Value:
-        return dict(self.selected_zeros)[v]
+        return self.maps[2][v]
 
     def validate(self) -> None:
-        domains, kernels, zeros = dict(self.domains), dict(self.kernels), dict(self.selected_zeros)
+        self._validate(None)
+
+    def _vouches_for(self, v: VertexId, kern: KernelTable, other: "DiscreteModel") -> bool:
+        """Whether kern, as other's kernel of v, is this validated model's own
+        instance for a vertex of the same role, over the same domain, whose
+        parents' domains are the same too. Its row checks read nothing else,
+        so they pass in other as they passed here. other must already have
+        v and kern's parents as its vertices."""
+        domains, kernels, _ = self.maps
+        new = other.maps[0]
+        return (
+            kern is kernels.get(v)
+            and self.dag.role_of(v) is other.dag.role_of(v)
+            and all(new[u] is domains[u] or new[u] == domains[u] for u in (v, *kern.parents))
+        )
+
+    def _validate(self, source: Optional["DiscreteModel"]) -> None:
+        """Coverage, domains, zeros and every kernel's parents, and the rows
+        of each kernel that ``source`` does not vouch for."""
+        domains, kernels, zeros = self.maps
         if set(domains) != self.dag.vertices or set(kernels) != self.dag.vertices:
             raise ModelError("domains and kernels must cover exactly the graph vertices")
         for v, dom in domains.items():
@@ -200,6 +254,8 @@ class DiscreteModel:
         for v, kern in kernels.items():
             if set(kern.parents) != self.dag.parents_of(v):
                 raise ModelError(f"kernel of {v!r} does not match its parents")
+            if source is not None and source._vouches_for(v, kern, self):
+                continue
             if len(kern.rows) != prod(len(domains[p]) for p in kern.parents):
                 raise ModelError(f"kernel of {v!r} is missing parent-assignment rows")
             # the whole kernel at once; only a fault walks the rows, to name the first
@@ -210,7 +266,7 @@ class DiscreteModel:
                 and set(map(len, vecs)) == {len(domains[v])}
                 and set(map(sum, vecs)) == {kern.den}
                 and min(map(min, vecs)) >= 0
-                and (v not in visible or all(kern.den in vec for vec in vecs))
+                and (v not in visible or min(map(max, vecs)) == kern.den)
             ):
                 continue
             parent_domains = [set(domains[p]) for p in kern.parents]
@@ -232,6 +288,10 @@ class DiscreteModel:
                     raise ModelError(
                         f"visible vertex {v!r} must have a deterministic kernel"
                     )
+
+
+def _maps(model: DiscreteModel):
+    return dict(model.domains), dict(model.kernels), dict(model.selected_zeros)
 
 
 @dataclass(frozen=True, repr=False)
@@ -367,7 +427,7 @@ def smo_distribution(model: DiscreteModel) -> SelectedDistribution:
 
 def _pinned(model: DiscreteModel) -> dict[VertexId, Value]:
     """Each selected vertex at its zero value."""
-    zeros = dict(model.selected_zeros)
+    zeros = model.maps[2]
     return {s: zeros[s] for s in model.dag.selected}
 
 
@@ -400,7 +460,7 @@ def _check_q(model: DiscreteModel, q: ProbTable, over: Sequence[VertexId],
     weights, lengths, columns = _recorded(q, "_cells", _cells)
     if sum(weights.values()) != q.den:
         raise ModelError("intervention distribution must sum to 1")
-    domains = dict(model.domains)
+    domains = model.maps[0]
     over_domains = [domains[v] for v in over]
     if lengths - {len(over)} or not all(
         col <= set(dom) for col, dom in zip(columns, over_domains)
@@ -425,7 +485,7 @@ def _smi_kernel(model: DiscreteModel):
     each weight over ``den``; a cell whose selection never succeeds is
     absent."""
     visibles = tuple(sorted(model.dag.visible))
-    domains = dict(model.domains)
+    domains = model.maps[0]
     cells = dict.fromkeys(product(*(domains[v] for v in visibles)), 1)
     scope, table, den = sum_product(model, visibles, visibles, _pinned(model), cells)
     # one pass re-keys each entry to sharp then flat values and groups it by cell

@@ -10,10 +10,21 @@ intervention's weights are a factor over the sharp variables (Pearl,
 *Causality*, 2009, sec. 3.2). Every vertex outside the requested outputs is
 summed out in one variable elimination (Koller & Friedman, *Probabilistic
 Graphical Models*, ch. 9) in a greedy smallest-bucket order.
+
+Set-up is paid once per kernel, not once per call. A kernel whose factor
+needs no row filtered and no column pinned is its whole table, which the
+``KernelTable`` instance records with the domain it was built over
+(:func:`_whole_table`); a model transported from another shares most of
+its kernel instances, and finds their tables built. A product where one
+scope holds the other reads the larger factor once and looks each partner
+up through one picker, with no index (:func:`_multiply`). The greedy order
+keeps each vertex's bucket span up to date as buckets merge, which gives
+the order that rescanning every factor at each step gives.
 """
 
 from __future__ import annotations
 
+from math import prod
 from operator import itemgetter
 from typing import TYPE_CHECKING, Container, Iterable, Mapping, Optional, Sequence
 
@@ -38,7 +49,13 @@ def _picker(positions: Sequence[int]):
 
 def _multiply(f: Factor, g: Factor, drop: Optional[VertexId] = None) -> Factor:
     """Pointwise product over the union of the two scopes, with ``drop``
-    summed out of it when given."""
+    summed out of it when given.
+
+    When one scope holds the other, the factor with the larger scope is
+    read entry by entry, and each entry looks its partner up through one
+    picker. Otherwise ``f`` is read entry by entry against an index of
+    ``g`` by its values of the shared variables, so the product comes out
+    grouped by ``f``'s entries."""
     (fs, ft), (gs, gt) = f, g
     pos = {v: i for i, v in enumerate(fs)}
     at_f, at_g, extra = [], [], []
@@ -48,24 +65,44 @@ def _multiply(f: Factor, g: Factor, drop: Optional[VertexId] = None) -> Factor:
             at_g.append(j)
         else:
             extra.append(j)
-    at_f, at_g, rest = _picker(at_f), _picker(at_g), _picker(extra)
-    scope = fs + tuple(gs[j] for j in extra)
-    index: dict[Assignment, list] = {}
-    for key, w in gt.items():
-        index.setdefault(at_g(key), []).append((rest(key), w))
+    if extra and len(at_f) == len(fs):  # g's scope holds f's: read g instead
+        (fs, ft), (gs, gt) = g, f
+        at_f, extra = [j for _, j in sorted(zip(at_f, at_g))], []
+    elif drop is not None and drop not in pos and drop in gs:  # only g's scope has it
+        return _multiply(_multiply(f, g), _UNIT, drop)
+    at = _picker(at_f)
+    if extra:
+        index: dict[Assignment, list] = {}
+        at_g, rest = _picker(at_g), _picker(extra)
+        for key, w in gt.items():
+            index.setdefault(at_g(key), []).append((rest(key), w))
     out: dict[Assignment, int] = {}
     if drop is None:
+        if not extra:
+            for key, w in ft.items():
+                x = gt.get(at(key))
+                if x is not None:
+                    out[key] = w * x
+            return fs, out
         for key, w in ft.items():
-            for r, x in index.get(at_f(key), ()):
+            for r, x in index.get(at(key), ()):
                 out[key + r] = w * x
-        return scope, out
-    i = scope.index(drop)
-    keep = _picker([j for j in range(len(scope)) if j != i])
+        return fs + tuple(gs[j] for j in extra), out
+    i = fs.index(drop)
+    front = _picker([j for j in range(len(fs)) if j != i])
+    if not extra:
+        for key, w in ft.items():
+            x = gt.get(at(key))
+            if x is not None:
+                k = front(key)
+                out[k] = out.get(k, 0) + w * x
+        return fs[:i] + fs[i + 1:], out
     for key, w in ft.items():
-        for r, x in index.get(at_f(key), ()):
-            k = keep(key + r)
+        head = front(key)
+        for r, x in index.get(at(key), ()):
+            k = head + r
             out[k] = out.get(k, 0) + w * x
-    return scope[:i] + scope[i + 1:], out
+    return fs[:i] + fs[i + 1:] + tuple(gs[j] for j in extra), out
 
 
 _UNIT: Factor = ((), {(): 1})
@@ -82,15 +119,34 @@ def _product(factors: Iterable[Factor], drop: Optional[VertexId] = None) -> Fact
     return out
 
 
+def _table(kern: KernelTable, dom: Sequence[Value]) -> dict[Assignment, int]:
+    """The kernel's nonzero numerators keyed by parent values then v's value."""
+    return {key + (x,): n for key, vec in kern.rows for x, n in zip(dom, vec) if n}
+
+
+def _whole_table(kern: KernelTable, dom: Sequence[Value]) -> dict[Assignment, int]:
+    """:func:`_table`, recorded on the kernel instance with the domain it
+    was built over; a kernel shared with a model whose domain of v differs
+    builds its table anew for that model."""
+    built, table = kern.__dict__.get("_factor", (None, None))
+    if built is None:
+        table = _table(kern, dom)
+        object.__setattr__(kern, "_factor", (dom, table))
+    elif built is not dom and built != dom:
+        table = _table(kern, dom)
+    return table
+
+
 def _kernel_factor(v: VertexId, kern: KernelTable, dom: Sequence[Value],
-                   read: Mapping[VertexId, Container[Value]],
+                   read: Mapping[VertexId, Container[Value]], narrowed: Container[VertexId],
                    pinned: Mapping[VertexId, Value]) -> Factor:
     """The kernel of v as one factor of integer numerators over ``kern.den``.
 
-    A parent u in ``read`` is read through its sharp variable ``(u,)`` and
-    keeps only the rows at the values in ``read[u]``. Pinned parents keep
-    only the rows at their pinned value and leave the scope, and a pinned v
-    keeps only its pinned column and leaves the scope.
+    A parent u in ``read`` is read through its sharp variable ``(u,)``; a
+    read parent in ``narrowed`` keeps only the rows at the values in
+    ``read[u]``. Pinned parents keep only the rows at their pinned value and
+    leave the scope, and a pinned v keeps only its pinned column and leaves
+    the scope. A kernel with none of these is its recorded whole table.
     """
     rows, parents = kern.rows, kern.parents
     free, allowed = [], []
@@ -99,12 +155,16 @@ def _kernel_factor(v: VertexId, kern: KernelTable, dom: Sequence[Value],
             allowed.append((i, (pinned[u],)))
         else:
             free.append(i)
-            if u in read:
+            if u in narrowed:
                 allowed.append((i, read[u]))
+    free_key = _picker(free)
+    scope = tuple((u,) if u in read else u for u in free_key(parents))
+    if not allowed and v not in pinned:
+        return scope + (v,), _whole_table(kern, dom)
     if allowed:
         rows = [(key, vec) for key, vec in rows if all(key[i] in xs for i, xs in allowed)]
     zero = dom.index(pinned[v]) if v in pinned else None
-    whole, free_key = len(free) == len(parents), _picker(free)
+    whole = len(free) == len(parents)
     t: dict[Assignment, int] = {}
     for key, vec in rows:
         k = key if whole else free_key(key)
@@ -114,7 +174,6 @@ def _kernel_factor(v: VertexId, kern: KernelTable, dom: Sequence[Value],
                     t[k + (x,)] = n
         elif vec[zero]:
             t[k] = vec[zero]
-    scope = tuple((u,) if u in read else u for u in free_key(parents))
     return scope + (() if zero is not None else (v,)), t
 
 
@@ -136,10 +195,11 @@ def sum_product(model: DiscreteModel, read: Sequence[VertexId], outputs: Sequenc
     ``scope``, which holds the sharp variables and the outputs in the order
     the elimination left them, to its integer weight, over ``den`` times the
     weights' own denominator. A caller re-keys it with :func:`picker` in the
-    same pass that reads it.
+    same pass that reads it, and does not write to it.
     """
-    domains, kernels = dict(model.domains), dict(model.kernels)
+    domains, kernels, _ = model.maps
     held = {u: {key[i] for key in cells} for i, u in enumerate(read)}
+    narrowed = {u for u in read if len(held[u]) < len(domains[u])}
     needed, stack = set(outputs) | set(pinned), list(outputs) + list(pinned)
     while stack:
         for u in kernels[stack.pop()].parents:
@@ -147,25 +207,32 @@ def sum_product(model: DiscreteModel, read: Sequence[VertexId], outputs: Sequenc
                 needed.add(u)
                 stack.append(u)
 
-    sharp = tuple((u,) for u in read)
-    domains.update({(u,): held[u] for u in read})
-    den, factors = 1, [(sharp, cells)]
+    width = {u: len(domains[u]) for u in needed}
+    width.update({(u,): len(held[u]) for u in read})
+    den, factors = 1, [(tuple((u,) for u in read), cells)]
     for v in sorted(needed):
-        factors.append(_kernel_factor(v, kernels[v], domains[v], held, pinned))
+        factors.append(_kernel_factor(v, kernels[v], domains[v], held, narrowed, pinned))
         den *= kernels[v].den
 
     # greedy order: next eliminate the vertex whose bucket spans the fewest
-    # assignments; sharp variables are outputs, so ties compare vertex ids
-    def cost(v):
-        c = 1
-        for u in set().union(*(f[0] for f in factors if v in f[0])):
-            c *= len(domains[u])
-        return c, v
-
-    remaining = needed - set(outputs) - set(pinned)
-    while remaining:
-        v = min(remaining, key=cost)
-        remaining.discard(v)
+    # assignments; sharp variables are outputs, so ties compare vertex ids.
+    # Eliminating v merges its bucket into one factor over span[v] - {v},
+    # so each other vertex of that span now spans its own span and v's.
+    span = {v: set() for v in needed - set(outputs) - set(pinned)}
+    for scope, _ in factors:
+        for v in scope:
+            if v in span:
+                span[v].update(scope)
+    cost = {v: (prod(width[u] for u in vs), v) for v, vs in span.items()}
+    while cost:
+        v = min(cost, key=cost.__getitem__)
+        del cost[v]
+        merged = span.pop(v)
+        merged.discard(v)
+        for u in merged & span.keys():
+            span[u] |= merged
+            span[u].discard(v)
+            cost[u] = (prod(width[w] for w in span[u]), u)
         bucket = [f for f in factors if v in f[0]]
         factors = [f for f in factors if v not in f[0]]
         factors.append(_product(bucket, v))

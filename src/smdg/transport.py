@@ -10,29 +10,30 @@ Cartesian products for merges, and fresh copy-check bits for indicators.
 ``_CONSTRUCTIONS`` maps each canon step name to its construction.
 ``transport`` computes the rewritten graph through canon's own rule table,
 copies the source model's domain, kernel and zero maps once, lets the
-construction edit those maps, and builds the transported model once.
+construction edit those maps, and builds the transported model once. It
+validates the rows only of the kernels that the construction wrote, or
+whose role, own domain or parent domains differ from the source's; every
+other kernel is the source's validated instance (see ``transport``).
 
 Every construction computes on integer rows: it reads each old row as
 integer numerators over its kernel's ``den`` (:func:`_read`), multiplies
 and adds those integers over the product of the denominators involved, and
 builds each new kernel with :meth:`KernelTable.over`, which reduces it to
 the form :meth:`KernelTable.of` gives. No construction makes a
-``Fraction``. ``transport_obs_or_do`` divides by a selected marginal, and
-computes in ``Fraction``s.
+``Fraction``, and neither does ``transport_obs_or_do``: it divides the
+selected marginal's integer weights by integer selection weights over one
+common multiple.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
-from math import prod
+from math import lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from . import canon
 from .graph import PartitionedDag, VertexId
 from .model import (
-    ONE,
-    ZERO,
     DiscreteModel,
     KernelTable,
     ModelError,
@@ -41,8 +42,8 @@ from .model import (
     copy_check,
     deterministic_kernel,
     smo_distribution,
-    table_kernel,
 )
+from .sumproduct import picker
 
 CanonMove = canon.CanonStep
 
@@ -61,9 +62,25 @@ def transport(model: DiscreteModel, move: CanonMove) -> DiscreteModel:
     if name not in _CONSTRUCTIONS:
         raise ModelError(f"unknown transport move {name!r}")
     dag2 = canon.replay_steps(model.dag, [move])
-    domains, kernels, zeros = dict(model.domains), dict(model.kernels), dict(model.selected_zeros)
+    domains, kernels, zeros = (dict(m) for m in model.maps)
     _CONSTRUCTIONS[name](model, dag2, domains, kernels, zeros, *args)
-    return DiscreteModel.of(dag2, domains, kernels, zeros)
+    # _derived checks coverage, domains, zeros and every kernel's parents,
+    # but the rows only of kernels that are not the source's own instance
+    # for a vertex of the same role over the same domain and parent domains:
+    # a row check reads nothing else, so an inherited kernel passes it as it
+    # did when the source was built. What is left to check, per construction:
+    # - terminalize: the children of s, re-read with s at its zero;
+    # - exogenize: m's library and m's children, which now read it;
+    # - merge_marginalized: the merged latent and the children that read it;
+    # - merge_selected: the merged selection;
+    # - split_m_to_s: s, the copy-check pairs, m's library and m's visible
+    #   children;
+    # - to_special: the copy-check pair and b;
+    # - remove_vertex: the dominating latent and its children, or the
+    #   dominating selection; a vacuous vertex leaves only inherited kernels.
+    # A construction that also changed some other vertex's domain would get
+    # that vertex's kernel and its children's kernels checked as well.
+    return DiscreteModel._derived(model, dag2, domains, kernels, zeros)
 
 
 def transport_chain(model: DiscreteModel, moves: Sequence[CanonMove]) -> DiscreteModel:
@@ -88,16 +105,22 @@ def _make_kernel(dag2: PartitionedDag, domains, w: VertexId, den: int, row_fn) -
 
 
 def _reread(model: DiscreteModel, dag2: PartitionedDag, domains, kernels,
-            children: Iterable[VertexId], substitute) -> None:
-    """Each child keeps its old kernel, read with the parent values that
-    substitute(child, new parent values) returns put in place."""
+            children: Iterable[VertexId], replaced: Sequence[VertexId],
+            reads: Sequence[VertexId], fn) -> None:
+    """Each child keeps its old kernel, read at its new parent values with
+    the old parents in ``replaced`` put in place by fn(values of the new
+    parents in ``reads``), which returns a tuple of their values in order."""
     for w in sorted(children):
         old = model.kernel(w)
-
-        def row_fn(env, old=old, w=w):
-            return _read(old, {**env, **substitute(w, env)})
-
-        kernels[w] = _make_kernel(dag2, domains, w, old.den, row_fn)
+        parents = sorted(dag2.parents_of(w))
+        src = picker(parents, reads)
+        # replaced names come first, so a new parent that shares one's name is not read for it
+        old_key = picker((*replaced, *parents), old.parents)
+        rows = {
+            key: old.numerators(old_key(fn(*src(key)) + key))
+            for key in product(*[domains[p] for p in parents])
+        }
+        kernels[w] = KernelTable.over(parents, old.den, rows)
 
 
 def _slot_library(move: str, base_dom: Sequence[Value], slot_domains: Sequence[Sequence[Value]],
@@ -141,7 +164,7 @@ def _pair_latent(model: DiscreteModel, dag2: PartitionedDag, domains, kernels,
     )
     d = model.dag
     _reread(model, dag2, domains, kernels, d.children_of(m1) | d.children_of(m2),
-            lambda w, env: dict(zip((m1, m2), env[label])))
+            (m1, m2), (label,), lambda pair: pair)
 
 
 def _dominator(d: PartitionedDag, victim: VertexId, peers, family) -> VertexId:
@@ -158,7 +181,7 @@ def _dominator(d: PartitionedDag, victim: VertexId, peers, family) -> VertexId:
 def _terminalize(model, dag2, domains, kernels, zeros, s: VertexId) -> None:
     """Children of s read their old kernel with s pinned to its zero value."""
     zero = zeros[s]
-    _reread(model, dag2, domains, kernels, model.dag.children_of(s), lambda w, env: {s: zero})
+    _reread(model, dag2, domains, kernels, model.dag.children_of(s), (s,), (), lambda: (zero,))
 
 
 def _exogenize(model, dag2, domains, kernels, zeros, m: VertexId) -> None:
@@ -175,7 +198,7 @@ def _exogenize(model, dag2, domains, kernels, zeros, m: VertexId) -> None:
         lambda key: (old_m.den, dict(zip(base_dom, _read(old_m, dict(zip(old_parents, key)))))),
     )
     _reread(model, dag2, domains, kernels, model.dag.children_of(m),
-            lambda w, env: {m: env[m][slot[tuple(env[p] for p in old_parents)]]})
+            (m,), (m, *old_parents), lambda library, *key: (library[slot[key]],))
 
 
 def _merge_marginalized(model, dag2, domains, kernels, zeros, m1: VertexId,
@@ -253,8 +276,9 @@ def _split(model, dag2, domains, kernels, zeros, m: VertexId, s: VertexId) -> No
     domains[m], kernels[m], slot = _slot_library(
         "split_m_to_s", base_dom, [domains[a] for a in v_s], conditional
     )
-    _reread(model, dag2, domains, kernels, v_m,
-            lambda b, env: {m: env[m][slot[tuple(env[labels[(a, b)][1]] for a in v_s)]]})
+    for b in v_m:
+        _reread(model, dag2, domains, kernels, [b], (m,), (m, *(labels[(a, b)][1] for a in v_s)),
+                lambda library, *key: (library[slot[key]],))
 
 
 def _to_special(model, dag2, domains, kernels, zeros, a: VertexId, b: VertexId) -> None:
@@ -262,7 +286,7 @@ def _to_special(model, dag2, domains, kernels, zeros, a: VertexId, b: VertexId) 
     (s_label,) = dag2.selected - model.dag.selected
     (m_label,) = dag2.marginalized - model.dag.marginalized
     copy_check(domains, kernels, zeros, a, m_label, s_label)
-    _reread(model, dag2, domains, kernels, [b], lambda w, env: {a: env[m_label]})
+    _reread(model, dag2, domains, kernels, [b], (a,), (m_label,), lambda x: (x,))
 
 
 def _remove_vertex(model, dag2, domains, kernels, zeros, victim: VertexId) -> None:
@@ -337,24 +361,26 @@ def transport_obs_or_do(model: DiscreteModel) -> DiscreteModel:
 
     dom_v, dom_m = model.domain(v), model.domain(m)
     m_kern, s_old = model.kernel(m), model.kernel(s)
-    m_prior = {x_m: Fraction(n, m_kern.den) for x_m, n in zip(dom_m, _read(m_kern, {}))}
+    m_prior = dict(zip(dom_m, _read(m_kern, {})))
     z = model.domain(s).index(model.selected_zero(s))
 
-    # selection kernel with the latent marginalized out
+    # selection kernel with the latent marginalized out, over den
+    den = m_kern.den * s_old.den
     sel_given_v = {
-        x_v: sum((m_prior[x_m] * Fraction(_read(s_old, {m: x_m, v: x_v})[z], s_old.den)
-                  for x_m in dom_m), ZERO)
+        x_v: sum(m_prior[x_m] * _read(s_old, {m: x_m, v: x_v})[z] for x_m in dom_m)
         for x_v in dom_v
     }
     # target marginal for the visible: its selected distribution, divided by
-    # the new selection weight, renormalized
-    selected_marginal = smo_distribution(model).dist  # raises when selected out
-    weights = {}
-    for x_v in dom_v:
-        pv = selected_marginal.prob((x_v,))
-        weights[x_v] = ZERO if sel_given_v[x_v] == 0 else pv / sel_given_v[x_v]
-    total = sum(weights.values(), ZERO)
-    target_v = {x_v: w / total for x_v, w in weights.items()}
+    # the new selection weight, renormalized. Over the common multiple of the
+    # nonzero selection weights, each weight is an integer over the selected
+    # marginal's own denominator, which the renormalization cancels.
+    selected_marginal = dict(smo_distribution(model).dist.weights)  # raises when selected out
+    common = lcm(*(n for n in sel_given_v.values() if n))
+    target_v = {
+        x_v: 0 if n == 0 else selected_marginal.get((x_v,), 0) * (common // n)
+        for x_v, n in sel_given_v.items()
+    }
+    total = sum(target_v.values())
 
     dag2 = PartitionedDag.of(
         visible=[v], marginalized=[m], selected=[s], edges=[(m, v), (v, s)]
@@ -362,13 +388,12 @@ def transport_obs_or_do(model: DiscreteModel) -> DiscreteModel:
     pair_dom = list(product(dom_m, dom_v))
     domains = {v: dom_v, s: (0, 1), m: tuple(pair_dom)}
     kernels = {
-        m: KernelTable.of(
-            [], {(): tuple(m_prior[x_m] * target_v[r] for x_m, r in pair_dom)}
+        m: KernelTable.over(
+            [], m_kern.den * total, {(): [m_prior[x_m] * target_v[r] for x_m, r in pair_dom]}
         ),
         v: deterministic_kernel([m], [tuple(pair_dom)], dom_v, lambda pair: pair[1]),
-        s: table_kernel(
-            [v], [dom_v], (0, 1),
-            lambda x_v: {0: sel_given_v[x_v], 1: ONE - sel_given_v[x_v]},
+        s: KernelTable.over(
+            [v], den, {(x_v,): (n, den - n) for x_v, n in sel_given_v.items()}
         ),
     }
     return DiscreteModel.of(dag2, domains, kernels, {s: 0})

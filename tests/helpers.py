@@ -254,6 +254,48 @@ def assert_smo_is_smi_diagonal(model) -> None:
     assert smo.selection_probability == res.selection_probability * mass * len(q.table)
 
 
+def greedy_order(model, read, outputs, pinned, cells) -> list:
+    """The order in which ``sum_product(model, read, outputs, pinned,
+    cells)`` should eliminate its vertices: next the vertex whose bucket
+    spans the fewest assignments, ties broken by vertex id, with every
+    factor's scope scanned again at each step.
+
+    Scopes are those of the factors: a kernel reads a parent u in ``read``
+    through ``(u,)``, whose width is the number of u's values that some cell
+    holds; pinned vertices leave every scope. A vertex that is not needed
+    by an output or a pinned vertex is never a factor."""
+    domains, kernels = dict(model.domains), dict(model.kernels)
+    held = {u: {key[i] for key in cells} for i, u in enumerate(read)}
+    width = {u: len(dom) for u, dom in domains.items()}
+    width.update({(u,): len(held[u]) for u in read})
+    needed, todo = set(outputs) | set(pinned), list(outputs) + list(pinned)
+    while todo:
+        for u in kernels[todo.pop()].parents:
+            if u not in held and u not in needed:
+                needed.add(u)
+                todo.append(u)
+    scopes = [{(u,) for u in read}]
+    for v in needed:
+        scope = {(u,) if u in read else u for u in kernels[v].parents if u not in pinned}
+        scopes.append(scope if v in pinned else scope | {v})
+
+    def cost(v):
+        span = set().union(*(s for s in scopes if v in s))
+        c = 1
+        for u in span:
+            c *= width[u]
+        return c, v
+
+    remaining, order = needed - set(outputs) - set(pinned), []
+    while remaining:
+        v = min(remaining, key=cost)
+        remaining.discard(v)
+        order.append(v)
+        bucket = [s for s in scopes if v in s]
+        scopes = [s for s in scopes if v not in s] + [set().union(*bucket) - {v}]
+    return order
+
+
 def walk_joint(model) -> ProbTable:
     order = tuple(model.dag.topological_order())
     out = {}

@@ -6,6 +6,11 @@ interventions whose cells have different denominators (on every cell, on a
 seeded sparse draw, and a point mass at a seeded cell), and observe-or-do
 with a partial intervention set. Each model also checks smo against the
 diagonal of smi under the uniform intervention.
+
+The evaluator's parts are checked on their own too: ``_multiply`` against
+a brute-force product of small random factors, the elimination order
+against the greedy order that rescans every factor (``helpers.greedy_order``),
+and a kernel instance shared by models over differently labelled domains.
 """
 
 import random
@@ -13,7 +18,10 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import smdg.model
+from smdg import sumproduct
 from smdg.graph import PartitionedDag
 from smdg.model import (
     DiscreteModel,
@@ -29,8 +37,8 @@ from smdg.model import (
 )
 from smdg.transport import transport
 
-from helpers import assert_smo_is_smi_diagonal, walk_joint, walk_ood, walk_smi
-from test_transport import SHAPES, _grid
+from helpers import assert_smo_is_smi_diagonal, greedy_order, walk_joint, walk_ood, walk_smi
+from test_transport import SHAPES, _grid, _rand_model
 
 F = Fraction
 
@@ -178,3 +186,148 @@ def test_selection_probability_zero():
     with pytest.raises(SelectedOutError):
         observe_or_do_distribution(model, ["a"], q)
     assert_matches_walk(model)
+
+
+# --- the evaluator's parts -----------------------------------------------------
+
+WIDTH = {"a": 2, "b": 3, "c": 2, ("a",): 2}
+
+
+@st.composite
+def factors(draw):
+    """A factor over up to three of the variables of WIDTH, in any order,
+    with a positive weight on a random part of its assignments."""
+    scope = tuple(draw(st.lists(st.sampled_from(sorted(WIDTH, key=repr)), unique=True,
+                                max_size=3)))
+    keys = list(product(*(range(WIDTH[v]) for v in scope)))
+    kept = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    return scope, {k: draw(st.integers(1, 9)) for k, keep in zip(keys, kept) if keep}
+
+
+def _brute_product(f, g, drop):
+    """The product of two factors by a walk over every assignment of the
+    union of their scopes, keyed by sets of (variable, value) pairs."""
+    (fs, ft), (gs, gt) = f, g
+    union = list(dict.fromkeys(fs + gs))
+    out = {}
+    for values in product(*(range(WIDTH[v]) for v in union)):
+        a = dict(zip(union, values))
+        w = ft.get(tuple(a[v] for v in fs), 0) * gt.get(tuple(a[v] for v in gs), 0)
+        if w:
+            key = frozenset((v, x) for v, x in a.items() if v != drop)
+            out[key] = out.get(key, 0) + w
+    return set(union) - {drop}, out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(factors(), factors(), st.data())
+@example((("a",), {}), (("a", "b"), {(0, 1): 2}), None)  # an empty table
+@example((("a",), {(0,): 2, (1,): 3}), (("b",), {(2,): 5}), None)  # disjoint scopes
+@example((("b", "a"), {(0, 1): 2, (2, 0): 3}), (("a",), {(1,): 7}), None)  # nested scopes
+def test_multiply_is_the_brute_force_product(f, g, data):
+    union = list(dict.fromkeys(f[0] + g[0]))
+    drop = data.draw(st.sampled_from([None, *union])) if data is not None else None
+    scope, table = sumproduct._multiply(f, g, drop)
+    want_scope, want = _brute_product(f, g, drop)
+    assert len(scope) == len(set(scope)) and set(scope) == want_scope
+    assert {frozenset(zip(scope, k)): w for k, w in table.items()} == want
+    assert len(table) == len(want)
+
+
+def _chain8(shared):
+    """The 8-visible chain of BENCH_cell_factor.json: v0 -> ... -> v7, a
+    private binary latent per visible, and with ``shared`` one 3-valued
+    latent w feeding every visible."""
+    names = [f"v{i}" for i in range(8)]
+    latents = [f"u{i}" for i in range(8)] + (["w"] if shared else [])
+    edges = list(zip(names, names[1:])) + [(f"u{i}", v) for i, v in enumerate(names)]
+    edges += [("w", v) for v in names] if shared else []
+    dag = PartitionedDag.of(visible=names, marginalized=latents, edges=edges)
+    return _rand_model(random.Random("chain8"), dag, {"w": 3})
+
+
+def _every_distribution(model):
+    """One call of each evaluation on a model, smi on two interventions and
+    observe-or-do on a two-cell intervention that is not of product form."""
+    visibles = sorted(model.dag.visible)
+    eval_joint(model)
+    _outcome(smo_distribution, model)
+    for q in _grid(model)[1:3]:
+        smi_distribution(model, q)
+    z = visibles[: max(1, len(visibles) // 2)]
+    domains = dict(model.domains)
+    cells = [tuple(domains[v][0] for v in z), tuple(domains[v][-1] for v in z)]
+    q = ProbTable.of(z, {cells[0]: F(1, 3), cells[-1]: F(2, 3)} if cells[0] != cells[1]
+                     else {cells[0]: F(1)})
+    _outcome(observe_or_do_distribution, model, z, q)
+
+
+def _order_cases():
+    for shape in sorted(SHAPES):
+        model, move = SHAPES[shape](random.Random(f"order-{shape}"))
+        yield shape, model
+        yield shape + "-moved", transport(model, move)
+    yield "chain8", _chain8(False)
+    yield "chain8-shared", _chain8(True)
+
+
+@pytest.mark.parametrize("name, model", list(_order_cases()),
+                         ids=[name for name, _ in _order_cases()])
+def test_elimination_follows_the_greedy_rescan_order(monkeypatch, name, model):
+    """Spans kept up to date as buckets merge give the order that scanning
+    every factor at each step gives, so every sum_product call eliminates
+    its vertices in exactly the oracle's order."""
+    calls = []
+    product_, sum_product = sumproduct._product, sumproduct.sum_product
+
+    def eliminating(factors, drop=None):
+        if drop is not None:
+            calls[-1][0].append(drop)
+        return product_(factors, drop)
+
+    def ordered(model, read, outputs, pinned, cells):
+        calls.append(([], greedy_order(model, read, outputs, pinned, cells)))
+        return sum_product(model, read, outputs, pinned, cells)
+
+    monkeypatch.setattr(sumproduct, "_product", eliminating)
+    monkeypatch.setattr(smdg.model, "sum_product", ordered)
+    _every_distribution(model)
+    assert len(calls) >= 4
+    assert sum(len(got) for got, _ in calls) > 0
+    for got, want in calls:
+        assert got == want
+
+
+def _relabelled_models(first_values):
+    """Two models on one DAG that share the kernel instances of the latent
+    u and the visible b, whose domains have the same widths but differ in
+    values: u is (0, 1, 2) or ("x", "y", "z"), b is (0, 1) or (5, 7). The
+    model whose values are ``first_values`` comes first."""
+    dag = PartitionedDag.of(visible=["a", "b"], marginalized=["u"], selected=["s"],
+                            edges=[("u", "a"), ("a", "b"), ("u", "s"), ("b", "s")])
+    shared = {"u": KernelTable.of([], {(): (F(1, 2), F(1, 3), F(1, 6))}),
+              "b": KernelTable.of(["a"], {(0,): (0, 1), (1,): (1, 0)})}
+    models = []
+    for u_dom, b_dom in (((0, 1, 2), (0, 1)), (("x", "y", "z"), (5, 7))):
+        domains = {"u": u_dom, "a": (0, 1), "b": b_dom, "s": (0, 1)}
+        weights = dict(zip(product(b_dom, u_dom), (1, 2, 3, 4, 0, 6)))
+        kernels = dict(shared)
+        kernels["a"] = deterministic_kernel(["u"], [u_dom], (0, 1),
+                                            lambda u: u_dom.index(u) % 2)
+        kernels["s"] = table_kernel(["b", "u"], [b_dom, u_dom], (0, 1),
+                                    lambda b, u: {0: F(weights[b, u], 7),
+                                                  1: F(7 - weights[b, u], 7)})
+        models.append(DiscreteModel.of(dag, domains, kernels))
+    return models if models[0].domain("u") == first_values else models[::-1]
+
+
+@pytest.mark.parametrize("first", [(0, 1, 2), ("x", "y", "z")])
+def test_shared_kernel_over_relabelled_domains(first):
+    """A kernel records its factor with the domain it was built over, so a
+    model that shares the instance over other values still evaluates
+    exactly, whichever model evaluates first."""
+    one, two = _relabelled_models(first)
+    assert one.kernel("u") is two.kernel("u") and one.kernel("b") is two.kernel("b")
+    assert_matches_walk(one)
+    assert_matches_walk(two)
+    assert_matches_walk(one)

@@ -391,6 +391,70 @@ def test_constructions_compute_on_integer_rows(monkeypatch, make, pinned):
     assert transported_digest(make()) == pinned
 
 
+def test_moved_models_inherit_the_source_kernel_instances(monkeypatch):
+    """Every kernel of a moved model that its construction did not build is
+    the source model's own instance, so its recorded factor is found again
+    and its rows are not checked again; every shape inherits some."""
+    built = []
+    post_init = KernelTable.__post_init__
+
+    def recording(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(KernelTable, "__post_init__", recording)
+    for shape in sorted(SHAPES):
+        rng = random.Random(f"inherited-{shape}")
+        for _ in range(4):
+            model, move = SHAPES[shape](rng)
+            built.clear()
+            moved = transport(model, move)
+            new = {id(kern) for kern in built}
+            inherited = [v for v, kern in moved.kernels if id(kern) not in new]
+            assert inherited, shape
+            for v in inherited:
+                assert moved.kernel(v) is model.kernel(v), (shape, v)
+
+
+def _first_row_sums_to_two(kern):
+    (key, vec), *rest = kern.rows
+    return KernelTable(kern.parents, kern.den, ((key, (kern.den, 1) + vec[2:]), *rest))
+
+
+# Faults that a construction of terminalize might leave in the maps of the
+# term_shape model: in b's kernel, which it writes, or in the domain of ua,
+# whose kernel and whose child a's kernel it inherits.
+FAULTS = {
+    "written_row": lambda domains, kernels: kernels.update(b=_first_row_sums_to_two(kernels["b"])),
+    "parent_values": lambda domains, kernels: domains.update(ua=("p", "q")),
+    "parent_width": lambda domains, kernels: domains.update(ua=(0, 1, 2)),
+    "own_width": lambda domains, kernels: domains.update(a=(0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_a_faulty_construction_is_refused_as_of_refuses_it(monkeypatch, fault):
+    """transport checks the rows of every kernel whose instance, role, own
+    domain or parent domains differ from the source's, so a fault there
+    raises the ModelError that DiscreteModel.of raises on the same maps."""
+    seen = []
+    real = _CONSTRUCTIONS["terminalize"]
+
+    def faulty(model, dag2, domains, kernels, zeros, *args):
+        real(model, dag2, domains, kernels, zeros, *args)
+        FAULTS[fault](domains, kernels)
+        seen.append((dag2, domains, kernels, zeros))
+
+    monkeypatch.setitem(_CONSTRUCTIONS, "terminalize", faulty)
+    model, move = term_shape(random.Random(3))
+    with pytest.raises(ModelError) as got:
+        transport(model, move)
+    with pytest.raises(ModelError) as want:
+        DiscreteModel.of(*seen[0])
+    assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+    assert str(got.value).startswith(("kernel row", "kernel of")), str(got.value)
+
+
 def test_constructions_cover_every_canon_step():
     assert set(_CONSTRUCTIONS) == {rule.step for rule in canon._RULES}
 
@@ -489,6 +553,50 @@ def test_observe_and_do_still_separates_the_pair():
     r1 = smi_distribution(model, q)
     r2 = smi_distribution(moved, q)
     assert r1.dist.marginal([flat("v")]) != r2.dist.marginal([flat("v")])
+
+
+def _triangle_models():
+    """The witness, the counterexample's shape with seeded rows, and seeded
+    triangles of one to three values per vertex whose rows may hold zeros."""
+    yield witness_triangle_model()
+    rng = random.Random("obs-or-do-bytes")
+    for _ in range(60):
+        doms = {v: tuple(range(rng.randint(1, 3))) for v in "mv"}
+        doms["s"] = (0, 1)
+
+        def row(values):
+            weights = [rng.choice([0, 0, 1, 2, 3]) for _ in values]
+            weights[rng.randrange(len(values))] += 1
+            return {x: F(w, sum(weights)) for x, w in zip(values, weights)}
+
+        yield DiscreteModel.of(triangle_dag(), doms, {
+            "m": table_kernel([], [], doms["m"], lambda: row(doms["m"])),
+            "v": deterministic_kernel(["m"], [doms["m"]], doms["v"],
+                                      lambda m: rng.choice(doms["v"])),
+            "s": table_kernel(["m", "v"], [doms["m"], doms["v"]], (0, 1),
+                              lambda m, v: row((0, 1))),
+        })
+
+
+def test_obs_or_do_transport_prints_the_pinned_bytes(monkeypatch):
+    """transport_obs_or_do reads integer rows only, and its models print
+    the bytes pinned from the construction that computed in Fractions."""
+
+    def refuse(self, key):
+        raise AssertionError("transport_obs_or_do read KernelTable.row")
+
+    monkeypatch.setattr(KernelTable, "row", refuse)
+    digest = hashlib.sha256()
+    for model in _triangle_models():
+        try:
+            text = repr(transport_obs_or_do(model))
+        except SelectedOutError as exc:
+            text = str(exc)
+        digest.update(text.encode())
+    assert digest.hexdigest() == OBS_OR_DO_BYTES
+
+
+OBS_OR_DO_BYTES = "6fc0b5d04f6055d87e3b0dbd301ba53ca2f396d6131bc55498eb11c7a64faa9a"
 
 
 def test_obs_or_do_transport_rejects_other_shapes():
