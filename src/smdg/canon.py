@@ -33,11 +33,10 @@ search, since deleting vertices or edges from a DAG cannot create a cycle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Collection, Iterable, NamedTuple, Optional
 
-from .graph import GraphError, PartitionedDag, Role, VertexId, _recorded
+from .graph import GraphError, PartitionedDag, Role, VertexId, _recorded, _Value
 
 
 class PreconditionError(GraphError):
@@ -390,11 +389,13 @@ def rmv_red_s(d: PartitionedDag, rng: Optional[random.Random] = None) -> Partiti
 
 # --- the full pipeline ----------------------------------------------------
 
-@dataclass(frozen=True)
-class CanonReport:
+class CanonReport(_Value):
     input: PartitionedDag
     output: PartitionedDag
     steps: tuple[CanonStep, ...]
+
+    def __init__(self, input, output, steps) -> None:
+        self.__dict__.update(input=input, output=output, steps=steps, _key=(input, output, steps))
 
     def replay(self) -> PartitionedDag:
         """Re-apply the recorded steps to the input; must reproduce the output.

@@ -9,12 +9,13 @@ constructively from the structure canonical DAGs are known to have.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional
 
 from . import project
-from .graph import GraphError, IndependenceSystem, PartitionedDag, SmDG, VertexId, is_acyclic
+from .graph import (
+    GraphError, IndependenceSystem, PartitionedDag, SmDG, VertexId, _Value, is_acyclic,
+)
 
 VISIBLE_NAMES = ("a", "b", "c", "d", "e", "f")
 
@@ -33,13 +34,17 @@ def _check_counts(n_visible: int, **counts: int) -> None:
             raise EnumerationError(f"{name}={n} is negative")
 
 
-@dataclass(frozen=True)
-class SmdgBounds:
+class SmdgBounds(_Value):
     """Edge-count bound for :func:`enumerate_smdgs`; the face systems follow
     from the visible count (every antichain up to three visibles, one
     singleton family per support at four)."""
 
-    max_edges: Optional[int] = None
+    max_edges: Optional[int]
+
+    def __init__(self, max_edges: Optional[int] = None) -> None:
+        record = self.__dict__  # two item writes: cheaper than update() for one field
+        record["max_edges"] = max_edges
+        record["_key"] = (max_edges,)
 
     @classmethod
     def default_for(cls, n_visible: int) -> "SmdgBounds":

@@ -13,6 +13,13 @@ function, so instances can be shared and processed in parallel freely. A
 value derived from an instance alone may be recorded on it the first time it
 is asked for (:func:`_recorded`); a record is never keyed by value.
 
+Every value class of the library derives from :class:`_Value`, a frozen-value
+base with a frozen dataclass's semantics that imports nothing and generates no
+code per class: a class's fields are its annotated names, its own ``__init__``
+writes them and the tuple of their values and runs its checks, and the base
+gives ``==``, ``hash`` and ``repr`` over that tuple and refuses to assign or
+delete an attribute.
+
 A :class:`PartitionedDag` built directly (the constructor, ``of``,
 ``from_roles``) is sorted, indexed and searched for a cycle in full. An edit
 (``with_edges``, ``with_vertices``, ``induced_subgraph``) derives its graph
@@ -29,7 +36,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, TypeVar
 
@@ -64,6 +70,43 @@ def _check_vertex_ids(ids: Iterable[VertexId]) -> None:
 
 
 _T = TypeVar("_T")
+
+
+class _Value:
+    """Base of the library's immutable values, with a frozen dataclass's
+    semantics. A subclass's fields (``_fields``) are its annotated names, in
+    order. Its ``__init__`` writes them into ``self.__dict__``, and with them
+    ``_key``, the tuple of their values in that order. Two values are equal
+    when they are of the same class and their keys are equal, the hash is
+    that of the key, and the repr is ``Name(field=value, ...)``. Assigning or
+    deleting any attribute raises ``AttributeError``; records
+    (:func:`_recorded`) are written past that guard with
+    ``object.__setattr__``."""
+
+    _fields: tuple[str, ...] = ()
+    _key: tuple
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _recorded(obj, name: str, build: Callable[..., _T]) -> _T:
@@ -179,7 +222,7 @@ class _AdjacencyOnFirstQuery:
 class _Digraph:
     """Vertex queries shared by the two graph types, over the parent and
     child maps that each type stores once: a DAG built by its constructor
-    in ``__post_init__``, any other graph on its first vertex query
+    in ``__init__``, any other graph on its first vertex query
     (:class:`_AdjacencyOnFirstQuery`)."""
 
     _parents: Mapping[VertexId, frozenset[VertexId]] = _AdjacencyOnFirstQuery()
@@ -224,8 +267,7 @@ class _Digraph:
         return frozenset(seen)
 
 
-@dataclass(frozen=True)
-class PartitionedDag(_Digraph):
+class PartitionedDag(_Value, _Digraph):
     """A DAG whose vertices carry visible / marginalized / selected roles.
 
     The constructor rejects a cycle, however the value is built.
@@ -272,8 +314,9 @@ class PartitionedDag(_Digraph):
             edges=tuple(sorted(set(edges))),
         )
 
-    def __post_init__(self) -> None:
-        parents, children = _adjacency((v for v, _ in self.roles), self.edges)
+    def __init__(self, roles, edges) -> None:
+        self.__dict__.update(roles=roles, edges=edges, _key=(roles, edges))
+        parents, children = _adjacency((v for v, _ in roles), edges)
         cycle = _search_cycle(children)
         if cycle is not None:
             raise GraphError("edges contain the cycle " + " -> ".join(cycle))
@@ -288,8 +331,7 @@ class PartitionedDag(_Digraph):
         known to be acyclic, built without the constructor's search; its
         parent and child maps are built on the first vertex query."""
         d = object.__new__(cls)
-        object.__setattr__(d, "roles", roles)
-        object.__setattr__(d, "edges", edges)
+        d.__dict__.update(roles=roles, edges=edges, _key=(roles, edges))
         d._store_roles(role)
         return d
 
@@ -416,8 +458,7 @@ def _patched(
     return out
 
 
-@dataclass(frozen=True)
-class IndependenceSystem:
+class IndependenceSystem(_Value):
     """A downward-closed family of vertex subsets, stored by maximal faces.
 
     The family always contains the empty set; the family {empty set} is
@@ -442,10 +483,13 @@ class IndependenceSystem:
         maximal = {f for f in raw if f and not any(f < g for g in raw)}
         return cls(ground=ground_set, maximal_faces=frozenset(maximal))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_support", frozenset().union(*self.maximal_faces))
-        object.__setattr__(
-            self, "_sorted_faces", tuple(sorted(tuple(sorted(f)) for f in self.maximal_faces))
+    def __init__(self, ground, maximal_faces) -> None:
+        self.__dict__.update(
+            ground=ground,
+            maximal_faces=maximal_faces,
+            _key=(ground, maximal_faces),
+            _support=frozenset().union(*maximal_faces),
+            _sorted_faces=tuple(sorted(tuple(sorted(f)) for f in maximal_faces)),
         )
 
     def contains_face(self, face: Iterable[VertexId]) -> bool:
@@ -476,8 +520,7 @@ class IndependenceSystem:
         return list(self._sorted_faces)
 
 
-@dataclass(frozen=True)
-class SmDG(_Digraph):
+class SmDG(_Value, _Digraph):
     """Directed structure over visible vertices plus two independence systems.
 
     The directed structure may contain cycles and self-loops. The marginal
@@ -513,13 +556,16 @@ class SmDG(_Digraph):
             selected_system=IndependenceSystem.of(vis, selected_faces),
         )
 
-    def __post_init__(self) -> None:
-        if self.marginal_system.ground != self.visibles:
+    def __init__(self, visibles, edges, marginal_system, selected_system) -> None:
+        key = (visibles, edges, marginal_system, selected_system)
+        self.__dict__.update(visibles=visibles, edges=edges, marginal_system=marginal_system,
+                             selected_system=selected_system, _key=key)
+        if marginal_system.ground != visibles:
             raise GraphError("marginal system ground set must equal the visible vertices")
-        if self.selected_system.ground != self.visibles:
+        if selected_system.ground != visibles:
             raise GraphError("selected system ground set must equal the visible vertices")
-        for a, b in self.edges:
-            if a not in self.visibles or b not in self.visibles:
+        for a, b in edges:
+            if a not in visibles or b not in visibles:
                 raise UnknownVertexError(f"edge ({a!r}, {b!r}) has an endpoint outside the graph")
 
     def _vertex_ids(self) -> Iterable[VertexId]:

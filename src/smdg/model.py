@@ -44,13 +44,12 @@ domain and parent domains.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm, prod
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .graph import GraphError, PartitionedDag, Role, VertexId, _recorded
+from .graph import GraphError, PartitionedDag, Role, VertexId, _recorded, _Value
 from . import canon, io as graph_io
 from .sumproduct import picker, sum_product
 
@@ -69,24 +68,22 @@ class SelectedOutError(ModelError):
     """The selection event has probability zero; the distribution is undefined."""
 
 
-@dataclass(frozen=True)
-class KernelTable:
+class KernelTable(_Value):
     """Rows map an assignment of the declared parents to a probability vector
     over the vertex's domain values (aligned with the domain ordering), held
     as integer numerators over ``den``, the lcm of every entry's denominator.
     :meth:`row` reads one row back as ``Fraction``s. The evaluator records
     the kernel's whole factor on the instance the first time it reads it
-    (:func:`smdg.sumproduct._whole_table`)."""
+    (:func:`smdg.sumproduct._whole_table`), and the first :meth:`numerators`
+    or :meth:`row` read records an index of the rows by key; a kernel that
+    is only evaluated and validated builds no index."""
 
     parents: tuple[VertexId, ...]
     den: int
     rows: tuple[tuple[Assignment, tuple[int, ...]], ...]
-    _index: Mapping[Assignment, tuple[int, ...]] = field(
-        default=None, repr=False, compare=False
-    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", dict(self.rows))
+    def __init__(self, parents, den, rows) -> None:
+        self.__dict__.update(parents=parents, den=den, rows=rows, _key=(parents, den, rows))
 
     @classmethod
     def of(
@@ -123,10 +120,14 @@ class KernelTable:
 
     def numerators(self, key: Assignment) -> tuple[int, ...]:
         """One row as integer numerators over ``den``."""
-        return self._index[tuple(key)]
+        return _recorded(self, "_index", _row_index)[tuple(key)]
 
     def row(self, key: Assignment) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.den) for n in self._index[tuple(key)])
+        return tuple(Fraction(n, self.den) for n in self.numerators(key))
+
+
+def _row_index(kern: KernelTable) -> dict[Assignment, tuple[int, ...]]:
+    return dict(kern.rows)
 
 
 def deterministic_kernel(
@@ -162,12 +163,16 @@ def uniform(domain: Sequence[Value]) -> dict[Value, Fraction]:
     return {v: p for v in domain}
 
 
-@dataclass(frozen=True)
-class DiscreteModel:
+class DiscreteModel(_Value):
     dag: PartitionedDag
     domains: tuple[tuple[VertexId, tuple[Value, ...]], ...]
     kernels: tuple[tuple[VertexId, KernelTable], ...]
     selected_zeros: tuple[tuple[VertexId, Value], ...]
+
+    def __init__(self, dag, domains, kernels, selected_zeros) -> None:
+        self.__dict__.update(dag=dag, domains=domains, kernels=kernels,
+                             selected_zeros=selected_zeros,
+                             _key=(dag, domains, kernels, selected_zeros))
 
     @classmethod
     def of(
@@ -294,8 +299,7 @@ def _maps(model: DiscreteModel):
     return dict(model.domains), dict(model.kernels), dict(model.selected_zeros)
 
 
-@dataclass(frozen=True, repr=False)
-class ProbTable:
+class ProbTable(_Value):
     """Exact distribution over an ordered tuple of variables, held as sorted
     ``(key, weight)`` pairs of integer weights over one denominator ``den``.
 
@@ -309,16 +313,17 @@ class ProbTable:
     den: int
     weights: tuple[tuple[Assignment, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, variables, den, weights) -> None:
         # lowest terms; the running gcd is 1 after a few weights, almost always
-        g = self.den
-        for _, w in self.weights:
+        g = den
+        for _, w in weights:
             if g == 1:
-                return
+                break
             g = gcd(g, w)
         if g != 1:
-            object.__setattr__(self, "den", self.den // g)
-            object.__setattr__(self, "weights", tuple((k, w // g) for k, w in self.weights))
+            den, weights = den // g, tuple((k, w // g) for k, w in weights)
+        self.__dict__.update(variables=variables, den=den, weights=weights,
+                             _key=(variables, den, weights))
 
     @classmethod
     def of(cls, variables: Sequence[str], table: Mapping[Assignment, Fraction]) -> "ProbTable":
@@ -380,17 +385,19 @@ def conditionally_independent(
     return True
 
 
-@dataclass(frozen=True)
-class SelectedDistribution:
+class SelectedDistribution(_Value):
     """Normalized distribution over the visible variables given that every
     selected variable took its zero value."""
 
     dist: ProbTable
     selection_probability: Fraction
 
+    def __init__(self, dist, selection_probability) -> None:
+        self.__dict__.update(dist=dist, selection_probability=selection_probability,
+                             _key=(dist, selection_probability))
 
-@dataclass(frozen=True)
-class SmiResult:
+
+class SmiResult(_Value):
     """One intervention paired with the selected joint distribution over the
     intervened (sharp) and natural (flat) visible copies."""
 
@@ -398,6 +405,11 @@ class SmiResult:
     status: str  # "ok" | "selected_out"
     dist: Optional[ProbTable]
     selection_probability: Fraction
+
+    def __init__(self, q, status, dist, selection_probability) -> None:
+        self.__dict__.update(q=q, status=status, dist=dist,
+                             selection_probability=selection_probability,
+                             _key=(q, status, dist, selection_probability))
 
 
 def sharp(v: VertexId) -> str:

@@ -15,11 +15,10 @@ a self-loop, a directed edge, a marginal face, or a selected face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import canon
-from .graph import GraphError, PartitionedDag, Role, VertexId
+from .graph import GraphError, PartitionedDag, Role, VertexId, _Value
 from .model import (
     DiscreteModel,
     KernelTable,
@@ -43,14 +42,15 @@ class OracleError(GraphError):
 _DOMAIN_LIMIT = 2 ** 16
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(_Value):
     name: str
     scope: tuple[str, ...]
 
+    def __init__(self, name, scope) -> None:
+        self.__dict__.update(name=name, scope=scope, _key=(name, scope))
 
-@dataclass(frozen=True)
-class FactorizationStructure:
+
+class FactorizationStructure(_Value):
     """Variables with finite domains, an implicit root factor per variable,
     and explicit selection factors. A domain is given by its values or by a
     size k (an int, not a bool), meaning 0..k-1; the sizes sum to at most
@@ -58,6 +58,10 @@ class FactorizationStructure:
 
     variables: tuple[tuple[str, tuple], ...]
     selection_factors: tuple[Factor, ...]
+
+    def __init__(self, variables, selection_factors) -> None:
+        self.__dict__.update(variables=variables, selection_factors=selection_factors,
+                             _key=(variables, selection_factors))
 
     @classmethod
     def of(
@@ -113,20 +117,25 @@ class FactorizationStructure:
         return frozenset(cells)
 
 
-@dataclass(frozen=True)
-class SupportPoint:
+class SupportPoint(_Value):
     assignment: tuple[tuple[str, object], ...]
-    intervened: frozenset[str] = frozenset()
+    intervened: frozenset[str]
+
+    def __init__(self, assignment, intervened=frozenset()) -> None:
+        self.__dict__.update(assignment=assignment, intervened=intervened,
+                             _key=(assignment, intervened))
 
     @classmethod
     def of(cls, assignment: Mapping[str, object], intervened: Iterable[str] = ()):
         return cls(tuple(sorted(assignment.items())), frozenset(intervened))
 
 
-@dataclass(frozen=True)
-class SupportQuery:
+class SupportQuery(_Value):
     required: tuple[SupportPoint, ...]
     forbidden: tuple[SupportPoint, ...]
+
+    def __init__(self, required, forbidden) -> None:
+        self.__dict__.update(required=required, forbidden=forbidden, _key=(required, forbidden))
 
     @classmethod
     def of(cls, required: Iterable[SupportPoint], forbidden: Iterable[SupportPoint]):
@@ -136,14 +145,17 @@ class SupportQuery:
         return cls(req, forb)
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(_Value):
     feasible: bool
     # positive cells per factor when feasible
     witness: Optional[frozenset[Cell]]
     # a forbidden point whose every cell is forced when infeasible
     certificate: Optional[SupportPoint]
     forced: frozenset[Cell]
+
+    def __init__(self, feasible, witness, certificate, forced) -> None:
+        self.__dict__.update(feasible=feasible, witness=witness, certificate=certificate,
+                             forced=forced, _key=(feasible, witness, certificate, forced))
 
 
 def support_feasible(fs: FactorizationStructure, q: SupportQuery) -> FeasibilityResult:

@@ -25,7 +25,6 @@ so rebuild acyclicity stays an independent check of the cycle criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import canon
@@ -37,6 +36,7 @@ from .graph import (
     SmDG,
     VertexId,
     _recorded,
+    _Value,
     find_cycle,
 )
 
@@ -84,8 +84,7 @@ def slp(d: PartitionedDag) -> SmDG:
     return SmDG.of(vis, edges, marginal, selected)
 
 
-@dataclass(frozen=True)
-class CanonicalGraph:
+class CanonicalGraph(_Value):
     """Role-annotated directed graph rebuilt from an smDG.
 
     Unlike :class:`PartitionedDag` this may be cyclic; ``cycle`` carries a
@@ -95,6 +94,9 @@ class CanonicalGraph:
     roles: tuple[tuple[VertexId, Role], ...]
     edges: tuple[tuple[VertexId, VertexId], ...]
     cycle: Optional[tuple[VertexId, ...]]
+
+    def __init__(self, roles, edges, cycle) -> None:
+        self.__dict__.update(roles=roles, edges=edges, cycle=cycle, _key=(roles, edges, cycle))
 
     @property
     def is_acyclic(self) -> bool:
@@ -239,8 +241,7 @@ def observe_and_do_equivalent(d1: PartitionedDag, d2: PartitionedDag) -> bool:
     return slp(d1) == slp(d2)
 
 
-@dataclass(frozen=True)
-class CanonicalSignature:
+class CanonicalSignature(_Value):
     """Structure of a canonical DAG up to renaming of its non-visible vertices.
 
     The four components mirror how edges of a canonical DAG decompose:
@@ -253,6 +254,14 @@ class CanonicalSignature:
     special_pairs: tuple[tuple[VertexId, VertexId], ...]
     marginal_child_sets: tuple[tuple[VertexId, ...], ...]
     selected_parent_sets: tuple[tuple[VertexId, ...], ...]
+
+    def __init__(self, directed_edges, special_pairs, marginal_child_sets,
+                 selected_parent_sets) -> None:
+        self.__dict__.update(directed_edges=directed_edges, special_pairs=special_pairs,
+                             marginal_child_sets=marginal_child_sets,
+                             selected_parent_sets=selected_parent_sets,
+                             _key=(directed_edges, special_pairs, marginal_child_sets,
+                                   selected_parent_sets))
 
 
 def special_paths(d: PartitionedDag) -> list[tuple[VertexId, VertexId, VertexId, VertexId]]:

@@ -18,7 +18,6 @@ necessary: a failed search says nothing about inequivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -28,6 +27,7 @@ from .graph import (
     PartitionedDag,
     SmDG,
     VertexId,
+    _Value,
     is_acyclic,
     topological_order,
 )
@@ -125,7 +125,7 @@ def check_selected_face_removal(
     if not is_acyclic(core.visibles, core.edges):
         if auto_remove_special_edges:
             dropped = {e for e in core.edges if _special_edge_clause(g, *e) is None}
-            core = replace(core, edges=core.edges - dropped)
+            core = _drop_edges(core, dropped)
         if not is_acyclic(core.visibles, core.edges):
             raise RulePreconditionError(
                 "remove_selected_face",
@@ -166,23 +166,30 @@ def check_selected_face_removal(
     return dropped
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(_Value):
     label: str  # names the rule in precondition and liftability errors
     check: Callable[..., Iterable]  # (label, g, *params) -> edges the rewrite deletes
     forward: Callable[..., SmDG]  # (g, deleted edges, *params) -> rewritten g
     inverse: Callable[..., SmDG]  # (g, *params) -> the graph before the step
 
+    def __init__(self, label, check, forward, inverse) -> None:
+        self.__dict__.update(label=label, check=check, forward=forward, inverse=inverse,
+                             _key=(label, check, forward, inverse))
+
+
+# Each edit below builds its SmDG through the constructor, whose checks
+# refuse an edge outside the visibles or a system over other ground sets.
 
 def _drop_edges(g: SmDG, dropped, *_params) -> SmDG:
-    return replace(g, edges=g.edges - dropped)
+    return SmDG(g.visibles, g.edges - dropped, g.marginal_system, g.selected_system)
 
 
 def _unpromote_face(g: SmDG, vs, absorbed) -> SmDG:
     faces = (g.marginal_system.maximal_faces - {frozenset(vs)}) | {
         frozenset(f) for f in absorbed
     }
-    return replace(g, marginal_system=IndependenceSystem.of(g.visibles, faces))
+    return SmDG(g.visibles, g.edges, IndependenceSystem.of(g.visibles, faces),
+                g.selected_system)
 
 
 # Keyed by the RewriteStep rule name. Step parameters: AddMarginalFace
@@ -193,8 +200,8 @@ _RULES: dict[str, _Rule] = {
     "AddMarginalFace": _Rule(
         "add_marginal_face",
         _check_add_marginal_face,
-        lambda g, _, vs, *_absorbed: replace(
-            g, marginal_system=g.marginal_system.with_face(vs)
+        lambda g, _, vs, *_absorbed: SmDG(
+            g.visibles, g.edges, g.marginal_system.with_face(vs), g.selected_system
         ),
         _unpromote_face,
     ),
@@ -202,23 +209,30 @@ _RULES: dict[str, _Rule] = {
         "remove_special_edge",
         _check_special_edge,
         _drop_edges,
-        lambda g, a, b: replace(g, edges=g.edges | {(a, b)}),
+        lambda g, a, b: SmDG(
+            g.visibles, g.edges | {(a, b)}, g.marginal_system, g.selected_system
+        ),
     ),
     "RemoveSelfLoop": _Rule(
         "remove_self_loop",
         lambda label, g, a: _check_special_edge(label, g, a, a),
         _drop_edges,
-        lambda g, a: replace(g, edges=g.edges | {(a, a)}),
+        lambda g, a: SmDG(
+            g.visibles, g.edges | {(a, a)}, g.marginal_system, g.selected_system
+        ),
     ),
     "RemoveSelectedFace": _Rule(
         "remove_selected_face",
         lambda _, g, vs, auto=False: check_selected_face_removal(g, frozenset(vs), auto),
-        lambda g, dropped, vs, *_auto: replace(
-            g,
-            edges=g.edges - dropped,
-            selected_system=g.selected_system.without_maximal_face(vs),
+        lambda g, dropped, vs, *_auto: SmDG(
+            g.visibles,
+            g.edges - dropped,
+            g.marginal_system,
+            g.selected_system.without_maximal_face(vs),
         ),
-        lambda g, vs: replace(g, selected_system=g.selected_system.with_face(vs)),
+        lambda g, vs: SmDG(
+            g.visibles, g.edges, g.marginal_system, g.selected_system.with_face(vs)
+        ),
     ),
 }
 
@@ -323,19 +337,24 @@ def rule_mdag_lift(
 # --- proofs and search -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(_Value):
     rule: str  # AddMarginalFace | RemoveSpecialEdge | RemoveSelfLoop |
     #            RemoveSelectedFace | MdagLift
     params: tuple
-    direction: str = "forward"  # backward steps are replayed as inverses
+    direction: str  # backward steps are replayed as inverses
+
+    def __init__(self, rule, params, direction="forward") -> None:
+        self.__dict__.update(rule=rule, params=params, direction=direction,
+                             _key=(rule, params, direction))
 
 
-@dataclass(frozen=True)
-class EquivalenceProof:
+class EquivalenceProof(_Value):
     start: SmDG
     end: SmDG
     steps: tuple[RewriteStep, ...]
+
+    def __init__(self, start, end, steps) -> None:
+        self.__dict__.update(start=start, end=end, steps=steps, _key=(start, end, steps))
 
     def replay(self) -> SmDG:
         g = self.start
@@ -386,10 +405,12 @@ def _key(g: SmDG):
     )
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Value):
     proof: Optional[EquivalenceProof]
-    diagnostic: str = ""
+    diagnostic: str
+
+    def __init__(self, proof, diagnostic="") -> None:
+        self.__dict__.update(proof=proof, diagnostic=diagnostic, _key=(proof, diagnostic))
 
     @property
     def found(self) -> bool:

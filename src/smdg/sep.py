@@ -25,10 +25,11 @@ point-mass variable is degenerate.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .graph import GraphError, PartitionedDag, SmDG, UnknownVertexError, VertexId, _recorded
+from .graph import (
+    GraphError, PartitionedDag, SmDG, UnknownVertexError, VertexId, _recorded, _Value,
+)
 from .project import NotLiftableError, unliftable_cycle
 
 
@@ -38,11 +39,13 @@ class Verdict(enum.Enum):
     DETERMINED = "determined"
 
 
-@dataclass(frozen=True)
-class SeparationQuery:
+class SeparationQuery(_Value):
     x: frozenset[VertexId]
     y: frozenset[VertexId]
     z: frozenset[VertexId]
+
+    def __init__(self, x, y, z) -> None:
+        self.__dict__.update(x=x, y=y, z=z, _key=(x, y, z))
 
     @classmethod
     def of(cls, x: Iterable[VertexId], y: Iterable[VertexId], z: Iterable[VertexId] = ()):

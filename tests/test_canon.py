@@ -287,7 +287,7 @@ def test_is_canonical_builds_no_graph(monkeypatch):
         raise AssertionError("is_canonical constructed a graph")
 
     monkeypatch.setattr(PartitionedDag, "from_roles", classmethod(refuse))
-    monkeypatch.setattr(PartitionedDag, "__post_init__", refuse)
+    monkeypatch.setattr(PartitionedDag, "__init__", refuse)
     monkeypatch.setattr(PartitionedDag, "with_vertices", refuse)
     assert [is_canonical(d) for d in graphs] == [True, False, False, False, False]
 

@@ -586,14 +586,19 @@ def test_long_chain_commands(tmp_path, argv, expected_code):
     assert "Traceback" not in proc.stderr
 
 
+# Modules that no command loads: dataclasses, and inspect, which it imports.
+_UNLOADED = ("dataclasses", "inspect")
+
 # Runs `smdg.cli.main` on the arguments after the report path, then writes the
-# names of the smdg modules it loaded to that path; stdout stays the command's.
-REPORT_MODULES = """
+# names of the smdg modules it loaded, and of those in _UNLOADED that it
+# loaded, to that path; stdout stays the command's.
+REPORT_MODULES = f"""
 import sys
 from smdg.cli import main
 code = main(sys.argv[2:])
 with open(sys.argv[1], "w", encoding="utf-8") as fh:
-    fh.write(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "smdg")))
+    fh.write(" ".join(sorted(m for m in sys.modules
+                             if m.split(".")[0] == "smdg" or m in {_UNLOADED!r})))
 sys.exit(code)
 """
 
@@ -634,4 +639,5 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, expected_code, modu
     )
     assert proc.returncode == expected_code, proc.stderr
     loaded = set(report.read_text(encoding="utf-8").split())
+    assert not loaded & set(_UNLOADED), f"{argv[0]} loads {sorted(loaded & set(_UNLOADED))}"
     assert loaded == {"smdg", "smdg.cli"} | {f"smdg.{m}" for m in modules}

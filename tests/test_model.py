@@ -335,6 +335,22 @@ def test_integer_form_is_each_row_over_den(monkeypatch):
     assert len(built) > 100
 
 
+def test_kernel_row_index_is_made_on_first_read():
+    """Validation and evaluation read a kernel's rows whole, so a model that
+    is built and evaluated builds no index of rows by key; the first
+    ``numerators`` or ``row`` read records one."""
+    model = joint_selector_model()
+    smo_distribution(model)
+    smi_distribution(model, product_intervention(model, {v: uniform((0, 1)) for v in "abc"}))
+    assert not [v for v, kern in model.kernels if "_index" in vars(kern)]
+    for v, kern in model.kernels:
+        (key, vec), *_ = kern.rows
+        assert kern.row(key) == tuple(F(n, kern.den) for n in vec)
+        index = vars(kern)["_index"]
+        assert kern.numerators(key) is vec and vars(kern)["_index"] is index
+        assert index == dict(kern.rows)
+
+
 def test_over_reduces_to_the_form_of_gives():
     """Integer numerators over any multiple of the lcm give the kernel that
     the same rows as Fractions give, den and rows alike."""

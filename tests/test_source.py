@@ -19,6 +19,17 @@ def test_no_assert_guards(path):
     assert not lines, f"{path.name} has assert statements on lines {lines}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_dataclasses(path):
+    """Value classes derive from ``graph._Value``: importing ``dataclasses``
+    loads ``inspect`` into every command and compiles methods per class."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+             or isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)]
+    assert not lines, f"{path.name} imports dataclasses on lines {lines}"
+
+
 def _is_dict_value(node: ast.expr) -> bool:
     if isinstance(node, (ast.Dict, ast.DictComp)):
         return True

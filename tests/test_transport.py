@@ -396,13 +396,13 @@ def test_moved_models_inherit_the_source_kernel_instances(monkeypatch):
     the source model's own instance, so its recorded factor is found again
     and its rows are not checked again; every shape inherits some."""
     built = []
-    post_init = KernelTable.__post_init__
+    init = KernelTable.__init__
 
-    def recording(self):
+    def recording(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(KernelTable, "__post_init__", recording)
+    monkeypatch.setattr(KernelTable, "__init__", recording)
     for shape in sorted(SHAPES):
         rng = random.Random(f"inherited-{shape}")
         for _ in range(4):
