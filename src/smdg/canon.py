@@ -25,16 +25,21 @@ finder fires. ``replay_steps`` looks rewrites up by step name.
 ``canonicalize`` runs once per DAG instance: the report is recorded on the
 instance, so ``slp`` after ``canonicalize`` reuses it. ``replay`` and
 ``is_canonical`` are checks and never read a record. Every rewrite edits its
-input through ``with_edges`` or ``with_vertices``, which derive the new
-graph from the parent's stored maps; a removal-only rewrite skips the cycle
-search, since deleting vertices or edges from a DAG cannot create a cycle.
+input through ``with_edges`` or ``with_vertices``, which carry over the
+parent's stored maps and sets, patched by the edit; a removal-only rewrite
+skips the cycle search, since deleting vertices or edges from a DAG cannot
+create a cycle. A rewrite's guards are existence tests that stop at the
+first offender they meet; the sorted targets, whose first entry a message
+names, are listed only when a guard fails. Edge presence is read off the
+tail's child set, and the split finder walks each marginalized vertex's
+selected children rather than every edge.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Callable, Collection, Iterable, NamedTuple, Optional
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Optional
 
 from .graph import GraphError, PartitionedDag, Role, VertexId, _recorded, _Value
 
@@ -115,11 +120,15 @@ def _terminalize_targets(d: PartitionedDag) -> list[Target]:
     return [(s,) for s in sorted(d.selected) if d.children_of(s)]
 
 
+# A guard tests whether a target exists and stops at the first it meets; the
+# sorted target list, whose first entry the message names, is built only then.
 def _require_exog_term(op: str, d: PartitionedDag) -> None:
-    if targets := _exogenize_targets(d):
-        raise PreconditionError(op, f"marginalized vertex {targets[0][0]!r} still has parents")
-    if targets := _terminalize_targets(d):
-        raise PreconditionError(op, f"selected vertex {targets[0][0]!r} still has children")
+    if any(map(d.parents_of, d.marginalized)):
+        m = _exogenize_targets(d)[0][0]
+        raise PreconditionError(op, f"marginalized vertex {m!r} still has parents")
+    if any(map(d.children_of, d.selected)):
+        s = _terminalize_targets(d)[0][0]
+        raise PreconditionError(op, f"selected vertex {s!r} still has children")
 
 
 def merge_marginalized(d: PartitionedDag, m1: VertexId, m2: VertexId) -> PartitionedDag:
@@ -177,9 +186,10 @@ def _merge_s_pairs(d: PartitionedDag) -> list[Target]:
 
 def _require_merged(op: str, d: PartitionedDag) -> None:
     _require_exog_term(op, d)
-    if _merge_m_pairs(d):
+    mar, sel = d.marginalized, d.selected
+    if any(len(d.parents_of(s) & mar) > 1 for s in sel):
         raise PreconditionError(op, "mergeable marginalized vertices remain")
-    if _merge_s_pairs(d):
+    if any(len(d.children_of(m) & sel) > 1 for m in mar):
         raise PreconditionError(op, "mergeable selected vertices remain")
 
 
@@ -201,7 +211,7 @@ def split_m_to_s(d: PartitionedDag, m: VertexId, s: VertexId) -> PartitionedDag:
     already in final form and must be kept.
     """
     _require_merged("split_m_to_s", d)
-    if (m, s) not in set(d.edges):
+    if m not in d.vertices or s not in d.children_of(m):
         raise PreconditionError("split_m_to_s", f"edge {m!r} -> {s!r} is absent")
     if d.role_of(m) is not Role.MARGINALIZED or d.role_of(s) is not Role.SELECTED:
         raise PreconditionError("split_m_to_s", "edge endpoints must be marginalized -> selected")
@@ -220,21 +230,28 @@ def split_m_to_s(d: PartitionedDag, m: VertexId, s: VertexId) -> PartitionedDag:
     return d.with_vertices(add=add_vertices, add_edges=add_edges, remove_edges={(m, s)})
 
 
+def _splittable(d: PartitionedDag) -> Iterator[Target]:
+    """The marginalized -> selected edges with a side that is not a singleton,
+    unsorted, walked from each marginalized vertex's selected children."""
+    vis = d.visible
+    for m in d.marginalized:
+        children = d.children_of(m)
+        single = len(children & vis) == 1
+        for s in children & d.selected:
+            if not single or len(d.parents_of(s) & vis) != 1:
+                yield m, s
+
+
 def _split_targets(d: PartitionedDag) -> list[Target]:
-    out = []
-    for m, s in d.edges:
-        if d.role_of(m) is Role.MARGINALIZED and d.role_of(s) is Role.SELECTED:
-            if len(d.parents_of(s) & d.visible) != 1 or len(d.children_of(m) & d.visible) != 1:
-                out.append((m, s))
-    return sorted(out)
+    return sorted(_splittable(d))
 
 
 def to_special(d: PartitionedDag, a: VertexId, b: VertexId) -> PartitionedDag:
     """Replace the visible edge a -> b by the path a -> s <- m -> b."""
     _require_merged("to_special", d)
-    if _split_targets(d):
+    if any(_splittable(d)):
         raise PreconditionError("to_special", "splittable marginalized -> selected edges remain")
-    if (a, b) not in set(d.edges):
+    if a not in d.vertices or b not in d.children_of(a):
         raise PreconditionError("to_special", f"edge {a!r} -> {b!r} is absent")
     if d.role_of(a) is not Role.VISIBLE or d.role_of(b) is not Role.VISIBLE:
         raise PreconditionError("to_special", "both endpoints must be visible")

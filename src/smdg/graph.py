@@ -22,20 +22,27 @@ delete an attribute.
 
 A :class:`PartitionedDag` built directly (the constructor, ``of``,
 ``from_roles``) is sorted, indexed and searched for a cycle in full. An edit
-(``with_edges``, ``with_vertices``, ``induced_subgraph``) derives its graph
-from its parent's stored maps instead, patching only the vertices whose
-neighbours change, and searches for a cycle only from the heads of the edges
-it adds: deleting vertices or edges from a DAG cannot create a cycle, so any
-cycle of the edited graph runs through an added edge. The DAG that
-``project.lift`` returns is built from roles and edges that are already
-sorted, checked and searched, so it neither searches again nor indexes
-before its first vertex query.
+(``with_edges``, ``with_vertices``, ``induced_subgraph``) costs about its own
+change instead: it carries over its parent's parent and child maps, role
+map, vertex set and role sets, patching only the entries that the removed
+and added vertices and edges touch; it splices those vertices and edges
+into the parent's sorted ``roles`` and ``edges`` by bisection, with no
+sort; and it searches for a cycle only from the heads of the added edges
+whose tails have parents: deleting vertices or edges from a DAG cannot
+create a cycle, so any cycle of the edited graph runs through an added edge
+and the parent of its tail. The DAG that ``project.lift`` returns is built
+from roles and edges that are already sorted, checked and searched, so it
+neither searches again nor indexes before its first vertex query. A vertex
+query is one dictionary lookup; an unknown vertex is looked into only on a
+miss.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+from bisect import bisect_left, insort
+from itertools import product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Optional, TypeVar
 
@@ -172,8 +179,13 @@ def find_cycle(
     vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]
 ) -> Optional[tuple[VertexId, ...]]:
     """Return some directed cycle as a vertex tuple (first == last), or None.
-    A self-loop counts as a cycle."""
-    return _search_cycle(_adjacency(vertices, edges)[1])
+    A self-loop counts as a cycle. Builds the child lists only."""
+    children: _Adjacency = {v: [] for v in vertices}
+    for a, b in edges:
+        if a not in children or b not in children:
+            raise UnknownVertexError(f"edge ({a!r}, {b!r}) has an endpoint outside the graph")
+        children[a].append(b)
+    return _search_cycle(children)
 
 
 def is_acyclic(vertices: Iterable[VertexId], edges: Iterable[tuple[VertexId, VertexId]]) -> bool:
@@ -202,6 +214,10 @@ def topological_order(
         cycle = " -> ".join(_search_cycle(children))
         raise GraphError(f"no topological order exists; the cycle {cycle} has no first vertex")
     return order
+
+
+def _unknown(v: VertexId) -> UnknownVertexError:
+    return UnknownVertexError(f"vertex {v!r} is not in the graph")
 
 
 class _AdjacencyOnFirstQuery:
@@ -235,23 +251,23 @@ class _Digraph:
         object.__setattr__(self, "_parents", {v: frozenset(p) for v, p in parents.items()})
         object.__setattr__(self, "_children", {v: frozenset(c) for v, c in children.items()})
 
-    def _require(self, v: VertexId) -> None:
-        if v not in self._parents:
-            raise UnknownVertexError(f"vertex {v!r} is not in the graph")
-
     def require_vertices(self, vs: Iterable[VertexId]) -> None:
         """Raise on the sorted-first of vs that is not a vertex, whatever its order."""
         unknown = [v for v in vs if v not in self._parents]
         if unknown:
-            self._require(min(unknown))
+            raise _unknown(min(unknown))
 
     def parents_of(self, v: VertexId) -> frozenset[VertexId]:
-        self._require(v)
-        return self._parents[v]
+        try:
+            return self._parents[v]
+        except KeyError:
+            raise _unknown(v) from None
 
     def children_of(self, v: VertexId) -> frozenset[VertexId]:
-        self._require(v)
-        return self._children[v]
+        try:
+            return self._children[v]
+        except KeyError:
+            raise _unknown(v) from None
 
     def ancestors_of(self, ws: Iterable[VertexId]) -> frozenset[VertexId]:
         """Reflexive-transitive closure of parenthood over a vertex set."""
@@ -265,6 +281,10 @@ class _Digraph:
             seen.add(v)
             todo.extend(self._parents[v])
         return frozenset(seen)
+
+
+_ROLE_SETS = (("_visible", Role.VISIBLE), ("_marginalized", Role.MARGINALIZED),
+              ("_selected", Role.SELECTED))
 
 
 class PartitionedDag(_Value, _Digraph):
@@ -309,12 +329,12 @@ class PartitionedDag(_Value, _Digraph):
                 raise UnknownVertexError(f"edge ({a!r}, {b!r}) has an endpoint outside the graph")
             if a == b:
                 raise GraphError(f"self-loop on {a!r} is not allowed in a DAG")
-        return cls(
-            roles=tuple(sorted(roles.items(), key=lambda kv: kv[0])),
-            edges=tuple(sorted(set(edges))),
-        )
+        return cls(roles=roles.items(), edges=edges)
 
     def __init__(self, roles, edges) -> None:
+        # kept sorted whatever the order given: an edit splices into them
+        roles = tuple(sorted(roles, key=itemgetter(0)))
+        edges = tuple(sorted(set(edges)))
         self.__dict__.update(roles=roles, edges=edges, _key=(roles, edges))
         parents, children = _adjacency((v for v, _ in roles), edges)
         cycle = _search_cycle(children)
@@ -340,18 +360,20 @@ class PartitionedDag(_Value, _Digraph):
 
     def _store_roles(self, role: dict[VertexId, Role]) -> None:
         object.__setattr__(self, "_role", role)
-        for name, r in (("_visible", Role.VISIBLE), ("_marginalized", Role.MARGINALIZED),
-                        ("_selected", Role.SELECTED)):
+        object.__setattr__(self, "_vertices", frozenset(role))
+        for name, r in _ROLE_SETS:
             object.__setattr__(self, name, frozenset(v for v, x in self.roles if x is r))
 
     # --- vertex queries -------------------------------------------------
     @property
     def vertices(self) -> frozenset[VertexId]:
-        return frozenset(self._role)
+        return self._vertices
 
     def role_of(self, v: VertexId) -> Role:
-        self._require(v)
-        return self._role[v]
+        try:
+            return self._role[v]
+        except KeyError:
+            raise _unknown(v) from None
 
     @property
     def visible(self) -> frozenset[VertexId]:
@@ -389,73 +411,109 @@ class PartitionedDag(_Value, _Digraph):
         given ones added: the one edit path behind every rewrite.
 
         The result equals ``from_roles`` on the edited roles and edges, but
-        is derived from this graph's stored maps. Only the new vertex ids and
-        the added edges are checked, and only the heads of the added edges
-        are searched for a cycle. That is enough: this graph is acyclic, and
-        deleting vertices or edges from a DAG cannot create a cycle, so a
-        cycle of the result must use an added edge (a, b) and pass through b.
-        A removal-only edit has no heads to search from, so it searches nothing.
+        is derived from this graph's stored values, each patched by what the
+        edit removes and adds: the dropped edges are read off the removed
+        vertices' maps, edge presence off the child sets, and the sorted
+        tuples take a bisection per change. Only the new vertex ids and the
+        added edges are checked, and only the heads of the added edges whose
+        tails have parents are searched for a cycle. That is enough: this
+        graph is acyclic, and deleting vertices or edges from a DAG cannot
+        create a cycle, so a cycle of the result must use an added edge
+        (a, b), pass through b and enter a from a parent. A removal-only edit
+        has no heads to search from, so it searches nothing.
         """
-        remove = {v for v in remove if v in self._role}
-        role = dict(self._role)
-        for v in remove:
-            del role[v]
-        for v, r in add.items():
-            if v in role:
+        role = self._role
+        remove = {v for v in remove if v in role} if remove else ()
+        for v in add:
+            if v in role and v not in remove:
                 raise GraphError(f"vertex {v!r} already exists")
-            role[v] = r
-        _check_vertex_ids(add)
-        remove_edges = set(remove_edges)
-        kept, dropped = [], []
-        for e in self.edges:
-            gone = e[0] in remove or e[1] in remove or e in remove_edges
-            (dropped if gone else kept).append(e)
-        present = set(kept)
+        roles, edges = self.roles, self.edges
+        if remove or add:
+            _check_vertex_ids(add)
+            role = dict(role)
+            for v in remove:
+                del role[v]
+            role.update(add)
+            # (v,) sorts just before (v, role), so no Role is compared
+            roles = _spliced(roles, zip(remove), add.items())
+        parents, children = self._parents, self._children
+        dropped = set()
+        for v in remove:
+            dropped.update(product(parents[v], (v,)), product((v,), children[v]))
+        for a, b in remove_edges:
+            if b in children.get(a, ()):
+                dropped.add((a, b))
         added = set()
         for a, b in add_edges:  # in input order, so the first bad edge is named
             if a not in role or b not in role:
                 raise UnknownVertexError(f"edge ({a!r}, {b!r}) has an endpoint outside the graph")
             if a == b:
                 raise GraphError(f"self-loop on {a!r} is not allowed in a DAG")
-            if (a, b) not in present:
+            if (a, b) in dropped or b not in children.get(a, ()):
                 added.add((a, b))
-        roles = tuple(sorted(role.items(), key=itemgetter(0)))
-        edges = tuple(sorted(kept + list(added)))
-        children = _patched(self._children, remove, add, dropped, added)
-        if _search_cycle(children, {b for _, b in added}) is not None:
+        if dropped or added:
+            edges = _spliced(edges, dropped, added)
+        if remove or add or dropped or added:
+            parents, children = _patched(parents, children, remove, add, dropped, added)
+        # a cycle runs through an added edge (a, b), and so through a parent of a
+        if added and _search_cycle(children, [b for a, b in added if parents[a]]) is not None:
             # the full build names the cycle that the constructor names, and raises
             return PartitionedDag(roles=roles, edges=edges)
-        edited = PartitionedDag._acyclic(roles, edges, role)
-        object.__setattr__(edited, "_parents", _patched(
-            self._parents, remove, add, [(b, a) for a, b in dropped], [(b, a) for a, b in added]
-        ))
-        object.__setattr__(edited, "_children", children)
+        edited = object.__new__(PartitionedDag)
+        record = edited.__dict__
+        record.update(roles=roles, edges=edges, _key=(roles, edges), _role=role,
+                      _parents=parents, _children=children,
+                      _vertices=_patched_set(self._vertices, remove, add))
+        for name, r in _ROLE_SETS:
+            record[name] = _patched_set(self.__dict__[name], remove,
+                                        [v for v, x in add.items() if x is r] if add else ())
         return edited
 
 
+def _spliced(items: tuple, remove: Iterable, add: Iterable) -> tuple:
+    """The sorted tuple items without the entry that each of remove sorts
+    first at, and with add inserted in order: a bisection per change."""
+    out = list(items)
+    for x in remove:
+        del out[bisect_left(out, x)]
+    for x in add:
+        insort(out, x)
+    return tuple(out)
+
+
 def _patched(
-    adjacency: Mapping[VertexId, frozenset[VertexId]],
+    parents: Mapping[VertexId, frozenset[VertexId]],
+    children: Mapping[VertexId, frozenset[VertexId]],
     remove: set[VertexId],
     add: Iterable[VertexId],
     dropped: Iterable[tuple[VertexId, VertexId]],
     added: Iterable[tuple[VertexId, VertexId]],
-) -> dict[VertexId, frozenset[VertexId]]:
-    """The adjacency without the removed vertices and with empty sets for
-    the added ones, then each pair (v, w) of dropped taken out of v's set and
-    each pair of added put in; sets no pair touches are shared with the input."""
-    out = dict(adjacency)
+) -> tuple[dict[VertexId, frozenset[VertexId]], dict[VertexId, frozenset[VertexId]]]:
+    """The parent and child maps without the removed vertices and with empty
+    sets for the added ones, then each edge of dropped taken out and each
+    edge of added put in; sets no edge touches are shared with the input."""
+    parents, children = dict(parents), dict(children)
     for v in remove:
-        del out[v]
-    out.update(dict.fromkeys(add, frozenset()))
-    changed: dict[VertexId, set[VertexId]] = {}
-    for v, w in dropped:
-        if v in out:
-            changed.setdefault(v, set(out[v])).discard(w)
-    for v, w in added:
-        changed.setdefault(v, set(out[v])).add(w)
-    for v, ws in changed.items():
-        out[v] = frozenset(ws)
-    return out
+        del parents[v], children[v]
+    for v in add:
+        parents[v] = children[v] = frozenset()
+    for a, b in dropped:
+        if a in children:
+            children[a] = children[a] - {b}
+        if b in parents:
+            parents[b] = parents[b] - {a}
+    for a, b in added:
+        children[a] = children[a] | {b}
+        parents[b] = parents[b] | {a}
+    return parents, children
+
+
+def _patched_set(s: frozenset[VertexId], remove: set[VertexId],
+                 add: Iterable[VertexId]) -> frozenset[VertexId]:
+    """s without remove and with add; s itself when neither changes it."""
+    if remove and not s.isdisjoint(remove):
+        s = s - remove
+    return s.union(add) if add else s
 
 
 class IndependenceSystem(_Value):

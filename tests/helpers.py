@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -69,6 +70,24 @@ def decorated_chain_dag(n: int, role: str) -> PartitionedDag:
     else:
         edges += zip(names, extra)
     return PartitionedDag.of(visible=names, edges=edges, **{role: extra})
+
+
+def one_shot_dag(rng: random.Random) -> PartitionedDag:
+    """A random non-canonical DAG in the style of the one-shot benchmark:
+    3-4 visibles, 1-3 each of marginalized and selected vertices, edges
+    forward along a random order led by a latent, and most visibles given a
+    latent parent."""
+    vis = [f"v{i}" for i in range(rng.randint(3, 4))]
+    mar = [f"m{i}" for i in range(rng.randint(1, 3))]
+    sel = [f"s{i}" for i in range(rng.randint(1, 3))]
+    rest = vis + mar[1:] + sel
+    rng.shuffle(rest)
+    order = [mar[0], *rest]
+    edges = {(a, b) for i, a in enumerate(order) for b in order[i + 1:] if rng.random() < 0.25}
+    for j, v in enumerate(order):
+        if v in vis and rng.random() < 0.75:
+            edges.add((rng.choice([m for m in order[:j] if m in mar]), v))
+    return PartitionedDag.of(vis, mar, sel, edges)
 
 
 def count_calls(monkeypatch, cls, *names: str) -> Counter:

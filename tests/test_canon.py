@@ -5,7 +5,7 @@ import pytest
 
 from smdg import canon
 from smdg.enumeration import enumerate_partitioned_dags
-from smdg.graph import PartitionedDag, Role, is_acyclic
+from smdg.graph import GraphError, PartitionedDag, Role, UnknownVertexError, is_acyclic
 from smdg.canon import (
     ConfluenceError,
     PreconditionError,
@@ -31,6 +31,7 @@ from helpers import (
     assert_matches_rebuild,
     count_calls,
     decorated_chain_dag,
+    one_shot_dag,
     same_up_to_nonvisible_labels,
 )
 
@@ -201,6 +202,138 @@ def test_to_special_rewrites_edge():
     (s2,), (m2,) = news, newm
     assert out.parents_of(s2) == {"a", m2}
     assert out.children_of(m2) == {s2, "b"}
+
+
+# --- guard clauses ------------------------------------------------------------
+# Graphs that fail one guard each; several hold more than one offender, listed
+# out of order, so that a message pins the sorted-first one.
+
+_FED = PartitionedDag.of(
+    visible="ab", marginalized=["m3", "m1", "m2"], selected=["s2", "s1"],
+    edges=[("a", "m3"), ("a", "m1"), ("a", "m2"), ("m1", "b"), ("a", "s2"), ("a", "s1"),
+           ("s2", "b"), ("s1", "b")],
+)
+_FEEDING = PartitionedDag.of(
+    visible="ab", marginalized="m", selected=["s3", "s1", "s2"],
+    edges=[("m", "a"), ("a", "s3"), ("a", "s1"), ("a", "s2"), ("s3", "b"), ("s1", "b"),
+           ("s2", "b")],
+)
+_MERGE_M = PartitionedDag.of(
+    visible="ab", marginalized=["m2", "m1"], selected="s",
+    edges=[("m2", "s"), ("m1", "s"), ("m1", "a"), ("m2", "b"), ("a", "s")],
+)
+_MERGE_S = PartitionedDag.of(
+    visible="ab", marginalized="m", selected=["s2", "s1"],
+    edges=[("m", "s2"), ("m", "s1"), ("a", "s1"), ("b", "s2"), ("m", "a")],
+)
+_MERGE_BOTH = PartitionedDag.of(
+    visible="a", marginalized=["m2", "m1"], selected=["s2", "s1"],
+    edges=[("m1", "s1"), ("m2", "s1"), ("m1", "s2"), ("a", "s1"), ("a", "s2"), ("m1", "a")],
+)
+_LONERS = PartitionedDag.of(
+    visible="ab", marginalized=["m1", "m2"], selected=["s1", "s2"],
+    edges=[("m1", "a"), ("m2", "b"), ("a", "s1"), ("b", "s2")],
+)
+_SPLIT_PARENTS = PartitionedDag.of(  # s has two visible parents
+    visible="abc", marginalized="m", selected="s",
+    edges=[("m", "s"), ("a", "s"), ("b", "s"), ("m", "c"), ("a", "c")],
+)
+_SPLIT_CHILDREN = PartitionedDag.of(  # m has two visible children
+    visible="abc", marginalized="m", selected="s",
+    edges=[("m", "s"), ("a", "s"), ("m", "b"), ("m", "c"), ("a", "b")],
+)
+_SPLIT_BARE = PartitionedDag.of(  # s has no visible parent
+    visible="ab", marginalized="m", selected="s", edges=[("m", "s"), ("m", "a"), ("a", "b")],
+)
+_FINAL = PartitionedDag.of(
+    visible="abc", marginalized="m", selected="s",
+    edges=[("a", "s"), ("m", "s"), ("m", "b"), ("a", "b"), ("b", "c"), ("a", "c")],
+)
+
+_P, _U = PreconditionError, UnknownVertexError
+_FED_M = "marginalized vertex 'm1' still has parents"
+_FEEDING_S = "selected vertex 's1' still has children"
+_MERGEABLE_M = "mergeable marginalized vertices remain"
+_MERGEABLE_S = "mergeable selected vertices remain"
+_UNKNOWN = "vertex 'zz' is not in the graph"
+
+GUARDS = [
+    (terminalize, _FINAL, ("a",), _P, "terminalize: 'a' is not selected"),
+    (terminalize, _FINAL, ("m",), _P, "terminalize: 'm' is not selected"),
+    (terminalize, _FINAL, ("zz",), _U, _UNKNOWN),
+    (exogenize, _FINAL, ("s",), _P, "exogenize: 's' is not marginalized"),
+    (exogenize, _FINAL, ("b",), _P, "exogenize: 'b' is not marginalized"),
+    (exogenize, _FINAL, ("zz",), _U, _UNKNOWN),
+    (merge_marginalized, _FED, ("m1", "m2"), _P, "merge_marginalized: " + _FED_M),
+    (merge_marginalized, _FED, ("zz", "a"), _P, "merge_marginalized: " + _FED_M),
+    (merge_marginalized, _FEEDING, ("m", "m"), _P, "merge_marginalized: " + _FEEDING_S),
+    (merge_marginalized, _MERGE_M, ("zz", "m1"), _U, _UNKNOWN),
+    (merge_marginalized, _MERGE_M, ("m1", "zz"), _U, _UNKNOWN),
+    (merge_marginalized, _MERGE_M, ("m1", "a"), _P, "merge_marginalized: 'a' is not marginalized"),
+    (merge_marginalized, _MERGE_M, ("s", "m1"), _P, "merge_marginalized: 's' is not marginalized"),
+    (merge_marginalized, _MERGE_M, ("m1", "m1"), _P,
+     "merge_marginalized: the two vertices must be distinct"),
+    (merge_marginalized, _LONERS, ("m1", "m2"), _P, "merge_marginalized: no shared selected child"),
+    (merge_selected, _FED, ("s1", "s2"), _P, "merge_selected: " + _FED_M),
+    (merge_selected, _FEEDING, ("s1", "s2"), _P, "merge_selected: " + _FEEDING_S),
+    (merge_selected, _MERGE_S, ("zz", "s1"), _U, _UNKNOWN),
+    (merge_selected, _MERGE_S, ("s1", "zz"), _U, _UNKNOWN),
+    (merge_selected, _MERGE_S, ("s1", "m"), _P, "merge_selected: 'm' is not selected"),
+    (merge_selected, _MERGE_S, ("a", "s1"), _P, "merge_selected: 'a' is not selected"),
+    (merge_selected, _MERGE_S, ("s1", "s1"), _P, "merge_selected: the two vertices must be distinct"),
+    (merge_selected, _LONERS, ("s1", "s2"), _P, "merge_selected: no shared marginalized parent"),
+    (split_m_to_s, _FED, ("m1", "s1"), _P, "split_m_to_s: " + _FED_M),
+    (split_m_to_s, _FEEDING, ("m", "s1"), _P, "split_m_to_s: " + _FEEDING_S),
+    (split_m_to_s, _MERGE_M, ("m1", "s"), _P, "split_m_to_s: " + _MERGEABLE_M),
+    (split_m_to_s, _MERGE_BOTH, ("m1", "s1"), _P, "split_m_to_s: " + _MERGEABLE_M),
+    (split_m_to_s, _MERGE_S, ("m", "s1"), _P, "split_m_to_s: " + _MERGEABLE_S),
+    (split_m_to_s, _FINAL, ("s", "m"), _P, "split_m_to_s: edge 's' -> 'm' is absent"),
+    (split_m_to_s, _FINAL, ("zz", "s"), _P, "split_m_to_s: edge 'zz' -> 's' is absent"),
+    (split_m_to_s, _FINAL, ("m", "zz"), _P, "split_m_to_s: edge 'm' -> 'zz' is absent"),
+    (split_m_to_s, _FINAL, ("m", "b"), _P,
+     "split_m_to_s: edge endpoints must be marginalized -> selected"),
+    (split_m_to_s, _FINAL, ("a", "s"), _P,
+     "split_m_to_s: edge endpoints must be marginalized -> selected"),
+    (split_m_to_s, _FINAL, ("m", "s"), _P,
+     "split_m_to_s: both sides are singletons; the edge is already in final form"),
+    (to_special, _FED, ("a", "b"), _P, "to_special: " + _FED_M),
+    (to_special, _FEEDING, ("a", "b"), _P, "to_special: " + _FEEDING_S),
+    (to_special, _MERGE_M, ("a", "b"), _P, "to_special: " + _MERGEABLE_M),
+    (to_special, _MERGE_BOTH, ("a", "b"), _P, "to_special: " + _MERGEABLE_M),
+    (to_special, _MERGE_S, ("a", "b"), _P, "to_special: " + _MERGEABLE_S),
+    (to_special, _SPLIT_PARENTS, ("a", "c"), _P,
+     "to_special: splittable marginalized -> selected edges remain"),
+    (to_special, _SPLIT_CHILDREN, ("a", "b"), _P,
+     "to_special: splittable marginalized -> selected edges remain"),
+    (to_special, _SPLIT_BARE, ("a", "b"), _P,
+     "to_special: splittable marginalized -> selected edges remain"),
+    (to_special, _FINAL, ("b", "a"), _P, "to_special: edge 'b' -> 'a' is absent"),
+    (to_special, _FINAL, ("zz", "a"), _P, "to_special: edge 'zz' -> 'a' is absent"),
+    (to_special, _FINAL, ("a", "zz"), _P, "to_special: edge 'a' -> 'zz' is absent"),
+    (to_special, _FINAL, ("a", "s"), _P, "to_special: both endpoints must be visible"),
+    (to_special, _FINAL, ("m", "b"), _P, "to_special: both endpoints must be visible"),
+    (to_special, _FINAL, ("b", "c"), _P, "to_special: 'b' has no selected child"),
+    (to_special, _FINAL, ("a", "c"), _P, "to_special: 'c' has no marginalized parent"),
+]
+
+
+@pytest.mark.parametrize(
+    "rewrite, d, args, error, message", GUARDS,
+    ids=[f"{rewrite.__name__}-{i}" for i, (rewrite, *_) in enumerate(GUARDS)],
+)
+def test_guard_clause_messages(rewrite, d, args, error, message):
+    with pytest.raises(GraphError) as exc:
+        rewrite(d, *args)
+    assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+def test_the_guard_graphs_pass_the_guards_they_do_not_test():
+    # each rewrite succeeds on the graph whose guards its table rows pass
+    assert to_special(_FINAL, "a", "b") != _FINAL
+    assert split_m_to_s(_SPLIT_PARENTS, "m", "s") != _SPLIT_PARENTS
+    assert split_m_to_s(_SPLIT_BARE, "m", "s") != _SPLIT_BARE
+    assert merge_marginalized(_MERGE_M, "m1", "m2").marginalized == {"m⟨m1·m2⟩"}
+    assert merge_selected(_MERGE_S, "s2", "s1").selected == {"s⟨s1·s2⟩"}
 
 
 def test_teaser_a_to_special_yields_canon_example():
@@ -454,7 +587,7 @@ def test_one_pass_reaches_the_fixed_point_under_any_order():
     targets taken in table order or shuffled."""
     rng = random.Random(20261019)
     graphs = [*enumerate_partitioned_dags(2, 1, 1, exogenous_terminal_only=False),
-              *(_one_shot_dag(rng) for _ in range(150))]
+              *(one_shot_dag(rng) for _ in range(150))]
     assert len(graphs) == 543 + 150
     for i, d in enumerate(graphs):
         report = canonicalize(d)
@@ -491,27 +624,9 @@ def _case_dags() -> list[PartitionedDag]:
             and inspect.signature(make).return_annotation is PartitionedDag]
 
 
-def _one_shot_dag(rng: random.Random) -> PartitionedDag:
-    """A random non-canonical DAG in the style of the one-shot benchmark:
-    3-4 visibles, 1-3 each of marginalized and selected vertices, edges
-    forward along a random order led by a latent, and most visibles given a
-    latent parent."""
-    vis = [f"v{i}" for i in range(rng.randint(3, 4))]
-    mar = [f"m{i}" for i in range(rng.randint(1, 3))]
-    sel = [f"s{i}" for i in range(rng.randint(1, 3))]
-    rest = vis + mar[1:] + sel
-    rng.shuffle(rest)
-    order = [mar[0], *rest]
-    edges = {(a, b) for i, a in enumerate(order) for b in order[i + 1:] if rng.random() < 0.25}
-    for j, v in enumerate(order):
-        if v in vis and rng.random() < 0.75:
-            edges.add((rng.choice([m for m in order[:j] if m in mar]), v))
-    return PartitionedDag.of(vis, mar, sel, edges)
-
-
 def test_every_canon_step_matches_a_rebuild():
     rng = random.Random(20261019)
-    graphs = _case_dags() + [_one_shot_dag(rng) for _ in range(150)]
+    graphs = _case_dags() + [one_shot_dag(rng) for _ in range(150)]
     kinds = set()
     for d in graphs:
         report = canonicalize(d)

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -11,9 +12,11 @@ from smdg.graph import (
     Role,
     SmDG,
     UnknownVertexError,
+    find_cycle,
     is_acyclic,
     topological_order,
 )
+from smdg.project import lift
 
 import cases
 from helpers import (
@@ -22,6 +25,7 @@ from helpers import (
     chain_names,
     cycle_in_message,
     long_chain_dag,
+    one_shot_dag,
     python_env,
 )
 
@@ -231,6 +235,23 @@ def test_is_acyclic_self_loop():
     assert not is_acyclic(g.visibles, g.edges)
 
 
+@pytest.mark.parametrize("edges, witness", [
+    ([("a", "b"), ("b", "a")], ("a", "b", "a")),
+    ([("c", "c"), ("a", "b")], ("c", "c")),
+    ([("b", "c"), ("c", "b"), ("a", "b"), ("b", "a")], ("b", "c", "b")),
+    ([("a", "b"), ("b", "c"), ("c", "d")], None),
+], ids=["two_cycle", "self_loop", "edge_order", "acyclic"])
+def test_find_cycle_witness(edges, witness):
+    assert find_cycle("dcba", edges) == witness
+
+
+@pytest.mark.parametrize("edge", [("a", "z"), ("z", "a")], ids=["head", "tail"])
+def test_find_cycle_names_an_edge_with_an_unknown_endpoint(edge):
+    with pytest.raises(UnknownVertexError) as exc:
+        find_cycle("ab", [("a", "b"), edge])
+    assert str(exc.value) == f"edge {edge!r} has an endpoint outside the graph"
+
+
 def test_long_chain_has_no_depth_limit():
     d = long_chain_dag(5000)
     assert d.topological_order() == chain_names(5000)
@@ -315,6 +336,87 @@ def test_edit_checks_what_it_adds(edit, error, message):
         "induced_subgraph"])
 def test_edit_matches_rebuild(edit):
     assert_matches_rebuild(edit(_chain()))
+
+
+def _outcome(build):
+    try:
+        return build()
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+def _random_edit(d: PartitionedDag, rng: random.Random):
+    """A seeded edit of d and the ``from_roles`` build of the roles and edges
+    it asks for. Removals may name unknown vertices and absent edges;
+    additions may re-add removed ids and add edges that already exist, that
+    close a cycle, that loop on one vertex, or whose endpoint is unknown or
+    was removed."""
+    names = sorted(d.vertices)
+    kind = rng.choice(["with_vertices", "with_edges", "induced_subgraph"])
+    if kind == "induced_subgraph":
+        keep = rng.sample(names, rng.randint(len(names) // 2, len(names)))
+        return (lambda: d.induced_subgraph(keep),
+                lambda: PartitionedDag.from_roles(
+                    {v: r for v, r in d.roles if v in keep},
+                    [(a, b) for a, b in d.edges if a in keep and b in keep]))
+    remove = set(rng.sample(names + ["zz"], rng.randint(0, 2))) if kind == "with_vertices" else set()
+    add = {}
+    if kind == "with_vertices":
+        for v in rng.sample(sorted(remove - {"zz"}) + ["n1", "n2"], rng.randint(0, 2)):
+            if v not in d.vertices or v in remove:
+                add[v] = rng.choice(list(Role))
+    roles = {v: r for v, r in d.roles if v not in remove}
+    roles.update(add)
+    ends = sorted(roles) + ["zz"] + sorted(remove)
+    pairs = [(rng.choice(ends), rng.choice(ends)) for _ in range(rng.randint(0, 3))]
+    pairs += rng.sample(d.edges, min(len(d.edges), rng.randint(0, 1)))  # already present
+    cut = rng.sample(d.edges, min(len(d.edges), rng.randint(0, 2))) + [("zz", "n1")]
+    kept = [(a, b) for a, b in d.edges
+            if a not in remove and b not in remove and (a, b) not in cut]
+    return (lambda: d.with_vertices(add=add, remove=remove, add_edges=pairs, remove_edges=cut),
+            lambda: PartitionedDag.from_roles(roles, kept + pairs))
+
+
+def test_random_edits_match_a_rebuild_or_raise_what_it_raises():
+    """About 500 seeded edits of one-shot style DAGs, each applied to the
+    previous edit's result when that succeeded."""
+    rng = random.Random(20261020)
+    raised = set()
+    for _ in range(60):
+        d = one_shot_dag(rng)
+        for _ in range(8):
+            edit, rebuild = _random_edit(d, rng)
+            got, want = _outcome(edit), _outcome(rebuild)
+            if isinstance(want, tuple):
+                assert got == want
+                raised.add(want[1].split(" ")[0])
+                continue
+            assert_matches_rebuild(got)
+            assert got == want
+            d = got
+    assert raised == {"edge", "edges", "self-loop"}
+
+
+_UNQUERIED = {
+    "constructed": lambda: cases.teaser_a(),
+    "edited": lambda: cases.teaser_a().with_vertices(
+        add={"n": Role.MARGINALIZED}, remove={"m4"}, add_edges={("n", "d")}),
+    "lifted": lambda: lift(cases.canon_example_slp()),
+    "smdg": lambda: cases.canon_example_slp(),
+}
+
+
+@pytest.mark.parametrize("graph, query", [
+    (graph, query) for graph in sorted(_UNQUERIED)
+    for query in ("parents_of", "children_of", "role_of") if (graph, query) != ("smdg", "role_of")
+])
+def test_vertex_queries_name_an_unknown_vertex(graph, query):
+    """Each graph is made anew, so the query is its first one."""
+    g = _UNQUERIED[graph]()
+    with pytest.raises(UnknownVertexError) as exc:
+        getattr(g, query)("zz")
+    assert (type(exc.value), str(exc.value)) == (UnknownVertexError,
+                                                 "vertex 'zz' is not in the graph")
 
 
 # --- messages that name one of several offenders ---------------------------

@@ -131,3 +131,33 @@ def test_prob_table_fields_hold_no_fractions():
     holding = sorted(name for name, annotation in fields.items()
                      if "Fraction" in ast.unparse(annotation))
     assert not holding, f"ProbTable fields annotated with Fraction: {holding}"
+
+
+def fresh_set_membership_lines(source: str) -> list[int]:
+    """Lines that test membership against a ``set(...)`` or ``frozenset(...)``
+    built in the test itself: the copy walks the whole collection to answer
+    one lookup that the graph's own maps answer directly."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.In, ast.NotIn)) and isinstance(right, ast.Call)
+                and isinstance(right.func, ast.Name) and right.func.id in {"set", "frozenset"}
+                for op, right in zip(node.ops, node.comparators))
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_membership_against_a_fresh_set(path):
+    lines = fresh_set_membership_lines(path.read_text(encoding="utf-8"))
+    assert not lines, f"{path.name} tests membership against a fresh set on lines {lines}"
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("x in set(d.edges)\n", [1]),
+    ("if (a, b) not in frozenset(edges):\n    pass\n", [1]),
+    ("x in edges_set\n", []),
+    ("x in d.children_of(a)\n", []),
+    ("s = set(d.edges)\nx in s\n", []),
+], ids=["in_set", "not_in_frozenset", "name", "query", "bound_once"])
+def test_fresh_set_membership_detector(source, expected):
+    assert fresh_set_membership_lines(source) == expected

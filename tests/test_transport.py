@@ -349,11 +349,11 @@ def _chain_transports():
     """The canonicalization chains of 180 seeded random non-canonical DAGs,
     each model carried step by step until a step would be too large."""
     from smdg.canon import canonicalize
-    from test_canon import _one_shot_dag
+    from helpers import one_shot_dag
 
     rng = random.Random("integer-chains")
     for _ in range(180):
-        model = _rand_model(rng, _one_shot_dag(rng))
+        model = _rand_model(rng, one_shot_dag(rng))
         for step in canonicalize(model.dag).steps:
             if _too_large(model, step):
                 break
