@@ -50,7 +50,7 @@ from math import gcd, lcm, prod
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
 from .graph import GraphError, PartitionedDag, Role, VertexId, _recorded, _Value
-from . import canon, io as graph_io
+from . import io as graph_io
 from .sumproduct import picker, sum_product
 
 Value = Any  # hashable; ints for serializable models, tuples for transported ones
@@ -141,7 +141,7 @@ def deterministic_kernel(
     for key in product(*parent_domains):
         value = fn(*key)
         rows[key] = tuple(1 if v == value else 0 for v in domain)
-    return KernelTable.of(parents, rows)
+    return KernelTable.over(parents, 1, rows)
 
 
 def table_kernel(
@@ -452,11 +452,16 @@ def _normalized(variables, acc, scale) -> tuple[Optional[ProbTable], Fraction]:
     return ProbTable(variables, total, tuple(sorted(acc))), Fraction(total, scale)
 
 
-def _cells(q: ProbTable) -> tuple[dict[Assignment, int], set[int], list[set[Value]]]:
+def _cells(q: ProbTable) -> tuple[dict[Assignment, int], set[int], list[set[Value]],
+                                  Optional[Assignment]]:
     """q's cells as a dict of integer weights over ``q.den``, the lengths of
-    its keys, and the set of values at each key position."""
+    its keys, the set of values at each key position, and the first key in
+    sorted order whose weight is negative (None when there is none)."""
     weights = dict(q.weights)
-    return weights, {len(key) for key in weights}, [set(col) for col in zip(*weights)]
+    negative = None
+    if weights and min(weights.values()) < 0:
+        negative = next(key for key, w in q.weights if w < 0)
+    return weights, {len(key) for key in weights}, [set(col) for col in zip(*weights)], negative
 
 
 def _check_q(model: DiscreteModel, q: ProbTable, over: Sequence[VertexId],
@@ -469,7 +474,7 @@ def _check_q(model: DiscreteModel, q: ProbTable, over: Sequence[VertexId],
     the first offender."""
     if tuple(q.variables) != tuple(over):
         raise ModelError(f"intervention must range over {tuple(over)}, got {q.variables}")
-    weights, lengths, columns = _recorded(q, "_cells", _cells)
+    weights, lengths, columns, negative = _recorded(q, "_cells", _cells)
     if sum(weights.values()) != q.den:
         raise ModelError("intervention distribution must sum to 1")
     domains = model.maps[0]
@@ -485,6 +490,8 @@ def _check_q(model: DiscreteModel, q: ProbTable, over: Sequence[VertexId],
                     raise ModelError(
                         f"intervention assigns {value!r} outside the domain of {v!r}"
                     )
+    if negative is not None:
+        raise ModelError(f"intervention key {negative} has a negative weight")
     if full_support and len(weights) != prod(len(dom) for dom in over_domains):
         raise ModelError("intervention must have full support")
     return weights, q.den
@@ -598,10 +605,12 @@ def private_latents(
 ) -> dict[VertexId, VertexId]:
     """The label of each target's private latent (by default every visible
     vertex's), made fresh against d's vertices and each other."""
+    from .canon import _fresh
+
     taken = set(d.vertices)
     labels = {}
     for v in sorted(d.visible if only is None else set(only)):
-        labels[v] = canon._fresh(private_latent(v), taken)
+        labels[v] = _fresh(private_latent(v), taken)
         taken.add(labels[v])
     return labels
 

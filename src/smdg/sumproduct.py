@@ -11,6 +11,19 @@ intervention's weights are a factor over the sharp variables (Pearl,
 summed out in one variable elimination (Koller & Friedman, *Probabilistic
 Graphical Models*, ch. 9) in a greedy smallest-bucket order.
 
+Evidence that forces two variables to be equal is a substitution, not a
+sum. A pinned vertex whose factor has exactly two free variables and every
+nonzero entry on the diagonal is a *tie*, such as the copy-check pair that
+stands in for a special edge (a uniform latent and a selection pinned to
+"copied"). When one of the two is summed out, it is renamed to the other
+in every factor before the order is planned (:func:`_ties`,
+:func:`_renamed`): the sum over y of ``f(..., y) * w(x) * [x == y]`` is
+``f(..., x) * w(x)``, so a factor that holds both keeps only the entries
+where they agree and one copy, the tie factor becomes ``w`` over one
+variable, and the renamed vertex is never eliminated. The table and
+``den`` are those of the elimination without the rename. Only the factors
+of pinned vertices are checked, so a call with no selection pays nothing.
+
 Set-up is paid once per kernel, not once per call. A kernel whose factor
 needs no row filtered and no column pinned is its whole table, which the
 ``KernelTable`` instance records with the domain it was built over
@@ -177,6 +190,46 @@ def _kernel_factor(v: VertexId, kern: KernelTable, dom: Sequence[Value],
     return scope + (() if zero is not None else (v,)), t
 
 
+def _ties(pairs: Iterable[tuple], summed: Container) -> dict:
+    """Each summed-out variable that a tie renames, mapped to the variable
+    that stands for it: its tie partner, or the partner's own stand-in along
+    a chain of ties. Of two summed-out partners the second is renamed to
+    the first; a tie between two variables that are not summed out stays a
+    factor."""
+    to: dict = {}
+
+    def find(x):
+        while x in to:
+            x = to[x]
+        return x
+
+    for x, y in pairs:
+        x, y = find(x), find(y)
+        if x != y and y in summed:
+            to[y] = x
+        elif x != y and x in summed:
+            to[x] = y
+    return {x: find(x) for x in to}
+
+
+def _renamed(f: Factor, rename: Mapping) -> Factor:
+    """f with each variable renamed; a factor that then holds one variable
+    twice keeps only the entries where the two agree, and one copy."""
+    scope, table = f
+    if rename.keys().isdisjoint(scope):
+        return f
+    new = tuple(rename.get(u, u) for u in scope)
+    first = {u: new.index(u) for u in new}
+    if len(first) == len(new):
+        return new, table
+    keep = list(first.values())
+    same = [(i, first[u]) for i, u in enumerate(new) if first[u] != i]
+    at = _picker(keep)
+    return tuple(new[i] for i in keep), {
+        at(key): w for key, w in table.items() if all(key[i] == key[j] for i, j in same)
+    }
+
+
 def sum_product(model: DiscreteModel, read: Sequence[VertexId], outputs: Sequence[VertexId],
                 pinned: Mapping[VertexId, Value], cells: Mapping[Assignment, int]):
     """The exact sum over every vertex outside ``outputs``, in one elimination.
@@ -209,16 +262,23 @@ def sum_product(model: DiscreteModel, read: Sequence[VertexId], outputs: Sequenc
 
     width = {u: len(domains[u]) for u in needed}
     width.update({(u,): len(held[u]) for u in read})
-    den, factors = 1, [(tuple((u,) for u in read), cells)]
+    summed = needed - set(outputs) - set(pinned)
+    den, factors, pairs = 1, [(tuple((u,) for u in read), cells)], []
     for v in sorted(needed):
-        factors.append(_kernel_factor(v, kernels[v], domains[v], held, narrowed, pinned))
+        f = _kernel_factor(v, kernels[v], domains[v], held, narrowed, pinned)
+        if v in pinned and len(f[0]) == 2 and all(x == y for x, y in f[1]):
+            pairs.append(f[0])
+        factors.append(f)
         den *= kernels[v].den
+    if pairs and (rename := _ties(pairs, summed)):
+        factors = [_renamed(f, rename) for f in factors]
+        summed -= rename.keys()
 
     # greedy order: next eliminate the vertex whose bucket spans the fewest
-    # assignments; sharp variables are outputs, so ties compare vertex ids.
-    # Eliminating v merges its bucket into one factor over span[v] - {v},
+    # assignments, equal spans broken by vertex id (sharp variables are
+    # outputs, so only ids are compared). Eliminating v merges its bucket into one factor over span[v] - {v},
     # so each other vertex of that span now spans its own span and v's.
-    span = {v: set() for v in needed - set(outputs) - set(pinned)}
+    span = {v: set() for v in summed}
     for scope, _ in factors:
         for v in scope:
             if v in span:

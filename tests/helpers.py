@@ -282,7 +282,15 @@ def greedy_order(model, read, outputs, pinned, cells) -> list:
     Scopes are those of the factors: a kernel reads a parent u in ``read``
     through ``(u,)``, whose width is the number of u's values that some cell
     holds; pinned vertices leave every scope. A vertex that is not needed
-    by an output or a pinned vertex is never a factor."""
+    by an output or a pinned vertex is never a factor.
+
+    A tie is a pinned vertex with two free parents whose kernel, on the
+    rows its pinned and read parents allow, gives its pinned value weight
+    only where the two parents' values are equal. Taking the pinned
+    vertices in sorted order, a tie renames one of its two variables, each
+    read through the variables already standing for it, to the other: the
+    second if it is summed out, else the first if that one is; a renamed
+    vertex is never eliminated."""
     domains, kernels = dict(model.domains), dict(model.kernels)
     held = {u: {key[i] for key in cells} for i, u in enumerate(read)}
     width = {u: len(dom) for u, dom in domains.items()}
@@ -298,6 +306,32 @@ def greedy_order(model, read, outputs, pinned, cells) -> list:
         scope = {(u,) if u in read else u for u in kernels[v].parents if u not in pinned}
         scopes.append(scope if v in pinned else scope | {v})
 
+    summed, stand = needed - set(outputs) - set(pinned), {}
+
+    def standing(u):
+        return standing(stand[u]) if u in stand else u
+
+    for v in sorted(pinned):
+        parents = kernels[v].parents
+        free = [i for i, u in enumerate(parents) if u not in pinned]
+        if len(free) != 2:
+            continue
+        column = domains[v].index(pinned[v])
+        off_diagonal = [
+            key for key, vec in kernels[v].rows
+            if vec[column] and key[free[0]] != key[free[1]]
+            and all(key[i] == pinned[u] if u in pinned else u not in read or key[i] in held[u]
+                    for i, u in enumerate(parents))
+        ]
+        if off_diagonal:
+            continue
+        x, y = (standing((parents[i],) if parents[i] in read else parents[i]) for i in free)
+        if x != y and y in summed:
+            stand[y] = x
+        elif x != y and x in summed:
+            stand[x] = y
+    scopes = [{standing(u) for u in s} for s in scopes]
+
     def cost(v):
         span = set().union(*(s for s in scopes if v in s))
         c = 1
@@ -305,7 +339,7 @@ def greedy_order(model, read, outputs, pinned, cells) -> list:
             c *= width[u]
         return c, v
 
-    remaining, order = needed - set(outputs) - set(pinned), []
+    remaining, order = summed - stand.keys(), []
     while remaining:
         v = min(remaining, key=cost)
         remaining.discard(v)

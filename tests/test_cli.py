@@ -417,6 +417,21 @@ def test_malformed_inputs_exit_65(tmp_path, capsys, name):
     assert err.startswith("error:") and "Traceback" not in err, err
 
 
+@pytest.mark.parametrize("argv, table, key", [
+    (["smi", "--q"], {"0,0,0": "2", "1,1,1": "-1"}, (1, 1, 1)),
+    (["ood", "--z", "a,b", "--q"], {"0,0": "3/2", "0,1": "-1/4", "1,0": "-1/4"}, (0, 1)),
+], ids=["smi", "ood"])
+def test_eval_refuses_a_negative_intervention_weight(tmp_path, capsys, argv, table, key):
+    from test_model import joint_selector_model
+    from smdg.model import model_dumps
+
+    variables = ["a", "b", "c"][:len(next(iter(table)).split(","))]
+    model = write(tmp_path, "model.json", model_dumps(joint_selector_model()))
+    q = write(tmp_path, "q.json", json.dumps({"variables": variables, "table": table}))
+    code, out, err = run(capsys, "eval", argv[0], model, *argv[1:], q)
+    assert (code, out, err) == (65, "", f"error: intervention key {key} has a negative weight\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["edge", "{g}", "--pair", "a,zz"],
     ["edge", "{g}", "--pair", "a"],
@@ -603,7 +618,7 @@ sys.exit(code)
 """
 
 _PROJECT = {"graph", "io", "canon", "project"}
-_MODEL = {"graph", "io", "canon", "model", "sumproduct"}
+_MODEL = {"graph", "io", "model", "sumproduct"}
 
 
 @pytest.mark.parametrize("argv, expected_code, modules", [
@@ -615,7 +630,7 @@ _MODEL = {"graph", "io", "canon", "model", "sumproduct"}
     (["sep", "{dag}", "--criterion", "d", "--x", "b", "--y", "c"], 1, _PROJECT | {"sep"}),
     (["eval", "smi", "{model}", "--q", "{q}"], 0, _MODEL),
     (["equiv-obs", "{smdg}", "{smdg}", "--depth", "2"], 0, _PROJECT | {"rewrite"}),
-    (["oracle", "witness", "marginal", "{smdg}"], 0, _MODEL | {"oracle"}),
+    (["oracle", "witness", "marginal", "{smdg}"], 0, _MODEL | {"canon", "oracle"}),
     (["enumerate", "smdgs", "--n-visible", "1"], 0, _PROJECT | {"enumeration"}),
 ], ids=["canon", "project", "lift", "equiv_oad", "sep_sm", "sep_d", "eval_smi", "equiv_obs",
         "oracle_witness", "enumerate"])

@@ -7,10 +7,18 @@ seeded sparse draw, and a point mass at a seeded cell), and observe-or-do
 with a partial intervention set. Each model also checks smo against the
 diagonal of smi under the uniform intervention.
 
+The tie rule, which renames a summed-out variable that a pinned selection
+forces equal to another, is checked the same way: on the moved models of
+the copy-check shapes, and on hand-built ties between two latents, with a
+factor that holds both tied variables, diagonal weights that differ by
+value, two ties chained through one variable, a one-value domain, and a
+selection with one off-diagonal entry, which must not tie.
+
 The evaluator's parts are checked on their own too: ``_multiply`` against
 a brute-force product of small random factors, the elimination order
-against the greedy order that rescans every factor (``helpers.greedy_order``),
-and a kernel instance shared by models over differently labelled domains.
+against the greedy order that rescans every factor (``helpers.greedy_order``,
+which applies the tie rule read from the kernels' rows), and a kernel
+instance shared by models over differently labelled domains.
 """
 
 import random
@@ -38,7 +46,7 @@ from smdg.model import (
 from smdg.transport import transport
 
 from helpers import assert_smo_is_smi_diagonal, greedy_order, walk_joint, walk_ood, walk_smi
-from test_transport import SHAPES, _grid, _rand_model
+from test_transport import SHAPES, _grid, _rand_dist, _rand_model
 
 F = Fraction
 
@@ -97,13 +105,33 @@ def assert_matches_walk(model, n_grid=5):
             assert repr(got) == repr(want) and got == want
 
 
+def _recording_ties(monkeypatch) -> list:
+    """Record what each ``sumproduct._ties`` call returns."""
+    seen, ties = [], sumproduct._ties
+
+    def recorded(pairs, summed):
+        seen.append(ties(pairs, summed))
+        return seen[-1]
+
+    monkeypatch.setattr(sumproduct, "_ties", recorded)
+    return seen
+
+
+# the shapes whose moved model holds copy-check pairs, which the evaluator ties
+COPY_CHECK_SHAPES = {"split_m_to_s", "to_special"}
+
+
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_transport_shapes_match_walk(shape):
+def test_transport_shapes_match_walk(monkeypatch, shape):
     rng = random.Random(f"evaluator-{shape}")
+    seen = _recording_ties(monkeypatch)
     for _ in range(2):
         model, move = SHAPES[shape](rng)
+        del seen[:]
         assert_matches_walk(model)
+        assert not any(seen)
         assert_matches_walk(transport(model, move))
+        assert any(seen) == (shape in COPY_CHECK_SHAPES)
 
 
 def _random_dag(rng):
@@ -188,6 +216,93 @@ def test_selection_probability_zero():
     assert_matches_walk(model)
 
 
+# --- ties: a pinned selection that passes only equal values ----------------------
+
+
+def _tie_model(rng, visible, latents, selections, edges, sizes=None):
+    """A model whose selections' kernels are given: ``selections`` maps each
+    selected vertex to its parents, in the order its kernel reads them, and
+    to ``fn(*parent_values) -> P(s = 0 | values)``. Latents get positive
+    random rows, visibles random functions, and every domain is binary unless
+    ``sizes`` says otherwise."""
+    dag = PartitionedDag.of(visible=visible, marginalized=latents, selected=list(selections),
+                            edges=edges + [(u, s) for s, (ps, _) in selections.items()
+                                           for u in ps])
+    sizes = sizes or {}
+    domains = {v: tuple(range(sizes.get(v, 2))) for v in dag.vertices}
+    kernels = {}
+    for v in sorted(dag.vertices):
+        parents, fn = selections.get(v, (sorted(dag.parents_of(v)), None))
+        pdoms = [domains[p] for p in parents]
+        if fn:
+            kernels[v] = table_kernel(parents, pdoms, (0, 1),
+                                      lambda *k, fn=fn: {0: fn(*k), 1: 1 - fn(*k)})
+        elif v in dag.visible:
+            kernels[v] = deterministic_kernel(parents, pdoms, domains[v],
+                                              lambda *k, v=v: rng.choice(domains[v]))
+        else:
+            kernels[v] = table_kernel(parents, pdoms, domains[v],
+                                      lambda *k, v=v: _rand_dist(rng, domains[v]))
+    return DiscreteModel.of(dag, domains, kernels)
+
+
+def _equal(x, y):
+    return F(int(x == y))
+
+
+TIES = {
+    # two latents of different widths, tied: m2 (the second parent) is renamed
+    "latents": (dict(visible="ab", latents=["m1", "m2"],
+                     selections={"s": (["m1", "m2"], _equal)},
+                     edges=[("m1", "a"), ("m2", "b")], sizes={"m1": 2, "m2": 3}),
+                {"m2": "m1"}),
+    # c reads both tied latents, so its factor keeps only their agreements
+    "one_factor_holds_both": (dict(visible="abc", latents=["m1", "m2"],
+                                   selections={"s": (["m1", "m2"], _equal)},
+                                   edges=[("m1", "a"), ("m2", "b"), ("m1", "c"), ("m2", "c")],
+                                   sizes={"m1": 3, "m2": 3}),
+                              {"m2": "m1"}),
+    # the tie weighs equal values 1/4, 2/4 and 3/4 by value
+    "weights_by_value": (dict(visible="ab", latents=["m1", "m2"],
+                              selections={"s": (["m1", "m2"],
+                                                lambda x, y: F(x + 1, 4) if x == y else F(0))},
+                              edges=[("m1", "a"), ("m2", "b")], sizes={"m1": 3, "m2": 3}),
+                         {"m2": "m1"}),
+    # s1 renames m2 to m1, then s2 ties m3 to m2, which stands for m1: m1 is
+    # the second summed-out variable and goes to m3, and m2 follows it
+    "chain": (dict(visible="abc", latents=["m1", "m2", "m3"],
+                   selections={"s1": (["m1", "m2"], _equal), "s2": (["m3", "m2"], _equal)},
+                   edges=[("m1", "a"), ("m2", "b"), ("m3", "c")],
+                   sizes={"m1": 3, "m2": 3, "m3": 3}),
+              {"m1": "m3", "m2": "m3"}),
+    # a visible and a latent of one value each: the tie holds, and m goes to a
+    "one_value": (dict(visible="ab", latents=["m", "u"],
+                       selections={"s": (["a", "m"], _equal)},
+                       edges=[("u", "a"), ("m", "b")], sizes={"a": 1, "m": 1}),
+                  {"m": "a"}),
+    # one off-diagonal entry passes the selection: no tie
+    "not_diagonal": (dict(visible="ab", latents=["m1", "m2"],
+                          selections={"s": (["m1", "m2"],
+                                            lambda x, y: F(int(x == y or (x, y) == (0, 1)), 2))},
+                          edges=[("m1", "a"), ("m2", "b")], sizes={"m1": 3, "m2": 3}),
+                     {}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TIES))
+def test_ties_match_walk(monkeypatch, name):
+    """Each tie case gives the brute-force tables for smo, smi and
+    observe-or-do, and smo renames exactly the expected variables."""
+    spec, renames = TIES[name]
+    seen = _recording_ties(monkeypatch)
+    for i in range(3):
+        model = _tie_model(random.Random(f"ties-{name}-{i}"), **spec)
+        del seen[:]
+        _outcome(smo_distribution, model)
+        assert (seen or [{}]) == [renames]
+        assert_matches_walk(model)
+
+
 # --- the evaluator's parts -----------------------------------------------------
 
 WIDTH = {"a": 2, "b": 3, "c": 2, ("a",): 2}
@@ -269,6 +384,8 @@ def _order_cases():
         yield shape + "-moved", transport(model, move)
     yield "chain8", _chain8(False)
     yield "chain8-shared", _chain8(True)
+    for name in sorted(TIES):
+        yield "ties-" + name, _tie_model(random.Random(f"order-{name}"), **TIES[name][0])
 
 
 @pytest.mark.parametrize("name, model", list(_order_cases()),

@@ -3,6 +3,7 @@ import random
 import re
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 import pytest
@@ -335,6 +336,26 @@ def test_integer_form_is_each_row_over_den(monkeypatch):
     assert len(built) > 100
 
 
+def test_deterministic_kernel_is_the_kernel_of_its_rows():
+    """Built from 0/1 integer rows, a deterministic kernel equals, with the
+    same repr, the kernel that ``KernelTable.of`` builds from the same rows,
+    also where the function returns a value outside the domain."""
+    rng = random.Random("deterministic-kernel")
+    specs = []
+    for _ in range(200):
+        parents = [f"p{i}" for i in range(rng.randint(0, 3))]
+        pdoms = [tuple(range(rng.randint(1, 3))) for _ in parents]
+        domain = tuple(range(rng.randint(1, 4)))
+        specs.append((parents, pdoms, domain,
+                      {key: rng.choice(domain) for key in product(*pdoms)}))
+    specs.append((["p"], [(0, 1)], (0, 1), {(0,): 0, (1,): 7}))
+    for parents, pdoms, domain, fn in specs:
+        got = deterministic_kernel(parents, pdoms, domain, lambda *key: fn[key])
+        want = KernelTable.of(parents, {key: tuple(int(x == y) for x in domain)
+                                        for key, y in fn.items()})
+        assert got == want and repr(got) == repr(want)
+
+
 def test_kernel_row_index_is_made_on_first_read():
     """Validation and evaluation read a kernel's rows whole, so a model that
     is built and evaluated builds no index of rows by key; the first
@@ -447,6 +468,21 @@ def test_q_check_names_the_first_faulty_cell(cells, message):
     for _ in range(2):  # the second call reads the record the first one left on q
         with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
             smi_distribution(_pair_model(2), q)
+
+
+def test_q_check_refuses_a_negative_weight():
+    """Weights that sum to one but hold a negative entry are no intervention:
+    smi and observe-or-do name the first negative key in sorted order."""
+    q = ProbTable.of(("a", "b"), {(0, 0): F(2), (0, 1): F(-1, 2), (1, 1): F(-1, 2)})
+    message = "intervention key (0, 1) has a negative weight"
+    for _ in range(2):  # the second call reads the record the first one left on q
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            smi_distribution(_pair_model(2), q)
+        with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+            observe_or_do_distribution(_pair_model(2), ["a", "b"], q)
+    qa = ProbTable.of(("a",), {(0,): F(3, 2), (1,): F(-1, 2)})
+    with pytest.raises(ModelError, match=re.escape("intervention key (1,) has a negative weight")):
+        observe_or_do_distribution(_pair_model(2), ["a"], qa)
 
 
 def test_q_record_holds_only_facts_about_q():
