@@ -40,10 +40,9 @@ _EXPORTS = {
     "transport": ("transport_chain", "transport_obs_or_do"),
     "rewrite": (
         "EquivalenceProof", "RewriteStep", "RulePreconditionError", "SearchResult",
-        "build_tilde_dag", "district_block_order", "identity_mdag_checker", "mdag_of",
-        "rule_add_marginal_face", "rule_mdag_lift", "rule_remove_selected_face",
-        "rule_remove_self_loop", "rule_remove_special_edge", "search_equivalence",
-        "shield_completion",
+        "identity_mdag_checker", "mdag_of", "rule_add_marginal_face", "rule_mdag_lift",
+        "rule_remove_selected_face", "rule_remove_self_loop", "rule_remove_special_edge",
+        "search_equivalence",
     ),
     "oracle": (
         "FactorizationStructure", "FeasibilityResult", "OracleError", "SupportPoint",

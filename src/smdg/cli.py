@@ -155,6 +155,14 @@ def _cmd_eval(args) -> int:
     from . import model
 
     m = model.model_from_obj(_read_json(args.model))
+    z = _split_names(args.z)
+    # a flag the mode does not read is refused, so a bad --q cannot pass unchecked
+    if z and args.mode != "ood":
+        raise model.ModelError(f"eval {args.mode} does not read --z")
+    if args.q and args.mode == "smo":
+        raise model.ModelError("eval smo does not read --q")
+    if args.q and args.mode == "ood" and not z:
+        raise model.ModelError("eval ood reads --q only with --z")
     q = model.prob_table_from_obj(_read_json(args.q)) if args.q else None
     try:
         if args.mode == "smi":
@@ -167,7 +175,6 @@ def _cmd_eval(args) -> int:
             payload = {"q": model.prob_table_to_obj(res.q)}
         else:
             # smo is ood with nothing intervened
-            z = _split_names(args.z) if args.mode == "ood" else []
             res = model.observe_or_do_distribution(m, z, q)
             payload = {}
         payload["distribution"] = model.prob_table_to_obj(res.dist)

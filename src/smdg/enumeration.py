@@ -3,8 +3,8 @@
 These drive the exhaustive property sweeps: all smDGs over a few visible
 vertices (complete up to three visibles; bounded and union-representative at
 four, where liftability depends on the face systems only through their
-unions), and all canonical DAGs within a non-visible budget, generated
-constructively from the structure canonical DAGs are known to have.
+unions), and all canonical DAGs within a non-visible budget, as the lifts of
+the liftable smDGs.
 """
 
 from __future__ import annotations
@@ -169,65 +169,27 @@ def enumerate_partitioned_dags(
 def enumerate_canonical_dags(
     max_visible: int = 3, max_nonvisible: int = 3
 ) -> Iterator[PartitionedDag]:
-    """Constructive enumeration of canonical DAGs: acyclic plain visible
-    edges, at most one rendered special pair per non-visible budget of two,
-    and face vertices for antichain families, subject to the cross-class
-    exclusions that redundancy removal and special-edge exhaustiveness
-    impose. Every yielded graph is a fixed point of the rewrite pipeline."""
-    for n_v in range(0, max_visible + 1):
-        verts = VISIBLE_NAMES[:n_v]
-        plain_universe = sorted((a, b) for a in verts for b in verts if a != b)
-        special_universe = sorted((a, b) for a in verts for b in verts)
-        families = antichains(verts)
-        for n_plain in range(len(plain_universe) + 1):
-            for plain in combinations(plain_universe, n_plain):
-                if not is_acyclic(verts, plain):
-                    continue
-                max_specials = max_nonvisible // 2
-                for n_spec in range(max_specials + 1):
-                    for specials in combinations(special_universe, n_spec):
-                        budget = max_nonvisible - 2 * n_spec
-                        special_tails = {a for a, _ in specials}
-                        special_heads = {b for _, b in specials}
-                        for l_faces in families:
-                            if len(l_faces) > budget:
-                                continue
-                            if any(
-                                len(f) == 1 and next(iter(f)) in special_heads
-                                for f in l_faces
-                            ):
-                                continue
-                            for s_faces in families:
-                                if len(l_faces) + len(s_faces) > budget:
-                                    continue
-                                if any(
-                                    len(f) == 1 and next(iter(f)) in special_tails
-                                    for f in s_faces
-                                ):
-                                    continue
-                                d = _lift_canonical(
-                                    verts, plain, specials, l_faces, s_faces
-                                )
-                                if d is not None:
-                                    yield d
-
-
-def _lift_canonical(verts, plain, specials, l_faces, s_faces):
-    """The canonical DAG with these plain and special edges and faces, or
-    None when a plain edge would run from the selected support into the
-    marginal support (special-edge exhaustiveness). A special edge a -> b is
-    an smDG edge with a in a selected face and b in a marginal face, so the
-    singleton faces {a} and {b} make it one."""
-    sel_support = {a for a, _ in specials} | {v for f in s_faces for v in f}
-    mar_support = {b for _, b in specials} | {v for f in l_faces for v in f}
-    for a, b in plain:
-        if a in sel_support and b in mar_support:
-            return None
-    return project.lift(
-        SmDG.of(
-            verts,
-            plain + specials,
-            [*l_faces, *({b} for _, b in specials)],
-            [*s_faces, *({a} for a, _ in specials)],
-        )
-    )
+    """Every canonical DAG with at most ``max_visible`` visibles (0 to 3)
+    and at most ``max_nonvisible`` non-visibles: the lift of each liftable
+    smDG that ``enumerate_smdgs`` yields, for each visible count in turn.
+    A graph is lifted only when the non-visibles its lift renders fit the
+    budget: a latent and a selection for each edge from the selected support
+    into the marginal support, and a vertex for each other maximal face (the
+    singleton faces of those edges' heads and tails are rendered by them)."""
+    _check_counts(max_visible, max_nonvisible=max_nonvisible)
+    if max_visible > 3:
+        # four visibles enumerate only singleton face families
+        raise EnumerationError(f"max_visible={max_visible} is outside 0..3")
+    for n_visible in range(max_visible + 1):
+        for g in enumerate_smdgs(n_visible, liftable_only=True):
+            m_faces, s_faces = g.marginal_system.maximal_faces, g.selected_system.maximal_faces
+            m_support, s_support = g.marginal_system.support, g.selected_system.support
+            special = [(a, b) for a, b in g.edges if a in s_support and b in m_support]
+            rendered = (2 * len(special)
+                        + len(m_faces - {frozenset((b,)) for _, b in special})
+                        + len(s_faces - {frozenset((a,)) for a, _ in special}))
+            if rendered > max_nonvisible:
+                continue
+            d = project.lift(g)
+            if len(d.marginalized) + len(d.selected) <= max_nonvisible:
+                yield d

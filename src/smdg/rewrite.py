@@ -19,19 +19,10 @@ necessary: a failed search says nothing about inequivalence.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from .graph import (
-    GraphError,
-    IndependenceSystem,
-    PartitionedDag,
-    SmDG,
-    VertexId,
-    _Value,
-    is_acyclic,
-    topological_order,
-)
-from .project import canonical_graph, is_liftable, special_paths, unliftable_cycle
+from .graph import GraphError, IndependenceSystem, SmDG, VertexId, _Value, is_acyclic
+from .project import canonical_graph, is_liftable, unliftable_cycle
 
 
 class RulePreconditionError(GraphError):
@@ -166,15 +157,11 @@ def check_selected_face_removal(
     return dropped
 
 
-class _Rule(_Value):
+class _Rule(NamedTuple):
     label: str  # names the rule in precondition and liftability errors
     check: Callable[..., Iterable]  # (label, g, *params) -> edges the rewrite deletes
     forward: Callable[..., SmDG]  # (g, deleted edges, *params) -> rewritten g
     inverse: Callable[..., SmDG]  # (g, *params) -> the graph before the step
-
-    def __init__(self, label, check, forward, inverse) -> None:
-        self.__dict__.update(label=label, check=check, forward=forward, inverse=inverse,
-                             _key=(label, check, forward, inverse))
 
 
 # Each edit below builds its SmDG through the constructor, whose checks
@@ -496,86 +483,3 @@ def search_equivalence(
             "unknown" + note
         ),
     )
-
-
-# --- proof-side constructions used by the shielding analysis ---------------------
-
-
-def build_tilde_dag(g: SmDG, vs: Iterable[VertexId]) -> PartitionedDag:
-    """The intermediate DAG of the face-removal argument: rendered edges whose
-    endpoints share no latent parent become plain edges (dropping latents
-    made redundant), and the remaining rendered edges lose their latent."""
-    vs = frozenset(vs)
-    check_selected_face_removal(g, vs, auto_remove_special_edges=False)
-    d = canonical_graph(g).to_partitioned_dag()
-    for a, s, m, b in special_paths(d):
-        share = d.parents_of(a) & d.parents_of(b) & d.marginalized
-        if not share:
-            # A) replace the rendering with the plain edge
-            d = d.with_edges(add={(a, b)}, remove={(m, s)})
-            # B) drop the latent when the head keeps other latent noise
-            if d.parents_of(b) & d.marginalized - {m}:
-                d = d.with_vertices(remove={m})
-        else:
-            # C) sever the latent half of the rendering
-            d = d.with_vertices(remove={m})
-    return d
-
-
-def district_block_order(d: PartitionedDag, s: VertexId) -> list[VertexId]:
-    """Topological order of the ancestors of s (s excluded) in which every
-    latent is immediately followed by its children."""
-    region = d.ancestors_of({s}) - {s}
-    latents = sorted(m for m in region & d.marginalized)
-    block_of: dict[VertexId, VertexId] = {}
-    for m in latents:
-        for v in d.children_of(m):
-            if v in region:
-                block_of[v] = m
-    singles = [v for v in sorted(region) if v not in block_of and v not in latents]
-    blocks: dict[VertexId, list[VertexId]] = {m: [m] for m in latents}
-    for v in sorted(block_of):
-        blocks[block_of[v]].append(v)
-    for v in singles:
-        blocks[v] = [v]
-    # contract blocks and topologically order them
-    owner = {v: b for b, members in blocks.items() for v in members}
-    block_edges = set()
-    for a, b in d.edges:
-        if a in owner and b in owner and owner[a] != owner[b]:
-            block_edges.add((owner[a], owner[b]))
-    order = topological_order(blocks.keys(), block_edges)
-    out: list[VertexId] = []
-    for b in order:
-        members = blocks[b]
-        head, rest = members[0], members[1:]
-        if head in latents:
-            out.append(head)
-            sub_edges = [(x, y) for x, y in d.edges if x in rest and y in rest]
-            out.extend(topological_order(rest, sub_edges))
-        else:
-            out.append(head)
-    return out
-
-
-def shield_completion(d: PartitionedDag, ordering: Sequence[VertexId]) -> PartitionedDag:
-    """Fully connect each latent's children along the ordering and point
-    earlier visibles at later latents they share a child with."""
-    position = {v: i for i, v in enumerate(ordering)}
-    latents = [v for v in ordering if v in d.marginalized]
-    add: set[tuple[VertexId, VertexId]] = set()
-    for m in latents:
-        kids = sorted(
-            (v for v in d.children_of(m) if v in position), key=position.__getitem__
-        )
-        for i, u in enumerate(kids):
-            for v in kids[i + 1:]:
-                if (u, v) not in d.edges:
-                    add.add((u, v))
-    for v in ordering:
-        if v in d.marginalized:
-            continue
-        for m in latents:
-            if position[v] < position[m] and d.children_of(v) & d.children_of(m):
-                add.add((v, m))
-    return d.with_edges(add=add)

@@ -1,5 +1,6 @@
 """Test-only helpers."""
 
+import hashlib
 import itertools
 import os
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import smdg
-from smdg.graph import PartitionedDag, SmDG
+from smdg.graph import PartitionedDag, SmDG, topological_order
 from smdg.model import (
     ProbTable,
     SelectedDistribution,
@@ -22,7 +23,8 @@ from smdg.model import (
     uniform,
 )
 from smdg.oracle import OracleError
-from smdg.project import canonical_graph
+from smdg.project import canonical_graph, special_paths
+from smdg.rewrite import check_selected_face_removal
 from smdg.sep import D_separated, SeparationQuery, sm_separated
 
 # Non-liftable smDGs: a two-cycle, a self-loop, and a three-cycle that the
@@ -419,6 +421,13 @@ def brute_force_support_feasible(fs, q) -> bool:
     return False
 
 
+def canonical_dags_digest(dags) -> tuple[int, str]:
+    """The count of the DAGs and the sha256 of their sorted reprs, joined by
+    newlines: a fingerprint of a set that ignores the order it came in."""
+    reprs = sorted(repr(d) for d in dags)
+    return len(reprs), hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+
+
 def unshielded_colliders(d: PartitionedDag, region) -> list:
     """Each (p1, z, p2) with z in region and p1, p2 non-adjacent parents of z."""
     out = []
@@ -429,3 +438,72 @@ def unshielded_colliders(d: PartitionedDag, region) -> list:
                 if (p1, p2) not in d.edges and (p2, p1) not in d.edges:
                     out.append((p1, z, p2))
     return out
+
+
+# --- the shielding argument behind selected-face removal ------------------------
+
+
+def build_tilde_dag(g: SmDG, vs) -> PartitionedDag:
+    """The intermediate DAG of the face-removal argument. Only the special
+    paths a -> s <- m -> b with a and b both ancestors of the face change,
+    the region where the rule's clauses a and b are read: one whose
+    endpoints share no latent parent becomes the plain edge a -> b (dropping
+    its latent when b keeps other latent noise), and any other loses its
+    latent."""
+    vs = frozenset(vs)
+    check_selected_face_removal(g, vs, auto_remove_special_edges=False)
+    region = g.ancestors_of(vs)
+    d = canonical_graph(g).to_partitioned_dag()
+    for a, s, m, b in special_paths(d):
+        if a not in region or b not in region:
+            continue
+        if not d.parents_of(a) & d.parents_of(b) & d.marginalized:
+            d = d.with_edges(add={(a, b)}, remove={(m, s)})
+            if d.parents_of(b) & d.marginalized - {m}:
+                d = d.with_vertices(remove={m})
+        else:
+            d = d.with_vertices(remove={m})
+    return d
+
+
+def district_block_order(d: PartitionedDag, s) -> list:
+    """Topological order of the ancestors of s (s excluded) in which every
+    latent is immediately followed by its children."""
+    region = d.ancestors_of({s}) - {s}
+    latents = sorted(region & d.marginalized)
+    block_of = {v: m for m in latents for v in d.children_of(m) if v in region}
+    blocks = {m: [m] for m in latents}
+    for v in sorted(block_of):
+        blocks[block_of[v]].append(v)
+    for v in sorted(region - block_of.keys() - set(latents)):
+        blocks[v] = [v]
+    # contract the blocks and order them topologically
+    owner = {v: b for b, members in blocks.items() for v in members}
+    block_edges = {
+        (owner[x], owner[y]) for x, y in d.edges
+        if x in owner and y in owner and owner[x] != owner[y]
+    }
+    out = []
+    for b in topological_order(blocks.keys(), block_edges):
+        head, rest = blocks[b][0], blocks[b][1:]
+        out.append(head)
+        out.extend(topological_order(rest, [(x, y) for x, y in d.edges
+                                            if x in rest and y in rest]))
+    return out
+
+
+def shield_completion(d: PartitionedDag, ordering) -> PartitionedDag:
+    """Fully connect each latent's children along the ordering and point
+    earlier visibles at later latents they share a child with."""
+    position = {v: i for i, v in enumerate(ordering)}
+    latents = [v for v in ordering if v in d.marginalized]
+    add = set()
+    for m in latents:
+        kids = sorted((v for v in d.children_of(m) if v in position), key=position.get)
+        add.update((u, v) for i, u in enumerate(kids) for v in kids[i + 1:]
+                   if (u, v) not in d.edges)
+    for v in ordering:
+        if v not in d.marginalized:
+            add.update((v, m) for m in latents
+                       if position[v] < position[m] and d.children_of(v) & d.children_of(m))
+    return d.with_edges(add=add)

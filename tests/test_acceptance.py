@@ -41,7 +41,7 @@ from smdg.transport import transport, transport_obs_or_do
 
 import cases
 from cases import exactly_one_query, exactly_one_structure_joint, exactly_one_structure_pairwise
-from helpers import assert_smo_is_smi_diagonal, same_up_to_nonvisible_labels
+from helpers import assert_smo_is_smi_diagonal, canonical_dags_digest, same_up_to_nonvisible_labels
 from test_transport import SHAPES, _grid, random_interventions, witness_triangle_model
 
 F = Fraction
@@ -94,11 +94,14 @@ def test_criterion_02_worked_figure_bit_matches():
 
 def test_criterion_03_projection_round_trip():
     started = time.monotonic()
-    count = 0
-    for d in enumerate_canonical_dags(max_visible=3, max_nonvisible=3):
+    dags = list(enumerate_canonical_dags(max_visible=3, max_nonvisible=3))
+    for d in dags:
         rebuilt = canonical_graph(slp(d)).to_partitioned_dag()
         assert signature(rebuilt) == signature(d), d
-        count += 1
+    count = len(dags)
+    # the set the constructive enumerator gave before the lifts replaced it
+    assert canonical_dags_digest(dags) == (
+        4405, "6833c16d501b44cc8a737c647da97d0ddc946d3fd8905ebef6c92e0377b4107a")
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
     report(3, f"signature round-trip exact on {count} canonical DAGs", started)

@@ -157,6 +157,27 @@ def test_eval_ood_with_q(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["smo", "{model}", "--q", "{q}"], "eval smo does not read --q"),
+    (["ood", "{model}", "--q", "{q}"], "eval ood reads --q only with --z"),
+    (["smo", "{model}", "--z", "a"], "eval smo does not read --z"),
+    (["smi", "{model}", "--z", "a", "--q", "{q}"], "eval smi does not read --z"),
+], ids=["smo_q", "ood_q_without_z", "smo_z", "smi_z"])
+def test_eval_refuses_a_flag_the_mode_does_not_read(tmp_path, capsys, argv, message):
+    """The q weighs a key negatively, which smi and ood --z refuse; a mode
+    that would ignore the flag names it instead of passing the q unchecked."""
+    from test_model import joint_selector_model
+    from smdg.model import model_dumps
+
+    paths = {
+        "model": write(tmp_path, "m.json", model_dumps(joint_selector_model())),
+        "q": write(tmp_path, "q.json", json.dumps(
+            {"variables": ["a", "b", "c"], "table": {"0,0,0": "2", "1,1,1": "-1"}})),
+    }
+    code, out, err = run(capsys, "eval", *[arg.format(**paths) for arg in argv])
+    assert (code, out, err) == (65, "", f"error: {message}\n")
+
+
 def test_equiv_obs_found_and_not_found(tmp_path, capsys):
     p1 = write(tmp_path, "g1.json", graph_io.dumps(cases.canon_example_slp()))
     p2 = write(tmp_path, "g2.json", graph_io.dumps(cases.chain_face_removed()))

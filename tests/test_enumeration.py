@@ -16,6 +16,8 @@ from smdg.graph import GraphError, SmDG
 from smdg.io import dumps
 from smdg.project import is_liftable, signature, unliftable_cycle
 
+from helpers import canonical_dags_digest
+
 
 def test_antichain_count_three_elements():
     # families of pairwise-incomparable non-empty subsets of a 3-set
@@ -48,8 +50,12 @@ def test_visible_cap_enforced():
     lambda: enumerate_partitioned_dags(2, -1, 1),
     lambda: enumerate_partitioned_dags(2, 1, -1),
     lambda: enumerate_smdgs(2, SmdgBounds(max_edges=-1)),
+    lambda: enumerate_canonical_dags(4, 1),
+    lambda: enumerate_canonical_dags(-1, 1),
+    lambda: enumerate_canonical_dags(2, -1),
 ], ids=["smdgs_negative", "dags_negative", "dags_above_cap", "dags_negative_latents",
-        "dags_negative_selections", "smdgs_negative_max_edges"])
+        "dags_negative_selections", "smdgs_negative_max_edges", "canonical_four_visibles",
+        "canonical_negative_visibles", "canonical_negative_budget"])
 def test_counts_outside_bounds_rejected(make):
     with pytest.raises(EnumerationError):
         next(make())
@@ -112,10 +118,26 @@ def test_enumerated_canonical_dags_are_canonical():
     assert count > 10
 
 
+# The count and digest (helpers.canonical_dags_digest) of the canonical DAGs
+# within each budget, taken from the constructive enumerator that the lifts
+# of the liftable smDGs replaced; (3, 3) is pinned by acceptance criterion 3.
+CANONICAL_DAGS = {
+    (1, 5): (6, "e55a6dc8a107fb268686302cfcc9ebc434e68891fa0bdf5152b0805d825524bf"),
+    (2, 2): (62, "14bacd4a318f0a366ed7c63b7ebd0c6ef1a3ae67b156cca0cb3ff3b04fb7b7d5"),
+    (2, 4): (131, "f5fb84687c818e385efbe86a03732884b83bca206ae57dc94f3be5a0d5184a4f"),
+    (3, 2): (1689, "fc9f9e09d35d1ba22917e8cb5f3b877d1453411ca8b7373d935b4a5ba1c5be03"),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(CANONICAL_DAGS), ids=str)
+def test_canonical_dags_are_the_pinned_sets(budget):
+    assert canonical_dags_digest(enumerate_canonical_dags(*budget)) == CANONICAL_DAGS[budget]
+
+
 def test_constructive_enumeration_matches_filter_based():
-    """Cross-check the constructive canonical-DAG enumerator against brute
-    enumeration plus the fixed-point test, compared through signatures."""
-    constructive = {
+    """Cross-check the canonical-DAG enumerator against brute enumeration
+    plus the fixed-point test, compared through signatures."""
+    lifted = {
         signature(d)
         for d in enumerate_canonical_dags(max_visible=2, max_nonvisible=2)
         if len(d.visible) == 2
@@ -126,7 +148,7 @@ def test_constructive_enumeration_matches_filter_based():
             for d in enumerate_partitioned_dags(2, n_m, n_s):
                 if is_canonical(d):
                     brute.add(signature(d))
-    assert constructive == brute
+    assert lifted == brute
 
 
 def test_singleton_union_bounds_for_four_visibles():

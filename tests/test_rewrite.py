@@ -12,9 +12,7 @@ from smdg.rewrite import (
     RewriteStep,
     RulePreconditionError,
     apply_step,
-    build_tilde_dag,
     check_selected_face_removal,
-    district_block_order,
     mdag_of,
     rule_add_marginal_face,
     rule_mdag_lift,
@@ -22,12 +20,17 @@ from smdg.rewrite import (
     rule_remove_self_loop,
     rule_remove_special_edge,
     search_equivalence,
-    shield_completion,
 )
 from smdg.sep import SeparationQuery, sm_separated
 
 import cases
-from helpers import python_env, unshielded_colliders
+from helpers import (
+    build_tilde_dag,
+    district_block_order,
+    python_env,
+    shield_completion,
+    unshielded_colliders,
+)
 
 
 # --- add marginal face -----------------------------------------------------
@@ -399,3 +402,47 @@ def test_shield_completion_singleton_districts_get_no_internal_edges():
     # later latents
     for u, v in added:
         assert {u, v} <= {"a", "b"} or v in tilde.marginalized
+
+
+def _face_vertex(tilde, vs):
+    return next(s for s in tilde.selected if tilde.parents_of(s) & tilde.visible == set(vs))
+
+
+def test_tilde_dag_keeps_special_paths_outside_the_face_ancestry():
+    """Removing {c} reads only c's ancestry; the special paths between a and
+    b stay rendered, where converting b -> s <- m -> a into b -> a beside the
+    plain a -> b made a two-cycle."""
+    g = SmDG.of("abc", edges=[("a", "b"), ("b", "a")], marginal_faces=[("a",)],
+                selected_faces=[("a", "b"), ("c",)])
+    tilde = build_tilde_dag(g, {"c"})
+    assert tilde == canonical_graph(g).to_partitioned_dag()
+    face_vertex = _face_vertex(tilde, "c")
+    shd = shield_completion(tilde, district_block_order(tilde, face_vertex))
+    assert unshielded_colliders(shd, shd.ancestors_of({face_vertex}) - {face_vertex}) == []
+
+
+def test_every_accepted_removal_shields_its_ancestry():
+    """Over every liftable smDG with at most two visibles and the 3-visible
+    ones with at most three edges, each selected-face removal that the rule
+    accepts without removing special edges builds its tilde DAG, and the
+    shield completion of the face vertex's ancestry (the face vertex
+    excluded) has no unshielded collider."""
+    graphs = itertools.chain(
+        *(enumerate_smdgs(n, liftable_only=True) for n in range(3)),
+        enumerate_smdgs(3, SmdgBounds(max_edges=3), liftable_only=True),
+    )
+    accepted = 0
+    for g in graphs:
+        for vs in g.selected_system.sorted_faces():
+            try:
+                tilde = build_tilde_dag(g, vs)
+            except RulePreconditionError:
+                continue
+            accepted += 1
+            face_vertex = _face_vertex(tilde, vs)
+            ordering = district_block_order(tilde, face_vertex)
+            region = tilde.ancestors_of({face_vertex}) - {face_vertex}
+            assert set(ordering) == region, (g, vs)
+            shd = shield_completion(tilde, ordering)
+            assert unshielded_colliders(shd, region) == [], (g, vs)
+    assert accepted == 11786

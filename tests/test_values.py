@@ -232,9 +232,13 @@ def test_fields_cannot_be_assigned_or_deleted(made):
     for name, xs in made.items():
         x = xs[0]
         for f in FIELDS[name]:
-            with pytest.raises(AttributeError, match=f"cannot assign to field '{f}'"):
+            # _Rule is a typing.NamedTuple, whose refusal Python words itself
+            tuple_ = name == "_Rule"
+            with pytest.raises(AttributeError,
+                               match=None if tuple_ else f"cannot assign to field '{f}'"):
                 setattr(x, f, getattr(x, f))
-            with pytest.raises(AttributeError, match=f"cannot delete field '{f}'"):
+            with pytest.raises(AttributeError,
+                               match=None if tuple_ else f"cannot delete field '{f}'"):
                 delattr(x, f)
         with pytest.raises(AttributeError):
             x.extra = 1
